@@ -17,13 +17,6 @@
 //   reporting throughput and p50/p90/p99 decision latency per queue
 //   discipline and window size.
 //
-//   Snapshot phase (virtual clock + wall timing): the pipelined serving path
-//   (eval_threads > 0, snapshot-isolated planning).  The same seeded stream
-//   runs through serial and pipelined dispatch and the grant streams must be
-//   byte-identical (exit 1 otherwise); a high-volume pipelined leg (>= 1M
-//   decisions in full mode) then reports decisions/second plus the snapshot
-//   build/reuse/conflict counters.
-//
 //   SLO phase (virtual clock, deterministic): the service's built-in SLO
 //   tracker is exercised end-to-end.  A healthy run (ample queue, modest
 //   stream) must finish with no burn-rate alert; a deliberately overloaded
@@ -53,7 +46,6 @@
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "placement/provisioner.h"
-#include "service/journal.h"
 #include "service/service.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -272,140 +264,6 @@ util::Json load_json(const LoadResult& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot phase: the pipelined serving path (eval_threads > 0) in a
-// closed virtual-time loop.  Two legs:
-//   equality — the same seeded stream through serial and pipelined dispatch
-//     must yield byte-identical grant streams (the snapshot-isolation
-//     correctness gate, at bench volume rather than unit-test volume);
-//   throughput — a high-volume pipelined run (>= 1M decisions in full mode)
-//     reporting decisions/second and the snapshot lifecycle counters.
-// ---------------------------------------------------------------------------
-
-struct ClosedLoopRun {
-  std::string grants;
-  std::size_t decided = 0;
-  std::size_t granted = 0;
-  double total_dc = 0;
-  service::ServiceStats stats;
-  double seconds = 0;  // wall clock
-};
-
-ClosedLoopRun run_closed_loop(const workload::SimScenario& scenario,
-                              const std::vector<cluster::Request>& stream,
-                              std::size_t rounds, std::size_t per_round,
-                              std::size_t window, std::size_t eval_threads,
-                              bool keep_grants) {
-  cluster::Cloud cloud(scenario.topology, scenario.catalog, scenario.capacity);
-  service::ServiceOptions options;
-  options.clock = service::ClockMode::kVirtual;
-  options.max_batch = window;
-  options.max_wait = 1e9;
-  options.queue_capacity = per_round + 1;
-  options.eval_threads = eval_threads;
-  service::PlacementService svc(cloud, options);
-
-  ClosedLoopRun res;
-  std::vector<service::Outcome> all;
-  if (keep_grants) all.reserve(rounds * per_round);
-  const auto t0 = Clock::now();
-  std::uint64_t id = 1;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t i = 0; i < per_round; ++i) {
-      const cluster::Request& req = stream[(r * per_round + i) % stream.size()];
-      svc.submit(cluster::Request(req.counts(), id));
-      ++id;
-    }
-    svc.flush();
-    for (service::Outcome& o : svc.take_outcomes()) {
-      ++res.decided;
-      if (service::has_lease(o.kind)) {
-        ++res.granted;
-        res.total_dc += o.distance;
-        svc.release(o.lease);
-      }
-      if (keep_grants) all.push_back(std::move(o));
-    }
-  }
-  svc.stop();
-  res.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  res.stats = svc.stats();
-  if (keep_grants) res.grants = service::grant_stream(std::move(all));
-  return res;
-}
-
-struct SnapshotPhaseResult {
-  std::size_t eval_threads = 0;
-  std::size_t equality_decisions = 0;
-  bool grants_match = false;
-  double serial_per_sec = 0;
-  double pipelined_per_sec = 0;
-  std::size_t throughput_decisions = 0;  // pipelined high-volume leg
-  double throughput_per_sec = 0;
-  double mean_dc = 0;  // over the throughput leg's leased outcomes
-  std::uint64_t snapshot_builds = 0;
-  std::uint64_t snapshot_reuses = 0;
-  std::uint64_t snapshot_conflicts = 0;
-};
-
-SnapshotPhaseResult run_snapshot_phase(
-    const workload::SimScenario& scenario,
-    const std::vector<cluster::Request>& stream, std::size_t eq_rounds,
-    std::size_t volume_rounds, std::size_t per_round, std::size_t window,
-    std::size_t eval_threads) {
-  SnapshotPhaseResult res;
-  res.eval_threads = eval_threads;
-
-  const ClosedLoopRun serial = run_closed_loop(
-      scenario, stream, eq_rounds, per_round, window, 0, /*keep_grants=*/true);
-  const ClosedLoopRun pipelined =
-      run_closed_loop(scenario, stream, eq_rounds, per_round, window,
-                      eval_threads, /*keep_grants=*/true);
-  res.equality_decisions = pipelined.decided;
-  res.grants_match = serial.grants == pipelined.grants &&
-                     serial.decided == pipelined.decided;
-  res.serial_per_sec =
-      serial.seconds > 0
-          ? static_cast<double>(serial.decided) / serial.seconds
-          : 0;
-  res.pipelined_per_sec =
-      pipelined.seconds > 0
-          ? static_cast<double>(pipelined.decided) / pipelined.seconds
-          : 0;
-
-  const ClosedLoopRun volume =
-      run_closed_loop(scenario, stream, volume_rounds, per_round, window,
-                      eval_threads, /*keep_grants=*/false);
-  res.throughput_decisions = volume.decided;
-  res.throughput_per_sec =
-      volume.seconds > 0
-          ? static_cast<double>(volume.decided) / volume.seconds
-          : 0;
-  res.mean_dc = volume.granted
-                    ? volume.total_dc / static_cast<double>(volume.granted)
-                    : 0;
-  res.snapshot_builds = volume.stats.snapshot_builds;
-  res.snapshot_reuses = volume.stats.snapshot_reuses;
-  res.snapshot_conflicts = volume.stats.snapshot_conflicts;
-  return res;
-}
-
-util::Json snapshot_json(const SnapshotPhaseResult& r) {
-  util::JsonObject o;
-  o["eval_threads"] = r.eval_threads;
-  o["equality_decisions"] = r.equality_decisions;
-  o["grants_match"] = r.grants_match;
-  o["serial_per_sec"] = r.serial_per_sec;
-  o["pipelined_per_sec"] = r.pipelined_per_sec;
-  o["throughput_decisions"] = r.throughput_decisions;
-  o["throughput_per_sec"] = r.throughput_per_sec;
-  o["mean_dc"] = r.mean_dc;
-  o["snapshot_builds"] = r.snapshot_builds;
-  o["snapshot_reuses"] = r.snapshot_reuses;
-  o["snapshot_conflicts"] = r.snapshot_conflicts;
-  return util::Json(std::move(o));
-}
-
-// ---------------------------------------------------------------------------
 // SLO phase: the burn-rate alerting pipeline under healthy and shed-heavy
 // admission streams.
 // ---------------------------------------------------------------------------
@@ -573,28 +431,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Snapshot phase: serial-vs-pipelined grant equality, then the
-    // high-volume pipelined throughput leg (>= 1M decisions in full mode).
-    const std::size_t eq_rounds = quick ? 40 : 400;
-    const std::size_t volume_rounds = quick ? 850 : 43750;
-    const SnapshotPhaseResult snap = run_snapshot_phase(
-        scenario, stream, eq_rounds, volume_rounds, per_round,
-        /*window=*/8, /*eval_threads=*/4);
-    if (!snap.grants_match) {
-      gate_ok = false;
-      std::cerr << spec.name << ": GATE FAILURE — pipelined grant stream "
-                   "diverged from serial over " << snap.equality_decisions
-                << " decisions\n";
-    }
-    std::cout << spec.name << " snapshot: grants "
-              << (snap.grants_match ? "match" : "DIVERGED") << " over "
-              << snap.equality_decisions << " decisions; throughput leg "
-              << snap.throughput_decisions << " decisions at "
-              << snap.throughput_per_sec << "/s (serial "
-              << snap.serial_per_sec << "/s); builds "
-              << snap.snapshot_builds << ", reuses " << snap.snapshot_reuses
-              << ", conflicts " << snap.snapshot_conflicts << "\n";
-
     const SloPhaseResult slo = run_slo_phase(scenario, stream, 200);
     if (slo.healthy_alerting) {
       gate_ok = false;
@@ -622,7 +458,6 @@ int main(int argc, char** argv) {
     o["baseline_mean_dc"] = baseline_fifo_dc;
     o["dc"] = util::Json(std::move(dc_arr));
     o["load"] = util::Json(std::move(load_arr));
-    o["snapshot"] = snapshot_json(snap);
     o["slo"] = slo_json(slo);
     std::cout << spec.name << ": fifo no-batching mean DC " << baseline_fifo_dc
               << (gate_ok ? "" : "  [GATE FAILURE]") << "\n";

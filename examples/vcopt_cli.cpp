@@ -24,7 +24,6 @@
 //   vcopt_cli serve [--seed N] [--scale big|medium|small] [--cloud cloud.json]
 //       [--max-batch B] [--max-wait S] [--queue-capacity C]
 //       [--discipline fifo|priority|smallest-first] [--policy P]
-//       [--eval-threads N]
 //       [--journal FILE] [--grants-out FILE] | [--replay FILE]
 //       run the micro-batching placement service over NDJSON requests from
 //       stdin, one JSON object per line:
@@ -436,9 +435,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   options.max_wait = std::stod(flag(flags, "max-wait", "0.01"));
   options.queue_capacity = std::stoull(flag(flags, "queue-capacity", "256"));
   options.policy = flag(flags, "policy", "online-heuristic");
-  // --eval-threads=N: snapshot-isolated pipelined evaluation (N workers
-  // plan windows against an immutable CloudSnapshot; 0 = serial inline).
-  options.eval_threads = std::stoull(flag(flags, "eval-threads", "0"));
   // --cells N / --cell-size S: sharded cell serving — requests are routed
   // to a cell at admission and windows close per cell (docs/cells.md).
   options.cells = std::stoull(flag(flags, "cells", "0"));
@@ -608,11 +604,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
             << ", queue-full " << stats.queue_full << ", deadline-missed "
             << stats.deadline_missed << ", windows " << stats.windows
             << ", decided " << stats.decided << "\n";
-  if (options.eval_threads > 0) {
-    std::cerr << "serve: snapshots built " << stats.snapshot_builds
-              << ", reused " << stats.snapshot_reuses << ", conflicts "
-              << stats.snapshot_conflicts << "\n";
-  }
   if (options.rebalance.enabled) {
     std::cerr << "serve: rebalance passes " << stats.rebalance_passes
               << ", migrations " << stats.rebalance_migrations << "\n";

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "cluster/topology.h"
-#include "util/simd.h"
 
 namespace vcopt::cluster {
 
@@ -142,7 +141,7 @@ CentralNode best_central_tiered(const Allocation& alloc,
     return alloc.best_central(topology.distance_matrix());
   }
 
-  std::vector<std::int32_t> w(n), rs(n), cs(n);
+  std::vector<std::int32_t> w(n);
   std::vector<std::int32_t> rack_total(topology.rack_count(), 0);
   std::vector<std::int32_t> cloud_total(topology.cloud_count(), 0);
   std::int32_t total = 0;
@@ -153,21 +152,17 @@ CentralNode best_central_tiered(const Allocation& alloc,
     rack_total[topology.rack_of(i)] += vms;
     cloud_total[topology.cloud_of(i)] += vms;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    rs[i] = rack_total[topology.rack_of(i)];
-    cs[i] = cloud_total[topology.cloud_of(i)];
-  }
-
-  const double d[4] = {cfg.same_node, cfg.same_rack, cfg.cross_rack,
-                       cfg.cross_cloud};
-  std::vector<double> out(n);
-  util::simd::central_scan_f64(w.data(), rs.data(), cs.data(), total, d,
-                               out.data(), n);
 
   // Strict < keeps the lowest-index winner on ties, like best_central.
   CentralNode best{0, std::numeric_limits<double>::infinity()};
   for (std::size_t k = 0; k < n; ++k) {
-    if (out[k] < best.distance) best = {k, out[k]};
+    const std::int32_t rs = rack_total[topology.rack_of(k)];
+    const std::int32_t cs = cloud_total[topology.cloud_of(k)];
+    const double acc0 = cfg.same_node * static_cast<double>(w[k]);
+    const double acc1 = acc0 + cfg.same_rack * static_cast<double>(rs - w[k]);
+    const double acc2 = acc1 + cfg.cross_rack * static_cast<double>(cs - rs);
+    const double d = acc2 + cfg.cross_cloud * static_cast<double>(total - cs);
+    if (d < best.distance) best = {k, d};
   }
   return best;
 }

@@ -98,11 +98,11 @@ class Topology;
 /// D matrix: with per-node VM weights w, rack totals and cloud totals, the
 /// distance from candidate k collapses to
 ///   d0·w[k] + d1·(rack[k]−w[k]) + d2·(cloud[k]−rack[k]) + d3·(T−cloud[k]),
-/// an O(n) scan (SIMD-friendly, see util/simd.h) versus best_central's
-/// O(n²).  Bit-identical to best_central when the DistanceConfig tiers are
-/// small non-negative integers (every partial sum is then an exact integer,
-/// so summation order is irrelevant); falls back to best_central(dist) for
-/// fractional configs, where FP reassociation could flip near-ties.
+/// an O(n) scan versus best_central's O(n²).  Bit-identical to best_central
+/// when the DistanceConfig tiers are small non-negative integers (every
+/// partial sum is then an exact integer, so summation order is irrelevant);
+/// falls back to best_central(dist) for fractional configs, where FP
+/// reassociation could flip near-ties.
 CentralNode best_central_tiered(const Allocation& alloc,
                                 const Topology& topology);
 

@@ -1,27 +1,15 @@
 #include "cluster/snapshot.h"
 
-#include <utility>
-
 namespace vcopt::cluster {
 
-std::shared_ptr<const CloudSnapshot> SnapshotArena::build(const Cloud& cloud,
-                                                          std::uint64_t epoch,
-                                                          double build_time) {
-  std::unique_ptr<CloudSnapshot> snap;
-  {
-    util::MutexLock lock(pool_->mu);
-    if (!pool_->free.empty()) {
-      snap = std::move(pool_->free.back());
-      pool_->free.pop_back();
-    }
-  }
-  if (!snap) snap = std::make_unique<CloudSnapshot>();
-
+std::shared_ptr<const CloudSnapshot> SnapshotArena::build(
+    const Cloud& cloud, std::uint64_t epoch, double build_time) const {
+  auto snap = std::make_shared<CloudSnapshot>();
   snap->epoch = epoch;
   snap->build_time = build_time;
   snap->remaining = cloud.remaining();
-  // Warm the lazy row/col sum caches from this single thread, before any
-  // concurrent reader touches the matrix (util::Matrix threading contract).
+  // Warm the lazy row/col sum caches now, so readers never mutate the
+  // snapshot (util::Matrix threading contract).
   snap->remaining.warm_sums();
   const util::IntMatrix& max = cloud.inventory().max_capacity();
   snap->capacity_col_sums.resize(cloud.type_count());
@@ -30,21 +18,7 @@ std::shared_ptr<const CloudSnapshot> SnapshotArena::build(const Cloud& cloud,
   }
   snap->topology = &cloud.topology();
   snap->type_count = cloud.type_count();
-
-  // The deleter keeps the pool alive and parks the buffers for reuse, so a
-  // snapshot released after the arena is destroyed is still safe.
-  CloudSnapshot* raw = snap.release();
-  std::shared_ptr<Pool> pool = pool_;
-  return std::shared_ptr<const CloudSnapshot>(
-      raw, [pool](const CloudSnapshot* p) {
-        util::MutexLock lock(pool->mu);
-        pool->free.emplace_back(const_cast<CloudSnapshot*>(p));
-      });
-}
-
-std::size_t SnapshotArena::pool_size() const {
-  util::MutexLock lock(pool_->mu);
-  return pool_->free.size();
+  return snap;
 }
 
 }  // namespace vcopt::cluster

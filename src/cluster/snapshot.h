@@ -1,21 +1,11 @@
-// Immutable point-in-time views of a Cloud's capacity for the snapshot-
-// isolated serving path (docs/performance.md, "serving-path concurrency
-// model").
+// Immutable point-in-time views of a Cloud's capacity.
 //
 // A CloudSnapshot freezes everything a decision window needs to plan
-// placements — the remaining-capacity matrix L (sum caches pre-warmed so
-// concurrent readers never race the lazy cache), the per-type capacity
-// column sums that drive the admit() kReject rung, and a pointer to the
-// (immutable) topology — tagged with the epoch of the Cloud state it was
-// built from.  Readers load the current snapshot through an atomic
-// shared_ptr and plan lock-free; writers validate the epoch at commit time
-// and re-plan against a fresh snapshot when it moved.
-//
-// SnapshotArena recycles snapshot storage: retired snapshots (refcount hits
-// zero) return their buffers to a freelist instead of the heap, so steady-
-// state serving rebuilds a snapshot without allocating the matrix afresh.
-// The freelist is owned by a shared_ptr that each snapshot's deleter also
-// holds, so snapshots may safely outlive the arena.
+// placements — the remaining-capacity matrix L (sum caches pre-warmed), the
+// per-type capacity column sums that drive the admit() kReject rung, and a
+// pointer to the (immutable) topology.  service::detail::decide_window
+// builds one per window and plans against it with the pure
+// service::detail::plan_window before committing the grants to the cloud.
 #pragma once
 
 #include <cstddef>
@@ -25,20 +15,14 @@
 
 #include "cluster/cloud.h"
 #include "util/matrix.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace vcopt::cluster {
 
-/// One frozen view of the Cloud.  Immutable after SnapshotArena::build
-/// publishes it; safe for concurrent readers.
+/// One frozen view of the Cloud.  Immutable after SnapshotArena::build.
 struct CloudSnapshot {
-  /// Epoch of the Cloud state this snapshot reflects.  The service bumps
-  /// its epoch on every capacity mutation (grant batch / release), so
-  /// `snapshot.epoch == current epoch` iff no capacity changed since build.
+  /// Caller-chosen tag of the Cloud state this snapshot reflects.
   std::uint64_t epoch = 0;
-  /// Service-clock time the snapshot was built (feeds the snapshot_age
-  /// gauge); not used for any decision.
+  /// Service-clock time the snapshot was built; not used for any decision.
   double build_time = 0;
   /// L = M - C at build time, with row/col sum caches warmed.
   util::IntMatrix remaining;
@@ -51,28 +35,15 @@ struct CloudSnapshot {
   std::size_t type_count = 0;
 };
 
+/// Builds CloudSnapshots.  Holds no state, so any instance (or a
+/// temporary) will do.
 class SnapshotArena {
  public:
-  SnapshotArena() : pool_(std::make_shared<Pool>()) {}
-
-  /// Builds a snapshot of `cloud` tagged with `epoch`, reusing retired
-  /// snapshot storage when available.  The returned pointer is immutable
-  /// and may be read concurrently; when the last reference drops, the
-  /// buffers return to this arena's freelist (or the heap if the arena and
-  /// all its snapshots are gone).
+  /// Builds a snapshot of `cloud` tagged with `epoch`.  The snapshot owns
+  /// its storage, so it may outlive the arena.
   std::shared_ptr<const CloudSnapshot> build(const Cloud& cloud,
                                              std::uint64_t epoch,
-                                             double build_time);
-
-  /// Snapshots currently parked on the freelist (test observability).
-  std::size_t pool_size() const;
-
- private:
-  struct Pool {
-    util::Mutex mu;
-    std::vector<std::unique_ptr<CloudSnapshot>> free VCOPT_GUARDED_BY(mu);
-  };
-  std::shared_ptr<Pool> pool_;
+                                             double build_time) const;
 };
 
 }  // namespace vcopt::cluster

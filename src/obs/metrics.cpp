@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -230,6 +231,16 @@ util::Json MetricsRegistry::snapshot_json() const {
                                      {"histograms", std::move(histograms)}});
 }
 
+namespace {
+// Histogram detail in significant digits rather than fixed decimals: stage
+// histograms record seconds, and a 20 us stage must not print as 0.000.
+std::string format_sig(double v) {
+  std::ostringstream os;
+  os << std::setprecision(4) << v;
+  return os.str();
+}
+}  // namespace
+
 std::string MetricsRegistry::render_table() const {
   util::TableWriter t({"Metric", "Kind", "Value", "Detail"});
   util::MutexLock lock(mu_);
@@ -247,9 +258,9 @@ std::string MetricsRegistry::render_table() const {
     util::MutexLock hlock(hp->mu_);
     std::string detail;
     if (hp->stats_.count() > 0) {
-      detail = "mean=" + util::format_double(hp->stats_.mean(), 3) +
-               " min=" + util::format_double(hp->stats_.min(), 3) +
-               " max=" + util::format_double(hp->stats_.max(), 3);
+      detail = "mean=" + format_sig(hp->stats_.mean()) +
+               " min=" + format_sig(hp->stats_.min()) +
+               " max=" + format_sig(hp->stats_.max());
     }
     t.row().cell(name).cell("histogram").cell(hp->stats_.count()).cell(detail);
   }

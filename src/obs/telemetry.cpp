@@ -73,36 +73,6 @@ void render_stage_latency(const util::Json& metrics, std::ostream& out) {
   out << "\n";
 }
 
-void render_snapshot_lifecycle(const util::Json& metrics, std::ostream& out) {
-  // service/snapshot_* counters + the snapshot_age gauge: the pipelined
-  // serving path's snapshot lifecycle (all zero when eval_threads == 0).
-  if (!metrics.is_object() || !metrics.contains("counters")) return;
-  const util::Json& counters = metrics.at("counters");
-  const double builds = counters.number_or("service/snapshot_builds", 0);
-  const double reuses = counters.number_or("service/snapshot_reuses", 0);
-  const double conflicts = counters.number_or("service/snapshot_conflicts", 0);
-  if (builds == 0 && reuses == 0 && conflicts == 0) return;
-  double age = 0, age_max = 0;
-  if (metrics.contains("gauges")) {
-    const util::Json& gauges = metrics.at("gauges");
-    if (gauges.is_object() && gauges.contains("service/snapshot_age")) {
-      const util::Json& g = gauges.at("service/snapshot_age");
-      age = g.number_or("value", 0);
-      age_max = g.number_or("max", 0);
-    }
-  }
-  util::TableWriter t({"Builds", "Reuses", "Conflicts", "Age(s)", "MaxAge(s)"});
-  t.row()
-      .cell(static_cast<std::size_t>(builds))
-      .cell(static_cast<std::size_t>(reuses))
-      .cell(static_cast<std::size_t>(conflicts))
-      .cell(age, 6)
-      .cell(age_max, 6);
-  out << "== Serving snapshots ==\n";
-  t.print(out);
-  out << "\n";
-}
-
 void render_cells(const util::Json& metrics, std::ostream& out) {
   // cell/* counters + the sketch-staleness gauge: the route-then-place
   // sharding layer (docs/cells.md; absent until a routed run records).
@@ -278,7 +248,6 @@ void render_stats(const util::Json& bundle, std::ostream& out) {
       << util::format_double(bundle.number_or("now", 0), 3) << "\n\n";
   if (bundle.contains("metrics")) {
     render_stage_latency(bundle.at("metrics"), out);
-    render_snapshot_lifecycle(bundle.at("metrics"), out);
     render_cells(bundle.at("metrics"), out);
     render_rebalancer(bundle.at("metrics"), out);
   }

@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/mutex.h"
-#include "util/simd.h"
 
 namespace vcopt::placement {
 
@@ -56,9 +55,8 @@ struct Workspace {
   }
 
   // Transposes `remaining` into `soa` (soa[j*n+i] = remaining(i,j)) so the
-  // off-rack getList scoring can stream whole columns through
-  // simd::accumulate_min_i32.  Called once per candidate scan; the matrix is
-  // read-only for the scan's duration.
+  // off-rack getList scoring can stream whole columns.  Called once per
+  // candidate scan; the matrix is read-only for the scan's duration.
   void build_soa(const util::IntMatrix& remaining) {
     const std::vector<int>& flat = remaining.data();  // row-major
     for (std::size_t i = 0; i < n; ++i) {
@@ -143,18 +141,19 @@ bool fill_candidate(const cluster::Request& request,
     }
   };
 
-  // Same keys for ALL nodes at once, streamed column-wise over the SoA copy
-  // with simd::accumulate_min_i32.  Integer arithmetic in both paths, so the
-  // values (and hence every downstream sort order) are identical to
-  // compute_tier_keys.  Used for the off-rack tier, which is nearly the
-  // whole cluster whenever it is needed at all.
+  // Same keys for ALL nodes at once, streamed column-wise over the SoA copy.
+  // Integer arithmetic in both paths, so the values (and hence every
+  // downstream sort order) are identical to compute_tier_keys.  Used for the
+  // off-rack tier, which is nearly the whole cluster whenever it is needed
+  // at all.
   auto compute_all_keys = [&] {
     std::fill(ws.key.begin(), ws.key.end(), 0);
     for (std::size_t j = 0; j < ws.m; ++j) {
-      if (ws.lx[j] > 0) {
-        util::simd::accumulate_min_i32(ws.key.data(), ws.soa.data() + j * ws.n,
-                                       static_cast<std::int32_t>(ws.lx[j]),
-                                       ws.n);
+      if (ws.lx[j] <= 0) continue;
+      const std::int32_t cap = static_cast<std::int32_t>(ws.lx[j]);
+      const std::int32_t* col = ws.soa.data() + j * ws.n;
+      for (std::size_t i = 0; i < ws.n; ++i) {
+        ws.key[i] += col[i] < cap ? col[i] : cap;
       }
     }
   };

@@ -8,7 +8,7 @@
 
 #include "cell/partition.h"
 #include "obs/trace.h"
-#include "placement/provisioner.h"
+#include "placement/policy.h"
 
 namespace vcopt::service {
 
@@ -34,8 +34,8 @@ ReplayResult replay_journal(const std::vector<JournalRecord>& records,
                             cluster::Cloud& cloud,
                             const ServiceOptions& options) {
   VCOPT_TRACE_SPAN("service/replay");
-  placement::Provisioner prov(cloud, placement::make_policy(options.policy),
-                              options.discipline);
+  // Fail fast on an unknown policy spec, like the live service does.
+  placement::make_policy(options.policy);
   // Cell-mode journals: rebuild the partition the live service used (a pure
   // function of topology + options) so each window record re-plans inside
   // the cell it names.  No directory/router is needed — routing decisions
@@ -79,7 +79,7 @@ ReplayResult replay_journal(const std::vector<JournalRecord>& records,
         ctx.capacity_col_sums = &cell_cap_sums;
         ctx.cell = rec.cell;
         std::vector<Outcome> outcomes = detail::decide_window(
-            prov, cloud, shed, members, rec.window_id, rec.time, options,
+            cloud, shed, members, rec.window_id, rec.time, options,
             partition ? &ctx : nullptr);
         ++result.windows;
         for (Outcome& o : outcomes) {

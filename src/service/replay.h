@@ -34,8 +34,9 @@ struct ReplayResult {
 /// Replays `records` against `cloud` (normally a freshly built copy of the
 /// topology the live service ran on), using the same deterministic
 /// `options` (policy, ladder, discipline; clock/journal fields are ignored).
-/// Throws std::invalid_argument on a corrupt journal: a window member or
-/// shed seq with no prior submit record, or a duplicate submit seq.
+/// Throws std::invalid_argument on an unknown options.policy spec or a
+/// corrupt journal: a window member or shed seq with no prior submit
+/// record, or a duplicate submit seq.
 ReplayResult replay_journal(const std::vector<JournalRecord>& records,
                             cluster::Cloud& cloud,
                             const ServiceOptions& options);

@@ -17,7 +17,6 @@
 #include "rebalance/rebalancer.h"
 #include "service/journal.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace vcopt::service {
 
@@ -43,14 +42,6 @@ struct ServiceMetrics {
   obs::HistogramMetric& stage_batch;
   obs::HistogramMetric& stage_solve;
   obs::HistogramMetric& stage_commit;
-  // Snapshot lifecycle of the pipelined serving path: snapshots built and
-  // published, plans served from a published snapshot without rebuilding,
-  // stale-epoch commits that had to re-plan, and the age (service-clock
-  // seconds) of the snapshot each plan read.
-  obs::Counter& snapshot_builds;
-  obs::Counter& snapshot_reuses;
-  obs::Counter& snapshot_conflicts;
-  obs::Gauge& snapshot_age;
 
   static ServiceMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
@@ -74,10 +65,6 @@ struct ServiceMetrics {
         reg.histogram("service/stage/batch", stage_buckets),
         reg.histogram("service/stage/solve", stage_buckets),
         reg.histogram("service/stage/commit", stage_buckets),
-        reg.counter("service/snapshot_builds"),
-        reg.counter("service/snapshot_reuses"),
-        reg.counter("service/snapshot_conflicts"),
-        reg.gauge("service/snapshot_age"),
     };
     return m;
   }
@@ -219,7 +206,6 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
   WindowPlan plan;
   plan.window_id = window_id;
   plan.decide_time = decide_time;
-  plan.base_epoch = snap.epoch;
   plan.outcomes.reserve(shed.size() + members.size());
   for (const PendingEntry& e : shed) {
     VCOPT_DCHECK(e.options.deadline <= decide_time)
@@ -229,7 +215,7 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
   if (members.empty()) return plan;
 
   // Working capacity view, debited as grants are planned: each member sees
-  // exactly what the serial path's cloud.remaining() would have shown it.
+  // exactly what cloud.remaining() will show once the earlier grants land.
   util::IntMatrix avail = snap.remaining;
   const cluster::Topology& topology = *snap.topology;
 
@@ -263,8 +249,7 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
   // goes into place_batch; the per-request ladder picks up whatever the batch
   // step could not admit (and classifies empty/over-capacity requests).
   // Grants are recorded batch-admissions-first, then ladder grants in member
-  // order — the exact Cloud::grant order of serial dispatch, so commit
-  // assigns identical lease ids.
+  // order — the Cloud::grant order commit_window replays.
   std::vector<std::optional<Outcome>> slot(members.size());
   if (members.size() > 1) {
     std::vector<std::size_t> batch_pos;
@@ -311,8 +296,7 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
 
   // Ladder fallback (Algorithm 1 rungs) for a singleton window and for
   // members the batch step left behind, in member (dispatch) order.  The
-  // policy is rebuilt per plan (stateless by construction), so concurrent
-  // plans never share mutable placement state.
+  // policy is built per plan, so plans never share mutable placement state.
   std::unique_ptr<placement::PlacementPolicy> policy;
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (slot[i]) continue;
@@ -398,18 +382,15 @@ void commit_window(cluster::Cloud& cloud, WindowPlan& plan) {
 #endif
 }
 
-std::vector<Outcome> decide_window(placement::Provisioner& prov,
-                                   cluster::Cloud& cloud,
+std::vector<Outcome> decide_window(cluster::Cloud& cloud,
                                    const std::vector<PendingEntry>& shed,
                                    const std::vector<PendingEntry>& members,
                                    std::uint64_t window_id, double decide_time,
                                    const ServiceOptions& options,
                                    const CellPlanContext* cell_ctx) {
   VCOPT_TRACE_SPAN("service/decide_window");
-  (void)prov;  // placement now flows through the shared pure planner
-  cluster::SnapshotArena arena;
   const std::shared_ptr<const cluster::CloudSnapshot> snap =
-      arena.build(cloud, /*epoch=*/0, decide_time);
+      cluster::SnapshotArena().build(cloud, /*epoch=*/0, decide_time);
   WindowPlan plan = plan_window(*snap, shed, members, window_id, decide_time,
                                 options, cell_ctx);
   commit_window(cloud, plan);
@@ -420,10 +401,9 @@ std::vector<Outcome> decide_window(placement::Provisioner& prov,
 
 PlacementService::PlacementService(cluster::Cloud& cloud,
                                    ServiceOptions options)
-    : cloud_(cloud),
-      options_(std::move(options)),
-      prov_(cloud, placement::make_policy(options_.policy),
-            options_.discipline) {
+    : cloud_(cloud), options_(std::move(options)) {
+  // Fail fast on an unknown policy spec; plans build their own instance.
+  placement::make_policy(options_.policy);
   if (options_.max_batch == 0) {
     throw std::invalid_argument("PlacementService: max_batch must be > 0");
   }
@@ -482,17 +462,6 @@ PlacementService::PlacementService(cluster::Cloud& cloud,
   wall_epoch_ = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
   if (options_.clock == ClockMode::kWall) {
     dispatcher_ = std::thread(&PlacementService::dispatcher_loop, this);
-  }
-  if (pipelined()) {
-    {
-      // Publish the epoch-0 snapshot before any worker can look for one.
-      util::MutexLock lk(mu_);
-      publish_snapshot_locked(/*build_time=*/0.0);
-    }
-    eval_workers_.reserve(options_.eval_threads);
-    for (std::size_t i = 0; i < options_.eval_threads; ++i) {
-      eval_workers_.emplace_back(&PlacementService::eval_loop, this);
-    }
   }
 }
 
@@ -558,7 +527,9 @@ SubmitReceipt PlacementService::submit(const cluster::Request& r,
   const std::size_t routed_cell = entry.cell;
   if (journal_) journal_->submit(seq, entry.request, o, now, entry.trace_id);
   pending_.push_back(std::move(entry));
+#if VCOPT_ENABLE_CHECKS
   accepted_seqs_.push_back(seq);
+#endif
   ++stats_.accepted;
   m.accepted.add();
   m.queue_depth.set(static_cast<double>(pending_.size()));
@@ -604,7 +575,6 @@ void PlacementService::flush() {
   while (!pending_.empty()) {
     close_window_locked(now, "flush", pending_.front().cell);
   }
-  if (pipelined()) wait_pipeline_drained_locked();
 }
 
 void PlacementService::stop() {
@@ -622,29 +592,8 @@ void PlacementService::stop() {
     while (!pending_.empty()) {
       close_window_locked(now, "flush", pending_.front().cell);
     }
-    if (pipelined()) {
-      // Every closed window must commit before the workers may exit, and
-      // before the accepted-vs-decided ledger below can balance.
-      wait_pipeline_drained_locked();
-      eval_stop_ = true;
-      eval_cv_.notify_all();
-    }
-  }
-  for (std::thread& t : eval_workers_) {
-    if (t.joinable()) t.join();
-  }
-  eval_workers_.clear();
-  {
-    util::MutexLock lk(mu_);
     VCOPT_VALIDATE(check::validate_exact_cover(accepted_seqs_, decided_seqs_,
                                                "service accepted-vs-decided"));
-  }
-  // Barrier on the shared worker pool: any data-parallel scan our final
-  // windows fanned out must retire before stop() returns (the pool reopens
-  // immediately — other subsystems keep their parallelism).
-  if (!util::ThreadPool::global().in_worker()) {
-    util::ThreadPool::global().drain();
-    util::ThreadPool::global().undrain();
   }
 }
 
@@ -652,23 +601,6 @@ void PlacementService::release(cluster::LeaseId lease) {
   util::MutexLock lk(mu_);
   const double now =
       options_.clock == ClockMode::kVirtual ? virtual_now_ : wall_now_locked();
-  if (pipelined()) {
-    // A release is a capacity mutation: it takes a commit ticket at its
-    // position in the call order and applies only at its turn, so the cloud
-    // (and the journal's window/release record order) evolves exactly as
-    // under serial inline dispatch.
-    const std::uint64_t ticket = next_ticket_++;
-    while (current_ticket_ != ticket) commit_cv_.wait(mu_);
-    if (journal_) journal_->release(lease, now);
-    cloud_.release(lease);
-    ++epoch_;
-    publish_snapshot_locked(now);
-    if (sampler_) sampler_->maybe_sample(now);
-    maybe_rebalance_locked(now);
-    ++current_ticket_;
-    commit_cv_.notify_all();
-    return;
-  }
   if (journal_) journal_->release(lease, now);
   cloud_.release(lease);
   if (sampler_) sampler_->maybe_sample(now);
@@ -795,27 +727,6 @@ void PlacementService::close_window_locked(double close_time,
   }
 
   const std::uint64_t window_id = next_window_++;
-
-  if (pipelined()) {
-    // Hand the window to the evaluation pipeline.  The journal record is
-    // written at the commit turn (still write-ahead of its grants), so the
-    // window/release record order stays the serial ticket order.
-    detail::EvalTask task;
-    task.window_id = window_id;
-    task.ticket = next_ticket_++;
-    task.close_time = close_time;
-    task.reason = reason;
-    task.cell = cell;
-    task.shed = std::move(shed);
-    task.members = std::move(members);
-    ++inflight_windows_;
-    eval_queue_.push_back(std::move(task));
-    m.queue_depth.set(static_cast<double>(pending_.size()));
-    m.stage_batch.observe(seconds_since(batch_start));
-    eval_cv_.notify_one();
-    return;
-  }
-
   if (journal_) {
     std::vector<std::uint64_t> member_seqs, shed_seqs;
     member_seqs.reserve(members.size());
@@ -830,7 +741,7 @@ void PlacementService::close_window_locked(double close_time,
   const auto solve_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
   const std::optional<detail::CellPlanContext> ctx = make_cell_ctx(cell);
   std::vector<Outcome> outcomes = detail::decide_window(
-      prov_, cloud_, shed, members, window_id, close_time, options_,
+      cloud_, shed, members, window_id, close_time, options_,
       ctx ? &*ctx : nullptr);
   m.stage_solve.observe(seconds_since(solve_start));
 
@@ -862,7 +773,9 @@ void PlacementService::publish_outcomes_locked(std::size_t shed_count,
                           o.distance / static_cast<double>(o.granted_vms));
       }
     }
+#if VCOPT_ENABLE_CHECKS
     decided_seqs_.push_back(o.seq);
+#endif
     ++stats_.decided;
     m.decided.add();
     decided_.emplace(o.seq, std::move(o));
@@ -940,112 +853,8 @@ void PlacementService::maybe_rebalance_locked(double t) {
   if (committed > 0) {
     ++stats_.rebalance_passes;
     stats_.rebalance_migrations += committed;
-    if (pipelined()) {
-      // Capacity moved: later plans must read post-migration capacity.
-      ++epoch_;
-      publish_snapshot_locked(t);
-    }
   }
   if (sampler_) sampler_->maybe_sample(t);
-}
-
-void PlacementService::publish_snapshot_locked(double build_time) {
-  snap_.store(snapshot_arena_.build(cloud_, epoch_, build_time),
-              std::memory_order_release);
-  ++stats_.snapshot_builds;
-  ServiceMetrics::get().snapshot_builds.add();
-}
-
-void PlacementService::commit_task_locked(const detail::EvalTask& task,
-                                          detail::WindowPlan& plan) {
-  auto& m = ServiceMetrics::get();
-  const auto commit_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-  if (journal_) {
-    std::vector<std::uint64_t> member_seqs, shed_seqs;
-    member_seqs.reserve(task.members.size());
-    shed_seqs.reserve(task.shed.size());
-    for (const PendingEntry& e : task.members) member_seqs.push_back(e.seq);
-    for (const PendingEntry& e : task.shed) shed_seqs.push_back(e.seq);
-    journal_->window(task.window_id, task.close_time, task.reason, member_seqs,
-                     shed_seqs, task.cell);
-  }
-  detail::commit_window(cloud_, plan);
-  if (!plan.grants.empty()) {
-    // Capacity changed: advance the epoch and republish, so later plans read
-    // post-commit capacity (a no-grant window leaves both untouched — the
-    // published snapshot stays valid and conflict-free).
-    ++epoch_;
-    publish_snapshot_locked(task.close_time);
-  }
-  publish_outcomes_locked(task.shed.size(), task.members.size(),
-                          task.close_time, std::move(plan.outcomes));
-  // Same logical instant as the serial path's post-window rebalance: this
-  // thread still holds the commit ticket, so the pass (and its journal
-  // record) lands between this window and the next capacity event.
-  maybe_rebalance_locked(task.close_time);
-  ++current_ticket_;
-  VCOPT_DCHECK(inflight_windows_ > 0);
-  --inflight_windows_;
-  commit_cv_.notify_all();
-  m.stage_commit.observe(seconds_since(commit_start));
-}
-
-void PlacementService::wait_pipeline_drained_locked() {
-  while (inflight_windows_ > 0) commit_cv_.wait(mu_);
-}
-
-void PlacementService::eval_loop() {
-  auto& m = ServiceMetrics::get();
-  for (;;) {
-    detail::EvalTask task;
-    {
-      util::MutexLock lk(mu_);
-      while (!eval_stop_ && eval_queue_.empty()) eval_cv_.wait(mu_);
-      if (eval_queue_.empty()) return;  // eval_stop_ and fully drained
-      task = std::move(eval_queue_.front());
-      eval_queue_.pop_front();
-      ++stats_.snapshot_reuses;
-    }
-    // Lock-free read of the published snapshot: admission/journaling proceed
-    // under mu_ while this thread plans.
-    std::shared_ptr<const cluster::CloudSnapshot> snap =
-        snap_.load(std::memory_order_acquire);
-    m.snapshot_reuses.add();
-    m.snapshot_age.set(task.close_time - snap->build_time);
-    // Ctor-set immutable cell state — safe to read without mu_.
-    const std::optional<detail::CellPlanContext> ctx = make_cell_ctx(task.cell);
-    const detail::CellPlanContext* ctx_ptr = ctx ? &*ctx : nullptr;
-    const auto solve_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-    detail::WindowPlan plan =
-        detail::plan_window(*snap, task.shed, task.members, task.window_id,
-                            task.close_time, options_, ctx_ptr);
-    m.stage_solve.observe(seconds_since(solve_start));
-    for (;;) {
-      bool committed = false;
-      {
-        util::MutexLock lk(mu_);
-        while (current_ticket_ != task.ticket) commit_cv_.wait(mu_);
-        if (plan.base_epoch == epoch_) {
-          commit_task_locked(task, plan);
-          committed = true;
-        } else {
-          // Stale plan: capacity moved since the snapshot this plan read.
-          // Publish a fresh snapshot for the current epoch and re-plan
-          // against it outside the lock.  Only the ticket holder and
-          // ticketed releases mutate capacity, so the epoch cannot move
-          // again before this task's next commit attempt.
-          ++stats_.snapshot_conflicts;
-          m.snapshot_conflicts.add();
-          publish_snapshot_locked(task.close_time);
-          snap = snap_.load(std::memory_order_acquire);
-        }
-      }
-      if (committed) break;
-      plan = detail::plan_window(*snap, task.shed, task.members,
-                                 task.window_id, task.close_time, options_,
-                                 ctx_ptr);
-    }
-  }
 }
 
 void PlacementService::dispatcher_loop() {

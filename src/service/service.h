@@ -13,7 +13,7 @@
 // accepted requests OR when the oldest pending request has waited `max_wait`
 // seconds, whichever comes first (plus explicit flush()/stop()).  A closed
 // window of size 1 is decided through the per-request Algorithm-1 ladder
-// (Provisioner::submit_laddered); larger windows go through Algorithm 2
+// (placement::plan_laddered); larger windows go through Algorithm 2
 // (GlobalSubOpt::place_batch), with the ladder as the per-request fallback
 // for window members the batch step could not admit.
 //
@@ -36,10 +36,8 @@
 // docs/service.md).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -229,16 +227,6 @@ struct ServiceOptions {
   /// seconds).  Must outlive the service.
   obs::Recorder* recorder = nullptr;
   double sample_period = 1.0;
-  /// Snapshot-isolated pipelined serving (docs/performance.md): with N > 0,
-  /// N dedicated evaluation threads plan closed windows against an
-  /// immutable epoch-tagged CloudSnapshot (loaded lock-free) while admission
-  /// and journaling continue, and commit the planned grants strictly in
-  /// window-close order — re-planning against a fresh snapshot when the
-  /// epoch moved underneath them.  Outcomes, lease ids, journal and grant
-  /// stream are byte-identical to the serial path (0 = legacy inline
-  /// decide-at-close).  release() in this mode briefly blocks until earlier
-  /// windows commit, preserving the serial capacity-evolution order.
-  std::size_t eval_threads = 0;
   /// Opt-in, journaled drift-repair between decide windows (see above).
   ServiceRebalanceOptions rebalance;
   /// Sharded cell serving (docs/cells.md): with either knob > 0 the service
@@ -259,8 +247,7 @@ struct ServiceOptions {
 namespace detail {
 
 /// Cell scope for one window plan (cell mode only).  `partition` and
-/// `capacity_col_sums` are immutable after service construction, so the
-/// context can be read lock-free by pipelined evaluation workers; `cell` is
+/// `capacity_col_sums` are immutable after service construction; `cell` is
 /// the window's routed cell (kNoCell = plan flat even in cell mode).
 struct CellPlanContext {
   const cell::CellPartition* partition = nullptr;
@@ -287,14 +274,11 @@ struct PlannedGrant {
 
 /// A fully evaluated — but uncommitted — decision window.  `outcomes` are
 /// ordered shed-first then member order with `lease` still 0; `grants` are
-/// in the exact order the serial path would call Cloud::grant (batch-step
-/// admissions first, then ladder grants in member order), so committing
-/// them assigns identical lease ids.  `base_epoch` is the snapshot epoch
-/// the plan read; a commit against a different cloud epoch must re-plan.
+/// in Cloud::grant order (batch-step admissions first, then ladder grants
+/// in member order), so committing them assigns lease ids deterministically.
 struct WindowPlan {
   std::uint64_t window_id = 0;
   double decide_time = 0;
-  std::uint64_t base_epoch = 0;
   std::vector<Outcome> outcomes;
   std::vector<PlannedGrant> grants;
 };
@@ -303,8 +287,7 @@ struct WindowPlan {
 /// (deadline-expired) entries, then places `members` — Algorithm 2 for
 /// |members| > 1, the per-request ladder (placement::plan_laddered) for a
 /// singleton and for members the batch step could not admit.  Pure: reads
-/// only the snapshot, mutates nothing, so any number of windows can be
-/// planned concurrently against the same snapshot.
+/// only the snapshot and mutates nothing.
 /// With a non-null `cell_ctx` naming a cell, placements run against the
 /// cell's row-slice and sub-topology and scatter back to global node ids;
 /// members the cell cannot hold spill to a flat plan (docs/cells.md).
@@ -317,36 +300,20 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
 
 /// Applies a plan's grants to the cloud in order, filling each granted
 /// outcome's lease id.  With checks enabled, verifies the window's capacity
-/// conservation like the serial path always did.
+/// conservation.
 void commit_window(cluster::Cloud& cloud, WindowPlan& plan);
 
-/// Decides one closed window serially: plan_window against an ephemeral
-/// snapshot of `cloud`, then commit_window.  Grants mutate `cloud`;
-/// outcomes are emitted shed-first, then in member order.  Shared verbatim
-/// by the live dispatcher and the journal replayer, so a replayed window
-/// cannot diverge from the original decision.  (`prov` is retained for
-/// signature stability; placement goes through the same pure planner the
-/// pipelined path uses.)
-std::vector<Outcome> decide_window(placement::Provisioner& prov,
-                                   cluster::Cloud& cloud,
+/// Decides one closed window: plan_window against a snapshot of `cloud`,
+/// then commit_window.  Grants mutate `cloud`; outcomes are emitted
+/// shed-first, then in member order.  Shared verbatim by the live service
+/// and the journal replayer, so a replayed window cannot diverge from the
+/// original decision.
+std::vector<Outcome> decide_window(cluster::Cloud& cloud,
                                    const std::vector<PendingEntry>& shed,
                                    const std::vector<PendingEntry>& members,
                                    std::uint64_t window_id, double decide_time,
                                    const ServiceOptions& options,
                                    const CellPlanContext* cell_ctx = nullptr);
-
-/// A window enqueued for pipelined evaluation.  `ticket` is its commit slot
-/// in the global close/release order; `reason` is a string literal for the
-/// journal record.
-struct EvalTask {
-  std::uint64_t window_id = 0;
-  std::uint64_t ticket = 0;
-  double close_time = 0;
-  const char* reason = "";
-  std::size_t cell = kNoCell;  ///< the window's routed cell (cell mode)
-  std::vector<PendingEntry> shed;
-  std::vector<PendingEntry> members;
-};
 
 /// Window-membership pick under a queue discipline: indices into `pending`
 /// of up to `max_batch` entries, in dispatch order (kFifo: seq order;
@@ -368,10 +335,6 @@ struct ServiceStats {
   std::uint64_t deadline_missed = 0;  ///< shed-on-deadline at window close
   std::uint64_t windows = 0;
   std::uint64_t decided = 0;        ///< outcomes emitted
-  // Snapshot lifecycle (pipelined mode; all zero with eval_threads == 0).
-  std::uint64_t snapshot_builds = 0;     ///< snapshots built + published
-  std::uint64_t snapshot_reuses = 0;     ///< plans served by a published snapshot
-  std::uint64_t snapshot_conflicts = 0;  ///< stale-epoch commits re-planned
   // Drift-repair pass (all zero unless options.rebalance.enabled).
   std::uint64_t rebalance_passes = 0;      ///< passes that applied >= 1 move
   std::uint64_t rebalance_migrations = 0;  ///< committed live migrations
@@ -428,13 +391,6 @@ class PlacementService {
   ServiceStats stats() const;
   const ServiceOptions& options() const { return options_; }
   const cluster::Cloud& cloud() const { return cloud_; }
-  /// The currently published capacity snapshot (pipelined mode; null with
-  /// eval_threads == 0).  Lock-free; safe from any thread — the snapshot is
-  /// immutable and epoch-tagged, so concurrent readers always see one
-  /// consistent capacity view even while grants commit.
-  std::shared_ptr<const cluster::CloudSnapshot> snapshot_now() const {
-    return snap_.load(std::memory_order_acquire);
-  }
   /// Per-service SLO state (service/latency, service/shed_rate,
   /// service/dc_per_vm — empty when options.slo.enabled is false).
   const obs::SloTracker& slo() const { return slo_; }
@@ -444,9 +400,8 @@ class PlacementService {
   /// Closes one window at `close_time` (lock held): picks members by
   /// discipline among the entries routed to `cell` (flat mode: every entry
   /// carries kNoCell, so the filter is a no-op), sheds expired entries from
-  /// the whole queue, then either decides the window inline (serial mode:
-  /// journals the window record write-ahead, decides, publishes the
-  /// outcomes) or enqueues it for the evaluation pipeline.
+  /// the whole queue, journals the window record write-ahead, decides the
+  /// window and publishes its outcomes.
   void close_window_locked(double close_time, const char* reason,
                            std::size_t cell) VCOPT_REQUIRES(mu_);
   /// Pending entries routed to `cell` (flat mode: the whole queue depth).
@@ -455,37 +410,19 @@ class PlacementService {
   /// max_batch, if any — the wall dispatcher's size trigger.
   std::optional<std::size_t> full_cell_locked() const VCOPT_REQUIRES(mu_);
   /// Cell scope for a window routed to `cell`; nullopt outside cell mode.
-  /// Reads only ctor-set immutable state, so it is safe from any thread
-  /// (the pipelined evaluation workers call it without mu_).
   std::optional<detail::CellPlanContext> make_cell_ctx(std::size_t cell) const;
   /// Virtual mode: closes every window due at or before `t` (lock held).
   void run_windows_until_locked(double t) VCOPT_REQUIRES(mu_);
   double oldest_pending_locked() const VCOPT_REQUIRES(mu_);
   void dispatcher_loop();
-  /// Pipelined-mode evaluation worker: pop a task, plan it lock-free
-  /// against the published snapshot, commit at its ticket turn (re-planning
-  /// on epoch conflict).
-  void eval_loop();
-  /// Stats/SLO/decided_ publication shared by the serial close path and the
-  /// pipelined commit path.
+  /// Stats/SLO/decided_ publication for one decided window.
   void publish_outcomes_locked(std::size_t shed_count,
                                std::size_t member_count, double sample_time,
                                std::vector<Outcome> outcomes)
       VCOPT_REQUIRES(mu_);
-  /// Commits one planned window at its ticket turn: journal record, grants,
-  /// epoch bump + snapshot republish, outcome publication.
-  void commit_task_locked(const detail::EvalTask& task,
-                          detail::WindowPlan& plan) VCOPT_REQUIRES(mu_);
-  /// Rebuilds and publishes the snapshot for the current epoch.
-  void publish_snapshot_locked(double build_time) VCOPT_REQUIRES(mu_);
-  /// Opt-in drift-repair pass, invoked after every capacity mutation (window
-  /// commit, release) at its point in the ticket order, so serial and
-  /// pipelined runs rebalance at identical logical instants.  Journals the
-  /// applied moves write-ahead; republishes the snapshot in pipelined mode.
+  /// Opt-in drift-repair pass, invoked after every capacity mutation
+  /// (window commit, release).  Journals the applied moves write-ahead.
   void maybe_rebalance_locked(double t) VCOPT_REQUIRES(mu_);
-  /// Blocks until every enqueued window has committed (lock held).
-  void wait_pipeline_drained_locked() VCOPT_REQUIRES(mu_);
-  bool pipelined() const { return options_.eval_threads > 0; }
 
   cluster::Cloud& cloud_;        // internally synchronised under mu_ here
   ServiceOptions options_;       // immutable after construction
@@ -497,13 +434,11 @@ class PlacementService {
   mutable util::Mutex mu_;
   util::CondVar dispatch_cv_;  // wakes the wall-mode dispatcher
   util::CondVar decided_cv_;   // wakes submit_and_wait callers
-  placement::Provisioner prov_ VCOPT_GUARDED_BY(mu_);
   // Sharded cell serving (options_.cell_mode(); all null/empty otherwise).
-  // Set once in the ctor before any worker thread starts.  The directory's
-  // sketches mutate whenever the cloud's capacity does — and every capacity
-  // mutation here happens under mu_ — while the partition it owns (and the
-  // precomputed capacity sums) are immutable, so evaluation workers read
-  // them lock-free through CellPlanContext.
+  // Set once in the ctor.  The directory's sketches mutate whenever the
+  // cloud's capacity does — and every capacity mutation here happens under
+  // mu_ — while the partition it owns (and the precomputed capacity sums)
+  // are immutable.
   std::unique_ptr<cell::CellDirectory> directory_;
   std::unique_ptr<cell::CellRouter> router_;
   std::vector<std::vector<int>> cell_cap_sums_;
@@ -521,35 +456,12 @@ class PlacementService {
   double virtual_now_ VCOPT_GUARDED_BY(mu_) = 0;
   bool stopping_ VCOPT_GUARDED_BY(mu_) = false;
   // Reconciliation ledger for the stop()-time VCOPT_VALIDATE (accepted seqs
-  // must be covered exactly once by outcomes).
+  // must be covered exactly once by outcomes).  Filled only when checks are
+  // compiled in, so a Release service does not grow it per request.
   std::vector<std::uint64_t> accepted_seqs_ VCOPT_GUARDED_BY(mu_);
   std::vector<std::uint64_t> decided_seqs_ VCOPT_GUARDED_BY(mu_);
   std::chrono::steady_clock::time_point wall_epoch_;  // ctor-set, then const
   std::thread dispatcher_;  // wall mode only; started in ctor, joined in stop
-
-  // --- pipelined serving path (options_.eval_threads > 0) ----------------
-  // Epoch of the cloud's capacity state: bumped under mu_ on every capacity
-  // mutation (a window commit with grants, or a release).  The published
-  // snapshot always carries the epoch it was built at, so a plan whose
-  // base_epoch matches epoch_ at its commit turn saw current capacity.
-  std::uint64_t epoch_ VCOPT_GUARDED_BY(mu_) = 0;
-  // Commit tickets: window closes AND releases take the next ticket at the
-  // point they occur in the call order, and apply their capacity mutation
-  // only at their turn — so the cloud evolves exactly as it would have
-  // under serial inline dispatch, grants get identical lease ids, and the
-  // journal's window/release record order is the serial order.
-  std::uint64_t next_ticket_ VCOPT_GUARDED_BY(mu_) = 0;
-  std::uint64_t current_ticket_ VCOPT_GUARDED_BY(mu_) = 0;
-  std::size_t inflight_windows_ VCOPT_GUARDED_BY(mu_) = 0;
-  bool eval_stop_ VCOPT_GUARDED_BY(mu_) = false;
-  std::deque<detail::EvalTask> eval_queue_ VCOPT_GUARDED_BY(mu_);
-  util::CondVar eval_cv_;    // wakes evaluation workers (new task / stop)
-  util::CondVar commit_cv_;  // ticket turns + pipeline-drain waits
-  cluster::SnapshotArena snapshot_arena_;  // internally synchronised
-  // Published snapshot, epoch-tagged; loaded lock-free by planners and
-  // snapshot_now().  Stored only under mu_ (ctor + publish_snapshot_locked).
-  std::atomic<std::shared_ptr<const cluster::CloudSnapshot>> snap_;
-  std::vector<std::thread> eval_workers_;  // started in ctor, joined in stop
 };
 
 }  // namespace vcopt::service

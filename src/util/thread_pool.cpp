@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 namespace vcopt::util {
@@ -45,36 +44,9 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      MutexLock lock(mu_);
-      --active_;
-    }
-    idle_cv_.notify_all();
   }
-}
-
-void ThreadPool::drain() {
-  // A worker draining its own pool would wait for itself to go idle.  util
-  // sits below vcopt::check, so this contract violation is a plain throw.
-  if (in_worker()) {
-    throw std::logic_error("ThreadPool::drain() called from a pool task");
-  }
-  MutexLock lock(mu_);
-  draining_ = true;
-  while (!queue_.empty() || active_ != 0) idle_cv_.wait(mu_);
-}
-
-void ThreadPool::undrain() {
-  MutexLock lock(mu_);
-  draining_ = false;
-}
-
-bool ThreadPool::draining() const {
-  MutexLock lock(mu_);
-  return draining_;
 }
 
 void ThreadPool::parallel_for(
@@ -85,15 +57,9 @@ void ThreadPool::parallel_for(
   std::size_t chunks = max_chunks == 0 ? size() : std::min(max_chunks, size());
   chunks = std::min(std::max<std::size_t>(chunks, 1), n);
 
-  // Inline path: no workers, a single chunk, a nested call from inside one
-  // of our own tasks (enqueueing there could deadlock the pool), or a pool
-  // that is draining (new submissions are rejected, not queued).
-  bool inline_run = chunks <= 1 || workers_.empty() || in_worker();
-  if (!inline_run) {
-    MutexLock lock(mu_);
-    inline_run = draining_;
-  }
-  if (inline_run) {
+  // Inline path: no workers, a single chunk, or a nested call from inside
+  // one of our own tasks (enqueueing there could deadlock the pool).
+  if (chunks <= 1 || workers_.empty() || in_worker()) {
     fn(0, n);
     return;
   }

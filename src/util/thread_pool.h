@@ -55,20 +55,6 @@ class ThreadPool {
   /// True while the calling thread is executing a task of this pool.
   bool in_worker() const;
 
-  /// Graceful stop: rejects work submitted after this call (parallel_for
-  /// then runs inline on the caller) and blocks until every already-queued
-  /// and in-flight task has finished.  Workers stay alive — undrain()
-  /// reopens the pool.  Idempotent.  Throws std::logic_error when called
-  /// from inside a pool task (a worker waiting for its own batch to finish
-  /// would deadlock).
-  void drain();
-
-  /// Reopens a drained pool for new submissions.
-  void undrain();
-
-  /// True while the pool rejects new submissions (between drain/undrain).
-  bool draining() const;
-
   /// Process-wide pool, created on first use.  Sized by VCOPT_THREADS
   /// (clamped to [1, 256]) or hardware_concurrency() when unset/invalid.
   static ThreadPool& global();
@@ -80,14 +66,11 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar work_cv_;
-  CondVar idle_cv_;  // signalled when queue empties / a task ends
   std::deque<std::function<void()>> queue_ VCOPT_GUARDED_BY(mu_);
   std::vector<std::thread> workers_;  // written in the ctor, joined in dtor
-  std::size_t active_ VCOPT_GUARDED_BY(mu_) = 0;  // tasks running on workers
   bool stop_ VCOPT_GUARDED_BY(mu_) = false;
-  bool draining_ VCOPT_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace vcopt::util

@@ -1,8 +1,7 @@
 // Service-level cell mode: per-cell windows keep the journal/replay
-// guarantee (cell-mode journals replay byte-identically, serial and
-// pipelined), `--cells 1` serving is grant-for-grant identical to flat
-// serving when every request routes, and cell-mode serving is
-// deterministic run-to-run.
+// guarantee (cell-mode journals replay byte-identically), `--cells 1`
+// serving is grant-for-grant identical to flat serving when every request
+// routes, and cell-mode serving is deterministic run-to-run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -135,24 +134,6 @@ TEST(CellService, CellModeServingIsDeterministic) {
   const LiveRun b = run_live(scenario, options, 41);
   EXPECT_EQ(a.journal, b.journal);
   EXPECT_EQ(a.grants, b.grants);
-}
-
-TEST(CellService, PipelinedCellModeReplaysByteIdentically) {
-  const auto scenario =
-      workload::paper_sim_scenario(19, workload::RequestScale::kBig, 40);
-  ServiceOptions options;
-  options.max_batch = 4;
-  options.cell_size = 10;
-  options.eval_threads = 2;
-  options.queue_capacity = 1024;
-  const LiveRun live = run_live(scenario, options, 8);
-  ASSERT_FALSE(live.journal.empty());
-  Cloud fresh = scenario_cloud(scenario);
-  std::istringstream in(live.journal);
-  const ReplayResult replayed =
-      replay_journal(parse_journal(in), fresh, options);
-  EXPECT_EQ(replayed.grants, live.grants);
-  EXPECT_DOUBLE_EQ(replayed.total_distance, live.total_distance);
 }
 
 TEST(CellService, FlatJournalStaysByteCompatible) {

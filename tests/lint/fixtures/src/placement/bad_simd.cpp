@@ -1,6 +1,6 @@
-// Fixture: raw SIMD outside src/util/simd.h.  Every line below must trip
-// vcopt-simd-outside-util — placement code has to call the util::simd
-// kernels instead of open-coding intrinsics.
+// Fixture: raw SIMD intrinsics.  Every line below must trip vcopt-raw-simd
+// — the placement kernels are scalar loops, and intrinsics are banned
+// everywhere.
 //
 // Lines 8-14 are position-sensitive: tools/lint_selftest.py asserts the
 // exact (line, rule) pairs.
@@ -18,4 +18,4 @@ void bad_simd_fixture(const int* a, int n) {
 }
 
 // Suppressed with a justification: stays silent.
-// NOLINT(vcopt-simd-outside-util) example: __m128i documented_exception;
+// NOLINT(vcopt-raw-simd) example: __m128i documented_exception;

@@ -187,10 +187,18 @@ TEST(MetricsRegistry, RenderTableListsEveryInstrument) {
   reg.counter("solver/bb_solves").add(2);
   reg.gauge("sim/mean_utilization").set(0.75);
   reg.histogram("sim/hold_seconds", {1.0}).observe(0.25);
+  // A microsecond-scale stage (histograms record seconds) must stay
+  // readable rather than rounding to 0.000.
+  reg.histogram("service/stage/admit", {1e-3}).observe(20e-6);
   const std::string table = reg.render_table();
   EXPECT_NE(table.find("solver/bb_solves"), std::string::npos);
   EXPECT_NE(table.find("sim/mean_utilization"), std::string::npos);
   EXPECT_NE(table.find("sim/hold_seconds"), std::string::npos);
+  const std::size_t stage = table.find("service/stage/admit");
+  ASSERT_NE(stage, std::string::npos);
+  const std::string row = table.substr(stage, table.find('\n', stage) - stage);
+  EXPECT_EQ(row.find("0.000"), std::string::npos) << row;
+  EXPECT_NE(row.find("mean=2e-05"), std::string::npos) << row;
 }
 
 TEST(MetricsRegistry, WriteJsonFileProducesParsableDocument) {

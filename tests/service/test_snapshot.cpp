@@ -1,39 +1,18 @@
-// The snapshot-isolated serving path (ServiceOptions::eval_threads > 0):
-//
-//  * SnapshotArena freezes the cloud's capacity correctly and recycles
-//    retired snapshot storage.
-//  * Pipelined evaluation produces a grant stream byte-identical to serial
-//    inline dispatch across seeds, disciplines and window sizes — with
-//    ticketed releases interleaved while windows are in flight.
-//  * An epoch conflict (capacity moved under a planned window) forces
-//    re-evaluation, and the re-evaluated decisions still match serial.
-//  * The journal of a pipelined run replays byte-identically.
-//  * Concurrent snapshot_now() readers always see an internally consistent
-//    epoch-tagged view while grants commit (TSan runs this file).
+// SnapshotArena freezes the cloud's capacity correctly, and its snapshots
+// own their storage (they may outlive the arena).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <optional>
-#include <sstream>
-#include <string>
-#include <thread>
-#include <vector>
+#include <memory>
 
 #include "cluster/cloud.h"
 #include "cluster/snapshot.h"
 #include "placement/policy.h"
-#include "service/journal.h"
-#include "service/replay.h"
-#include "service/service.h"
-#include "util/rng.h"
-#include "workload/generator.h"
 #include "workload/scenario.h"
 
 namespace vcopt::service {
 namespace {
 
 using cluster::Cloud;
-using cluster::Request;
 
 Cloud scenario_cloud(const workload::SimScenario& s) {
   return Cloud(s.topology, s.catalog, s.capacity);
@@ -63,19 +42,6 @@ TEST(SnapshotArena, BuildCapturesCloudState) {
   }
 }
 
-TEST(SnapshotArena, RecyclesRetiredSnapshots) {
-  const auto scenario = workload::paper_sim_scenario(3);
-  Cloud cloud = scenario_cloud(scenario);
-  cluster::SnapshotArena arena;
-  EXPECT_EQ(arena.pool_size(), 0u);
-  { const auto snap = arena.build(cloud, 1, 0.0); }
-  EXPECT_EQ(arena.pool_size(), 1u);  // retired snapshot parked for reuse
-  const auto reused = arena.build(cloud, 2, 0.0);
-  EXPECT_EQ(arena.pool_size(), 0u);  // ... and handed back out
-  EXPECT_EQ(reused->epoch, 2u);
-  EXPECT_EQ(reused->remaining, cloud.remaining());
-}
-
 TEST(SnapshotArena, SnapshotsSafelyOutliveTheArena) {
   const auto scenario = workload::paper_sim_scenario(3);
   Cloud cloud = scenario_cloud(scenario);
@@ -87,286 +53,6 @@ TEST(SnapshotArena, SnapshotsSafelyOutliveTheArena) {
   EXPECT_EQ(survivor->epoch, 9u);
   EXPECT_EQ(survivor->remaining, cloud.remaining());
   survivor.reset();  // deleter must not touch the dead arena
-}
-
-// -- serial-vs-pipelined equivalence harness --------------------------------
-
-struct RunResult {
-  std::string grants;
-  std::string journal;
-  double total_distance = 0;
-  util::IntMatrix remaining;
-  std::size_t lease_count = 0;
-  ServiceStats stats;
-};
-
-// One deterministic driver script: three rounds of the scenario's request
-// stream; each round releases the previous round's surviving leases right
-// after its submits, while size-triggered windows may still be in flight —
-// so pipelined runs exercise ticketed releases, not just drained ones.
-RunResult run_stream(const workload::SimScenario& scenario,
-                     ServiceOptions options) {
-  Cloud cloud = scenario_cloud(scenario);
-  std::ostringstream journal;
-  options.clock = ClockMode::kVirtual;
-  options.journal = &journal;
-  options.queue_capacity = 4096;
-  RunResult result;
-  {
-    PlacementService svc(cloud, options);
-    std::vector<Outcome> all;
-    std::vector<cluster::LeaseId> held;
-    double t = 0;
-    std::uint64_t id = 1;
-    for (int round = 0; round < 3; ++round) {
-      for (const auto& r : scenario.requests) {
-        SubmitOptions o;
-        o.priority = static_cast<int>(id % 5);
-        svc.submit(Request(r.counts(), id), o);
-        ++id;
-      }
-      for (cluster::LeaseId lease : held) svc.release(lease);
-      held.clear();
-      t += 1.0;
-      svc.advance_to(t);
-      svc.flush();
-      for (Outcome& o : svc.take_outcomes()) {
-        if (has_lease(o.kind)) held.push_back(o.lease);
-        all.push_back(std::move(o));
-      }
-    }
-    svc.stop();
-    for (const Outcome& o : all) {
-      if (has_lease(o.kind)) result.total_distance += o.distance;
-    }
-    result.grants = grant_stream(std::move(all));
-    result.stats = svc.stats();
-  }
-  result.journal = journal.str();
-  result.remaining = cloud.remaining();
-  result.lease_count = cloud.lease_count();
-  return result;
-}
-
-TEST(PipelinedService, GrantStreamMatchesSerialAcrossConfigs) {
-  for (unsigned seed : {7u, 21u}) {
-    const auto scenario = workload::paper_sim_scenario(seed);
-    for (auto discipline : {placement::QueueDiscipline::kFifo,
-                            placement::QueueDiscipline::kPriority,
-                            placement::QueueDiscipline::kSmallestFirst}) {
-      for (std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
-        ServiceOptions serial;
-        serial.discipline = discipline;
-        serial.max_batch = max_batch;
-        ServiceOptions pipelined = serial;
-        pipelined.eval_threads = 3;
-        const RunResult a = run_stream(scenario, serial);
-        const RunResult b = run_stream(scenario, pipelined);
-        ASSERT_EQ(b.grants, a.grants)
-            << "seed=" << seed << " discipline="
-            << placement::to_string(discipline) << " max_batch=" << max_batch;
-        EXPECT_DOUBLE_EQ(b.total_distance, a.total_distance);
-        EXPECT_EQ(b.remaining, a.remaining);
-        EXPECT_EQ(b.lease_count, a.lease_count);
-        EXPECT_EQ(b.stats.accepted, a.stats.accepted);
-        EXPECT_EQ(b.stats.decided, a.stats.decided);
-        EXPECT_EQ(b.stats.windows, a.stats.windows);
-        // The pipelined run actually used the snapshot path.
-        EXPECT_GT(b.stats.snapshot_builds, 0u);
-        EXPECT_GT(b.stats.snapshot_reuses, 0u);
-        EXPECT_EQ(a.stats.snapshot_builds, 0u);
-      }
-    }
-  }
-}
-
-TEST(PipelinedService, JournalFromPipelinedRunReplaysByteIdentically) {
-  const auto scenario = workload::paper_sim_scenario(21);
-  ServiceOptions options;
-  options.max_batch = 4;
-  options.eval_threads = 3;
-  const RunResult live = run_stream(scenario, options);
-
-  // Replay the pipelined journal on a fresh cloud with the serial decision
-  // procedure: the grant records must come back byte-identical.
-  Cloud fresh = scenario_cloud(scenario);
-  ServiceOptions replay_options = options;
-  replay_options.eval_threads = 0;
-  std::istringstream in(live.journal);
-  const ReplayResult replayed =
-      replay_journal(parse_journal(in), fresh, replay_options);
-  EXPECT_EQ(replayed.grants, live.grants);
-  EXPECT_DOUBLE_EQ(replayed.total_distance, live.total_distance);
-  EXPECT_EQ(fresh.remaining(), live.remaining);
-  EXPECT_EQ(fresh.lease_count(), live.lease_count);
-}
-
-// Forcing an epoch conflict.  Eight 16-member windows become due inside ONE
-// advance_to() call, so all eight evaluation tasks are enqueued under a
-// single lock hold before any worker can pop — four workers then provably
-// plan heavy (milliseconds-long, Algorithm-2) windows against the same
-// published snapshot while the lowest ticket commits grants under them.
-// The stale plans must be detected, re-evaluated, and still reproduce the
-// serial grant stream.  The exact conflict count is OS-scheduled, so the
-// (cheap) run is retried until at least one conflict was observed.
-RunResult run_flood(const workload::SimScenario& scenario,
-                    ServiceOptions options) {
-  Cloud cloud = scenario_cloud(scenario);
-  std::ostringstream journal;
-  options.clock = ClockMode::kVirtual;
-  options.journal = &journal;
-  options.queue_capacity = 4096;
-  options.max_batch = 16;
-  options.max_wait = 10.0;
-  RunResult result;
-  {
-    PlacementService svc(cloud, options);
-    std::uint64_t id = 1;
-    for (int group = 0; group < 8; ++group) {
-      // Distinct submit times => distinct window due instants, all closed by
-      // the single advance_to(100) below in one run_windows_until_locked.
-      svc.advance_to(0.1 * group);
-      for (int i = 0; i < 16; ++i) {
-        const auto& r =
-            scenario.requests[(static_cast<std::size_t>(id) - 1) %
-                              scenario.requests.size()];
-        svc.submit(Request(r.counts(), id));
-        ++id;
-      }
-    }
-    svc.advance_to(100.0);
-    svc.stop();
-    std::vector<Outcome> all = svc.take_outcomes();
-    for (const Outcome& o : all) {
-      if (has_lease(o.kind)) result.total_distance += o.distance;
-    }
-    result.grants = grant_stream(std::move(all));
-    result.stats = svc.stats();
-  }
-  result.journal = journal.str();
-  result.remaining = cloud.remaining();
-  result.lease_count = cloud.lease_count();
-  return result;
-}
-
-TEST(PipelinedService, EpochConflictForcesReEvaluation) {
-  // A deliberately large plant (32 racks x 10 nodes): planning a 16-member
-  // window through Algorithm 2 over 320 nodes takes long enough that the
-  // other workers reliably pop their tasks before the first commit lands.
-  util::Rng rng(99);
-  workload::SimScenario scenario{cluster::Topology::uniform(32, 10),
-                                 cluster::VmCatalog::ec2_default(),
-                                 util::IntMatrix(),
-                                 {},
-                                 99};
-  scenario.capacity = workload::random_inventory(scenario.topology,
-                                                 scenario.catalog, rng, 1, 4);
-  scenario.requests =
-      workload::random_requests(scenario.catalog, rng, 32, 2, 8);
-  ServiceOptions serial;
-  ServiceOptions pipelined;
-  pipelined.eval_threads = 4;
-  const RunResult baseline = run_flood(scenario, serial);
-  bool saw_conflict = false;
-  for (int attempt = 0; attempt < 25 && !saw_conflict; ++attempt) {
-    const RunResult run = run_flood(scenario, pipelined);
-    ASSERT_EQ(run.grants, baseline.grants) << "attempt " << attempt;
-    EXPECT_EQ(run.remaining, baseline.remaining);
-    saw_conflict = run.stats.snapshot_conflicts > 0;
-  }
-  EXPECT_TRUE(saw_conflict)
-      << "no stale-epoch commit in 25 flooded runs — conflict path untested";
-}
-
-TEST(PipelinedService, ConcurrentSnapshotReaderSeesConsistentEpochs) {
-  const auto scenario = workload::paper_sim_scenario(5);
-  Cloud cloud = scenario_cloud(scenario);
-  ServiceOptions options;
-  options.max_batch = 2;
-  options.eval_threads = 2;
-  options.queue_capacity = 4096;
-  PlacementService svc(cloud, options);
-
-  std::atomic<bool> done{false};
-  std::atomic<int> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&] {
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const auto snap = svc.snapshot_now();
-        ASSERT_NE(snap, nullptr);
-        // Epochs only move forward, and the frozen matrix is internally
-        // consistent (sum caches agree with the payload) — a torn or
-        // in-place-mutated snapshot would break both.
-        ASSERT_GE(snap->epoch, last_epoch);
-        last_epoch = snap->epoch;
-        int by_cols = 0;
-        for (std::size_t j = 0; j < snap->type_count; ++j) {
-          by_cols += snap->remaining.col_sum(j);
-        }
-        ASSERT_EQ(by_cols, snap->remaining.total());
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  double t = 0;
-  std::uint64_t id = 1;
-  for (int round = 0; round < 20; ++round) {
-    for (const auto& r : scenario.requests) {
-      svc.submit(Request(r.counts(), id++));
-    }
-    t += 1.0;
-    svc.advance_to(t);
-    svc.flush();
-    for (const Outcome& o : svc.take_outcomes()) {
-      if (has_lease(o.kind)) svc.release(o.lease);
-    }
-  }
-  svc.stop();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-  EXPECT_GT(reads.load(), 0);
-  EXPECT_EQ(cloud.lease_count(), 0u);
-}
-
-TEST(PipelinedService, WallClockSubmitAndWaitWithEvalThreads) {
-  const auto scenario = workload::paper_sim_scenario(13);
-  Cloud cloud = scenario_cloud(scenario);
-  ServiceOptions options;
-  options.clock = ClockMode::kWall;
-  options.max_batch = 4;
-  options.max_wait = 0.002;
-  options.queue_capacity = 1024;
-  options.eval_threads = 2;
-  PlacementService svc(cloud, options);
-
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 8;
-  std::atomic<int> decided{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const auto& r =
-            scenario.requests[static_cast<std::size_t>(p * kPerProducer + i) %
-                              scenario.requests.size()];
-        const std::optional<Outcome> outcome = svc.submit_and_wait(
-            Request(r.counts(), static_cast<std::uint64_t>(p * 100 + i)));
-        ASSERT_TRUE(outcome.has_value());
-        decided.fetch_add(1);
-        if (has_lease(outcome->kind)) svc.release(outcome->lease);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  svc.stop();
-  EXPECT_EQ(decided.load(), kProducers * kPerProducer);
-  const ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.decided, stats.accepted);
-  EXPECT_GT(stats.snapshot_builds, 0u);
-  EXPECT_EQ(cloud.lease_count(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -134,90 +133,6 @@ TEST(ThreadPool, ConcurrentBatchesFromMultipleCallers) {
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_EQ(totals[c].load(), static_cast<int>(kN) * 20);
   }
-}
-
-// drain() must wait for tasks that are still *queued* (not yet picked up by
-// a worker), not just the in-flight ones: three producers push six chunks at
-// a two-worker pool, so at least four sit queued behind the gate.
-TEST(ThreadPool, DrainWaitsForQueuedTasks) {
-  ThreadPool pool(2);
-  constexpr int kProducers = 3;
-  std::atomic<bool> gate{false};
-  std::atomic<int> done{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      pool.parallel_for(2, [&](std::size_t b, std::size_t e) {
-        while (!gate.load()) std::this_thread::yield();
-        done.fetch_add(static_cast<int>(e - b));
-      });
-    });
-  }
-  // Give the producers time to enqueue, then drain concurrently.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::atomic<bool> drained{false};
-  std::thread drainer([&] {
-    pool.drain();
-    drained.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Tasks are gated, so a correct drain is still blocked (this can only
-  // fail spuriously by passing, never by timing out a correct pool).
-  EXPECT_FALSE(drained.load());
-  gate.store(true);
-  drainer.join();
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(drained.load());
-  EXPECT_EQ(done.load(), kProducers * 2);
-  EXPECT_TRUE(pool.draining());
-
-  // A drained pool rejects new submissions: the work still runs, inline on
-  // the caller.
-  const auto caller = std::this_thread::get_id();
-  std::atomic<int> inline_done{0};
-  pool.parallel_for(4, [&](std::size_t b, std::size_t e) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    inline_done.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(inline_done.load(), 4);
-
-  pool.undrain();
-  EXPECT_FALSE(pool.draining());
-  std::atomic<int> after{0};
-  pool.parallel_for(8, [&](std::size_t b, std::size_t e) {
-    after.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(after.load(), 8);
-}
-
-TEST(ThreadPool, DrainOnIdlePoolIsIdempotent) {
-  ThreadPool pool(2);
-  pool.drain();
-  pool.drain();  // second drain returns immediately
-  EXPECT_TRUE(pool.draining());
-  pool.undrain();
-  EXPECT_FALSE(pool.draining());
-}
-
-TEST(ThreadPool, DrainOnInlinePoolIsTrivial) {
-  ThreadPool pool(1);
-  pool.drain();
-  EXPECT_TRUE(pool.draining());
-  pool.undrain();
-}
-
-TEST(ThreadPool, DrainFromWorkerThrows) {
-  ThreadPool pool(2);
-  std::atomic<int> threw{0};
-  pool.parallel_for(2, [&](std::size_t, std::size_t) {
-    try {
-      pool.drain();
-    } catch (const std::logic_error&) {
-      threw.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(threw.load(), 2);
 }
 
 TEST(ThreadPool, ConfiguredThreadsHonoursEnv) {

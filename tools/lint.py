@@ -18,16 +18,15 @@ General rules (scoped to src/, tests/, bench/, examples/, tools/ sources):
                      util/logging.h.  The logger backend itself and CLI
                      binaries (src/exp/, bench/, tools/) are exempt.
 
-SIMD-containment rule (all scanned sources):
+No-intrinsics rule (all scanned sources):
 
-  vcopt-simd-outside-util
-                     no raw SIMD — vendor intrinsics (`_mm_*`, `__m128`,
-                     NEON `v*q_*` calls and `int32x4_t`-style vector types)
-                     or their headers (`*mmintrin.h`, `arm_neon.h`) —
-                     anywhere except src/util/simd.h.  Everything else goes
-                     through the `util::simd` kernels so the scalar
-                     fallback, the VCOPT_SIMD=off build and bit-identical
-                     dispatch stay in one audited file.
+  vcopt-raw-simd     no raw SIMD anywhere — vendor intrinsics (`_mm_*`,
+                     `__m128`, NEON `v*q_*` calls and `int32x4_t`-style
+                     vector types) or their headers (`*mmintrin.h`,
+                     `arm_neon.h`).  The placement kernels are plain scalar
+                     loops; a hand-written vector kernel comes back only
+                     with a change that shows a measured served-path win
+                     (docs/performance.md).
 
 Lock-discipline rule (src/ outside src/util/):
 
@@ -102,10 +101,6 @@ IOSTREAM_ALLOWLIST = {
 # wrappers themselves.
 RAW_MUTEX_ALLOWLIST_PREFIX = "src/util/"
 
-# The one place raw SIMD intrinsics are allowed: the dispatching kernel
-# header that owns the scalar fallback and the VCOPT_SIMD=off gate.
-SIMD_ALLOWLIST = {"src/util/simd.h"}
-
 RULES: dict[str, str] = {
     "pragma-once": "headers must start with #pragma once",
     "using-in-header": "no `using namespace` at namespace scope in headers",
@@ -114,8 +109,7 @@ RULES: dict[str, str] = {
     "iostream-logging": "src/ library code logs via util/logging.h",
     "vcopt-raw-mutex":
         "src/ outside util/ uses util::Mutex wrappers, not std::mutex",
-    "vcopt-simd-outside-util":
-        "raw SIMD intrinsics live only in src/util/simd.h",
+    "vcopt-raw-simd": "no raw SIMD intrinsics; placement kernels are scalar",
     "vcopt-unordered-in-replay":
         "no unordered containers in replay-critical code (service/fault/sim)",
     "vcopt-wall-clock":
@@ -212,7 +206,6 @@ class Linter:
         in_replay = rel.startswith(REPLAY_DIRS)
         mutex_scoped = in_src and not rel.startswith(
             RAW_MUTEX_ALLOWLIST_PREFIX)
-        simd_scoped = rel not in SIMD_ALLOWLIST
         exempt_io = (rel in IOSTREAM_ALLOWLIST or not in_src
                      or rel.startswith("src/exp/"))
 
@@ -260,13 +253,10 @@ class Linter:
                             "raw std synchronisation type; use util::Mutex/"
                             "MutexLock/CondVar (src/util/mutex.h) so the "
                             "thread-safety analysis sees the lock")
-            if simd_scoped and RE_SIMD.search(code) and not suppressed(
-                    raw, "vcopt-simd-outside-util"):
-                self.report(path, lineno, "vcopt-simd-outside-util",
-                            "raw SIMD intrinsic outside src/util/simd.h; "
-                            "route through the util::simd kernels so the "
-                            "scalar fallback and VCOPT_SIMD=off gate stay "
-                            "in one place")
+            if RE_SIMD.search(code) and not suppressed(raw, "vcopt-raw-simd"):
+                self.report(path, lineno, "vcopt-raw-simd",
+                            "raw SIMD intrinsic; write the scalar loop (a "
+                            "vector kernel needs a measured served-path win)")
             if in_replay:
                 self.check_replay_line(path, lineno, raw, code)
 

@@ -35,8 +35,6 @@ BAD_FILES = [
 GOOD_FILES = [
     FIXTURES / "src" / "service" / "good_determinism.cpp",
     FIXTURES / "src" / "util" / "ok_raw_mutex.cpp",
-    # The allowlisted path: raw intrinsics are legal in src/util/simd.h.
-    FIXTURES / "src" / "util" / "simd.h",
 ]
 
 # (relative path, line, rule) for every finding the corpus must produce.
@@ -52,11 +50,11 @@ EXPECTED = [
     ("src/placement/bad_general.cpp", 24, "iostream-logging"),
     ("src/placement/bad_header.h", 1, "pragma-once"),
     ("src/placement/bad_header.h", 5, "using-in-header"),
-    ("src/placement/bad_simd.cpp", 8, "vcopt-simd-outside-util"),
-    ("src/placement/bad_simd.cpp", 9, "vcopt-simd-outside-util"),
-    ("src/placement/bad_simd.cpp", 12, "vcopt-simd-outside-util"),
-    ("src/placement/bad_simd.cpp", 13, "vcopt-simd-outside-util"),
-    ("src/placement/bad_simd.cpp", 14, "vcopt-simd-outside-util"),
+    ("src/placement/bad_simd.cpp", 8, "vcopt-raw-simd"),
+    ("src/placement/bad_simd.cpp", 9, "vcopt-raw-simd"),
+    ("src/placement/bad_simd.cpp", 12, "vcopt-raw-simd"),
+    ("src/placement/bad_simd.cpp", 13, "vcopt-raw-simd"),
+    ("src/placement/bad_simd.cpp", 14, "vcopt-raw-simd"),
     ("src/service/bad_determinism.cpp", 15, "vcopt-unordered-in-replay"),
     ("src/service/bad_determinism.cpp", 16, "vcopt-unordered-in-replay"),
     ("src/service/bad_determinism.cpp", 17, "vcopt-wall-clock"),

@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   {
     const cluster::Topology topo = cluster::Topology::uniform(2, 2);
     const cluster::VmCatalog catalog({{"a", 1, 1, 1, 64}, {"b", 2, 2, 2, 64}});
+    const util::DoubleMatrix dist = topo.distance_matrix();
     int n = 0, algo2_opt = 0, anneal_opt = 0;
     for (std::uint64_t s = 0; s < 20; ++s) {
       util::Rng rng(seed * 31 + s);
@@ -66,8 +67,7 @@ int main(int argc, char** argv) {
       const std::vector<cluster::Request> batch = {
           workload::random_request(catalog, rng, 0, 2, 0),
           workload::random_request(catalog, rng, 0, 2, 1)};
-      const auto exact =
-          solver::solve_gsd_exact(batch, remaining, topo.distance_matrix());
+      const auto exact = solver::solve_gsd_exact(batch, remaining, dist);
       if (!exact.feasible) continue;
       placement::GlobalSubOpt algo2;
       const auto base = algo2.place_batch(batch, remaining, topo);

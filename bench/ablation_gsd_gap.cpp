@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   constexpr int kTrials = 30;
   const cluster::Topology topo = cluster::Topology::uniform(2, 3);  // 6 nodes
   const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const util::DoubleMatrix dist = topo.distance_matrix();
 
   util::Samples gap_pct;
   int optimal_hits = 0, feasible = 0;
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
         workload::random_request(catalog, rng, 0, 2, 2)};
 
     const solver::GsdResult exact =
-        solver::solve_gsd_exact(batch, remaining, topo.distance_matrix());
+        solver::solve_gsd_exact(batch, remaining, dist);
     if (!exact.feasible) continue;
 
     placement::GlobalSubOpt algo2;

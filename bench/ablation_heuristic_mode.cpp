@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
 
   const cluster::Topology topo = cluster::Topology::uniform(3, 10);
   const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const util::DoubleMatrix dist = topo.distance_matrix();
 
   struct ModeResult {
     util::Samples gap_pct;  // vs exact SD
@@ -37,8 +38,7 @@ int main(int argc, char** argv) {
     const util::IntMatrix remaining =
         workload::random_inventory(topo, catalog, rng, 0, 4);
     const cluster::Request r = workload::random_request(catalog, rng, 1, 6, s);
-    const solver::SdResult exact =
-        solver::solve_sd_exact(r, remaining, topo.distance_matrix());
+    const solver::SdResult exact = solver::solve_sd_exact(r, remaining, dist);
     if (!exact.feasible) continue;
 
     auto eval = [&](placement::OnlineHeuristic::Mode mode, ModeResult& out) {

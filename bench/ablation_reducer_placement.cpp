@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
                        "spread (s)", "sparsest-node (s)"});
   for (const auto& [name, alloc] : clusters) {
     const auto vc = mapreduce::VirtualCluster::from_allocation(alloc);
-    const double distance =
-        alloc.best_central(topo.distance_matrix()).distance;
+    const double distance = alloc.best_central(topo).distance;
     double means[3] = {0, 0, 0};
     const RP variants[3] = {RP::kDensestNode, RP::kSpread, RP::kSparsestNode};
     for (int v = 0; v < 3; ++v) {

@@ -49,14 +49,13 @@ int main() {
   // --- C1: Fig. 1 closed forms. ---
   {
     const cluster::Topology topo = cluster::Topology::uniform(2, 2);
-    const auto& d = topo.distance_matrix();
     const double d1 = 1, d2 = 2;
     cluster::Allocation dc1(util::IntMatrix{{2, 2, 0}, {0, 2, 0}, {0, 0, 1}, {0, 0, 0}});
     cluster::Allocation dc3(util::IntMatrix{{2, 2, 1}, {0, 0, 0}, {0, 2, 0}, {0, 0, 0}});
     cluster::Allocation dc4(util::IntMatrix{{2, 1, 1}, {0, 1, 0}, {0, 2, 0}, {0, 0, 0}});
-    check_claim(dc1.best_central(d).distance == 2 * d1 + d2 &&
-              dc3.best_central(d).distance == 2 * d2 &&
-              dc4.best_central(d).distance == d1 + 2 * d2,
+    check_claim(dc1.best_central(topo).distance == 2 * d1 + d2 &&
+              dc3.best_central(topo).distance == 2 * d2 &&
+              dc4.best_central(topo).distance == d1 + 2 * d2,
           "C1: Fig. 1 candidate distances match 2d1+d2 / 2d2 / d1+2d2");
   }
 
@@ -75,8 +74,7 @@ int main() {
       best_sum += placed->distance;
       const auto k = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(sc.topology.node_count()) - 1));
-      rand_sum +=
-          placed->allocation.distance_from(k, sc.topology.distance_matrix());
+      rand_sum += placed->allocation.distance_from(k, sc.topology);
     }
     check_claim(best_sum > 0 && rand_sum >= 1.5 * best_sum,
           "C2: random central choice inflates summed distance >= 1.5x");
@@ -90,8 +88,7 @@ int main() {
     const auto placed = h.place(sc.requests.front(), sc.capacity, sc.topology);
     double lo = 1e300, hi = 0;
     for (std::size_t k = 0; k < sc.topology.node_count(); ++k) {
-      const double dd =
-          placed->allocation.distance_from(k, sc.topology.distance_matrix());
+      const double dd = placed->allocation.distance_from(k, sc.topology);
       lo = std::min(lo, dd);
       hi = std::max(hi, dd);
     }
@@ -147,12 +144,13 @@ int main() {
     util::Rng rng(7);
     const cluster::Topology topo = cluster::Topology::uniform(2, 3);
     const cluster::VmCatalog cat = cluster::VmCatalog::ec2_default();
+    const util::DoubleMatrix dist = topo.distance_matrix();
     bool all = true;
     for (int t = 0; t < 5; ++t) {
       const auto L = workload::random_inventory(topo, cat, rng, 0, 3);
       const auto r = workload::random_request(cat, rng, 0, 3, 0);
-      const auto exact = solver::solve_sd_exact(r, L, topo.distance_matrix());
-      const auto ilp = solver::solve_sd_ilp(r, L, topo.distance_matrix());
+      const auto exact = solver::solve_sd_exact(r, L, dist);
+      const auto ilp = solver::solve_sd_ilp(r, L, dist);
       if (exact.feasible != ilp.feasible) all = false;
       if (exact.feasible && std::abs(exact.distance - ilp.distance) > 1e-6) {
         all = false;

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     t.row()
         .cell(label)
         .cell(result.allocation.describe())
-        .cell(result.allocation.best_central(topo.distance_matrix()).distance, 1)
+        .cell(result.allocation.best_central(topo).distance, 1)
         .cell(runtime.mean(), 2);
   }
   t.print(std::cout);

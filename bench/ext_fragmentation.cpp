@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   util::TableWriter t({"Policy", "Node concentration", "Rack concentration",
                        "Largest 1-node ask", "Probe DC (8 mediums)",
                        "Probe feasible (%)"});
+  const util::DoubleMatrix dist = sc.topology.distance_matrix();
   for (const char* policy :
        {"sd-exact", "online-heuristic", "first-fit", "spread", "random:5"}) {
     cluster::Cloud cloud(sc.topology, sc.catalog, sc.capacity);
@@ -55,8 +56,8 @@ int main(int argc, char** argv) {
         rack_conc.add(frag.rack_concentration);
         largest.add(frag.largest_single_node_request);
         ++probe_n;
-        const auto placed = solver::solve_sd_exact(
-            probe, cloud.remaining(), cloud.topology().distance_matrix());
+        const auto placed =
+            solver::solve_sd_exact(probe, cloud.remaining(), dist);
         if (placed.feasible) {
           ++probe_ok;
           probe_dc.add(placed.distance);

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   for (placement::Grant& g : survivors) {
     placement::Placement p = g.placement;
     const placement::ConsolidationResult res =
-        placement::consolidate(p, remaining, sc.topology.distance_matrix());
+        placement::consolidate(p, remaining, sc.topology);
     before.add(res.distance_before);
     after.add(res.distance_after);
     migrations += res.migrations.size();

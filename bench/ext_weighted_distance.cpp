@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
       static_cast<double>(catalog[1].compute_units),
       static_cast<double>(catalog[2].compute_units)};
 
+  const util::DoubleMatrix dist = topo.distance_matrix();
   const solver::SdResult uniform =
-      solver::solve_sd_exact(request, remaining, topo.distance_matrix());
-  const solver::SdResult weighted = solver::solve_sd_exact_weighted(
-      request, remaining, topo.distance_matrix(), weights);
+      solver::solve_sd_exact(request, remaining, dist);
+  const solver::SdResult weighted =
+      solver::solve_sd_exact_weighted(request, remaining, dist, weights);
 
   util::TableWriter t({"Metric", "Central node", "Central rack",
                        "Uniform DC @central", "Weighted DC @central",
@@ -73,11 +74,9 @@ int main(int argc, char** argv) {
         .cell(label)
         .cell("N" + std::to_string(result.central))
         .cell("R" + std::to_string(topo.rack_of(result.central)))
-        .cell(result.allocation.distance_from(result.central,
-                                              topo.distance_matrix()),
-              1)
-        .cell(result.allocation.weighted_distance_from(
-                  result.central, topo.distance_matrix(), weights),
+        .cell(result.allocation.distance_from(result.central, topo), 1)
+        .cell(result.allocation.weighted_distance_from(result.central, dist,
+                                                       weights),
               1)
         .cell(rt.mean(), 2);
   }

@@ -17,7 +17,6 @@ int main() {
 
   // Rack 1: N1, N2 (nodes 0, 1).  Rack 2: N3, N4 (nodes 2, 3).  d1=1, d2=2.
   const cluster::Topology topo = cluster::Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
 
   struct Candidate {
     const char* label;
@@ -38,7 +37,7 @@ int main() {
   util::TableWriter t(
       {"Candidate", "Layout", "Paper formula", "DC (d1=1, d2=2)", "Central"});
   for (const Candidate& c : candidates) {
-    const cluster::CentralNode best = c.alloc.best_central(d);
+    const cluster::CentralNode best = c.alloc.best_central(topo);
     t.row()
         .cell(c.label)
         .cell(c.alloc.describe())
@@ -52,7 +51,7 @@ int main() {
   const cluster::Request request({2, 4, 1});
   const util::IntMatrix remaining{{2, 2, 0}, {0, 2, 1}, {0, 2, 0}, {2, 2, 1}};
   const solver::SdResult opt =
-      solver::solve_sd_exact(request, remaining, d);
+      solver::solve_sd_exact(request, remaining, topo.distance_matrix());
   std::cout << "\nExact SD optimum for R=(2,4,1) on the example inventory: "
             << opt.allocation.describe() << "  DC=" << opt.distance
             << " (central N" << opt.central + 1 << ")\n";

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     remaining -= placed->allocation.counts();
     const std::size_t random_central = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(sc.topology.node_count()) - 1));
-    const double random_distance = placed->allocation.distance_from(
-        random_central, sc.topology.distance_matrix());
+    const double random_distance =
+        placed->allocation.distance_from(random_central, sc.topology);
     h_sum += placed->distance;
     r_sum += random_distance;
     t.row()

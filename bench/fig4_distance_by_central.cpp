@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   util::TableWriter t({"Central node", "Rack", "Distance", ""});
   double best = 1e300, worst = 0;
   for (std::size_t k = 0; k < sc.topology.node_count(); ++k) {
-    const double d =
-        placed->allocation.distance_from(k, sc.topology.distance_matrix());
+    const double d = placed->allocation.distance_from(k, sc.topology);
     best = std::min(best, d);
     worst = std::max(worst, d);
     t.row()

@@ -50,9 +50,9 @@ BENCHMARK(BM_OnlineHeuristic)->Arg(3)->Arg(6)->Arg(12)->Arg(24)->Complexity();
 void BM_SdExact(benchmark::State& state) {
   const Instance in =
       make_instance(static_cast<std::size_t>(state.range(0)), 10, 42);
+  const util::DoubleMatrix dist = in.topo.distance_matrix();
   for (auto _ : state) {
-    auto res = solver::solve_sd_exact(in.request, in.remaining,
-                                      in.topo.distance_matrix());
+    auto res = solver::solve_sd_exact(in.request, in.remaining, dist);
     benchmark::DoNotOptimize(res);
   }
   state.SetComplexityN(state.range(0) * 10);
@@ -62,9 +62,9 @@ BENCHMARK(BM_SdExact)->Arg(3)->Arg(6)->Arg(12)->Arg(24)->Complexity();
 void BM_SdIlp(benchmark::State& state) {
   const Instance in =
       make_instance(static_cast<std::size_t>(state.range(0)), 5, 42);
+  const util::DoubleMatrix dist = in.topo.distance_matrix();
   for (auto _ : state) {
-    auto res = solver::solve_sd_ilp(in.request, in.remaining,
-                                    in.topo.distance_matrix());
+    auto res = solver::solve_sd_ilp(in.request, in.remaining, dist);
     benchmark::DoNotOptimize(res);
   }
 }
@@ -90,7 +90,7 @@ void BM_DistanceEvaluation(benchmark::State& state) {
   placement::OnlineHeuristic h;
   const auto placed = h.place(in.request, in.remaining, in.topo);
   for (auto _ : state) {
-    auto best = placed->allocation.best_central(in.topo.distance_matrix());
+    auto best = placed->allocation.best_central(in.topo);
     benchmark::DoNotOptimize(best);
   }
 }

@@ -17,6 +17,8 @@ int main() {
   const util::IntMatrix remaining{{2, 1}, {1, 1}, {3, 0}, {0, 2}};
   const cluster::Request request({3, 2});
 
+  // The solvers take an arbitrary metric: hand them the topology's dense D.
+  const util::DoubleMatrix dist = topo.distance_matrix();
   std::cout << "Cloud: " << topo.describe() << "\n"
             << "Remaining capacity L:\n" << remaining << "\n"
             << "Request R = " << request.describe() << "\n\n";
@@ -26,7 +28,7 @@ int main() {
   util::TableWriter t({"Central", "ILP status", "ILP distance"});
   for (std::size_t k = 0; k < topo.node_count(); ++k) {
     const solver::LpModel model =
-        solver::build_sd_model(request, remaining, topo.distance_matrix(), k);
+        solver::build_sd_model(request, remaining, dist, k);
     const solver::IlpSolution sol = solver::solve_ilp(model);
     t.row()
         .cell("N" + std::to_string(k))
@@ -38,9 +40,9 @@ int main() {
   t.print(std::cout);
 
   const solver::SdResult ilp =
-      solver::solve_sd_ilp(request, remaining, topo.distance_matrix());
+      solver::solve_sd_ilp(request, remaining, dist);
   const solver::SdResult exact =
-      solver::solve_sd_exact(request, remaining, topo.distance_matrix());
+      solver::solve_sd_exact(request, remaining, dist);
   std::cout << "\nILP optimum:   DC=" << ilp.distance << " via "
             << ilp.allocation.describe() << "\n"
             << "Exact solver:  DC=" << exact.distance << " via "
@@ -53,7 +55,7 @@ int main() {
   const std::vector<cluster::Request> batch = {cluster::Request({2, 1}, 0),
                                                cluster::Request({2, 1}, 1)};
   const solver::GsdResult gsd =
-      solver::solve_gsd_exact(batch, remaining, topo.distance_matrix());
+      solver::solve_gsd_exact(batch, remaining, dist);
   std::cout << "\nGSD over two requests (exhaustive central-node tuples + ILP):\n";
   if (gsd.feasible) {
     for (std::size_t k = 0; k < batch.size(); ++k) {

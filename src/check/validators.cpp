@@ -85,8 +85,7 @@ ValidationResult validate_fits(const util::IntMatrix& counts,
 }
 
 double recompute_distance_from(const util::IntMatrix& counts,
-                               std::size_t central,
-                               const util::DoubleMatrix& dist) {
+                               std::size_t central, DistanceFn dist) {
   double total = 0;
   for (std::size_t i = 0; i < counts.rows(); ++i) {
     total += static_cast<double>(counts.row_sum(i)) * dist(i, central);
@@ -94,10 +93,9 @@ double recompute_distance_from(const util::IntMatrix& counts,
   return total;
 }
 
-double recompute_dc(const util::IntMatrix& counts,
-                    const util::DoubleMatrix& dist) {
+double recompute_dc(const util::IntMatrix& counts, DistanceFn dist) {
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < dist.cols(); ++k) {
+  for (std::size_t k = 0; k < counts.rows(); ++k) {
     const double d = recompute_distance_from(counts, k, dist);
     if (d < best) best = d;
   }
@@ -105,13 +103,13 @@ double recompute_dc(const util::IntMatrix& counts,
 }
 
 ValidationResult validate_reported_distance(const util::IntMatrix& counts,
-                                            const util::DoubleMatrix& dist,
+                                            DistanceFn dist,
                                             std::size_t central,
                                             double reported, double tol) {
-  if (central >= dist.cols()) {
+  if (central >= counts.rows()) {
     std::ostringstream os;
     os << "reported central " << central << " out of range (n = "
-       << dist.cols() << ")";
+       << counts.rows() << ")";
     return invalid(os.str());
   }
   const double actual = recompute_distance_from(counts, central, dist);
@@ -128,8 +126,8 @@ ValidationResult validate_reported_distance(const util::IntMatrix& counts,
 }
 
 ValidationResult validate_dc_optimal(const util::IntMatrix& counts,
-                                     const util::DoubleMatrix& dist,
-                                     double reported, double tol) {
+                                     DistanceFn dist, double reported,
+                                     double tol) {
   const double dc = recompute_dc(counts, dist);
   if (std::abs(dc - reported) > tol) {
     std::ostringstream os;

@@ -29,6 +29,28 @@ struct ValidationResult {
 ValidationResult valid();
 ValidationResult invalid(std::string message);
 
+/// Non-owning view of a pairwise node distance D(a, b): the exact solvers
+/// pass their matrix, placement passes a lambda over Topology::distance.
+/// The validators recompute from it without knowing which, so this layer
+/// needs neither the cluster library nor a dense D.  Bind it only for the
+/// duration of a call.
+class DistanceFn {
+ public:
+  template <typename F>
+  DistanceFn(const F& f)  // NOLINT(google-explicit-constructor)
+      : fn_(&f), call_([](const void* fn, std::size_t a, std::size_t b) {
+          return static_cast<double>((*static_cast<const F*>(fn))(a, b));
+        }) {}
+
+  double operator()(std::size_t a, std::size_t b) const {
+    return call_(fn_, a, b);
+  }
+
+ private:
+  const void* fn_;
+  double (*call_)(const void*, std::size_t, std::size_t);
+};
+
 /// Definition 2 feasibility of an allocation C against a request R and
 /// remaining capacity L:  sum_i C_ij == R_j,  0 <= C_ij <= L_ij.
 ValidationResult validate_allocation(const util::IntMatrix& counts,
@@ -44,17 +66,16 @@ ValidationResult validate_fits(const util::IntMatrix& counts,
 /// sum_i (sum_j C_ij) * D(i, central).  Independent of cluster::Allocation
 /// so it can cross-check it.
 double recompute_distance_from(const util::IntMatrix& counts,
-                               std::size_t central,
-                               const util::DoubleMatrix& dist);
+                               std::size_t central, DistanceFn dist);
 
-/// Definition 1: DC(C) = min_k recompute_distance_from(C, k, D).
-double recompute_dc(const util::IntMatrix& counts,
-                    const util::DoubleMatrix& dist);
+/// Definition 1: DC(C) = min_k recompute_distance_from(C, k, D), over every
+/// node (one per row of C).
+double recompute_dc(const util::IntMatrix& counts, DistanceFn dist);
 
 /// The solver-reported (central, distance) pair must match an independent
 /// recomputation of the forced-central distance.
 ValidationResult validate_reported_distance(const util::IntMatrix& counts,
-                                            const util::DoubleMatrix& dist,
+                                            DistanceFn dist,
                                             std::size_t central,
                                             double reported,
                                             double tol = 1e-6);
@@ -62,8 +83,8 @@ ValidationResult validate_reported_distance(const util::IntMatrix& counts,
 /// Stronger form for exact solvers: the reported distance must equal DC(C),
 /// i.e. the reported central node must be optimal for the allocation.
 ValidationResult validate_dc_optimal(const util::IntMatrix& counts,
-                                     const util::DoubleMatrix& dist,
-                                     double reported, double tol = 1e-6);
+                                     DistanceFn dist, double reported,
+                                     double tol = 1e-6);
 
 /// No NaN/Inf anywhere (simplex tableaus, solution vectors, distances).
 ValidationResult validate_finite(const std::vector<double>& values,

@@ -1,7 +1,5 @@
 #include "cluster/allocation.h"
 
-#include <cmath>
-#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -32,6 +30,21 @@ std::vector<std::size_t> Allocation::used_nodes() const {
 }
 
 double Allocation::distance_from(std::size_t k,
+                                 const Topology& topology) const {
+  if (topology.node_count() != counts_.rows()) {
+    throw std::invalid_argument(
+        "Allocation::distance_from: topology shape mismatch");
+  }
+  if (k >= counts_.rows()) throw std::out_of_range("Allocation::distance_from");
+  double sum = 0;
+  for (std::size_t i = 0; i < counts_.rows(); ++i) {
+    const int vms = vms_on_node(i);
+    if (vms > 0) sum += static_cast<double>(vms) * topology.distance(i, k);
+  }
+  return sum;
+}
+
+double Allocation::distance_from(std::size_t k,
                                  const util::DoubleMatrix& dist) const {
   if (dist.rows() != counts_.rows() || dist.cols() != counts_.rows()) {
     throw std::invalid_argument("Allocation::distance_from: D shape mismatch");
@@ -43,6 +56,50 @@ double Allocation::distance_from(std::size_t k,
     if (vms > 0) sum += static_cast<double>(vms) * dist(i, k);
   }
   return sum;
+}
+
+CentralNode Allocation::best_central(const Topology& topology) const {
+  if (topology.node_count() != counts_.rows()) {
+    throw std::invalid_argument(
+        "Allocation::best_central: topology shape mismatch");
+  }
+  // The used nodes, each with its tiers and its candidate sum.
+  struct Used {
+    std::size_t node;
+    std::size_t rack;
+    std::size_t cloud;
+    double vms;
+    double sum;
+  };
+  std::vector<Used> used;
+  for (std::size_t i = 0; i < counts_.rows(); ++i) {
+    const int vms = vms_on_node(i);
+    if (vms > 0) {
+      used.push_back({i, topology.rack_of(i), topology.cloud_of(i),
+                      static_cast<double>(vms), 0.0});
+    }
+  }
+  if (used.empty()) return {0, 0.0};
+  // D(i, k) indexed by how many of the nested tiers cloud, rack and node
+  // the two share — a lookup, not a branch on every pair.
+  const DistanceConfig& cfg = topology.distances();
+  const double by_shared[4] = {cfg.cross_cloud, cfg.cross_rack, cfg.same_rack,
+                               cfg.same_node};
+  // Each candidate k sums vms(i) * D(i, k) over the used i in ascending
+  // order: distance_from's sum minus its skipped zero terms, so bitwise the
+  // dense scan's.  With i outermost the candidates' sums are independent.
+  for (const Used& i : used) {
+    for (Used& k : used) {
+      const int shared = (i.cloud == k.cloud) + (i.rack == k.rack) +
+                         (i.node == k.node);
+      k.sum += i.vms * by_shared[shared];
+    }
+  }
+  CentralNode best{0, std::numeric_limits<double>::infinity()};
+  for (const Used& k : used) {
+    if (k.sum < best.distance) best = {k.node, k.sum};
+  }
+  return best;
 }
 
 CentralNode Allocation::best_central(const util::DoubleMatrix& dist) const {
@@ -80,26 +137,6 @@ double Allocation::weighted_distance_from(
   return sum;
 }
 
-CentralNode Allocation::best_weighted_central(
-    const util::DoubleMatrix& dist, const std::vector<double>& weights) const {
-  CentralNode best{0, std::numeric_limits<double>::infinity()};
-  for (std::size_t k = 0; k < counts_.rows(); ++k) {
-    const double d = weighted_distance_from(k, dist, weights);
-    if (d < best.distance) best = {k, d};
-  }
-  return best;
-}
-
-std::vector<std::size_t> Allocation::optimal_centrals(
-    const util::DoubleMatrix& dist) const {
-  const double best = best_central(dist).distance;
-  std::vector<std::size_t> out;
-  for (std::size_t k = 0; k < counts_.rows(); ++k) {
-    if (distance_from(k, dist) == best) out.push_back(k);
-  }
-  return out;
-}
-
 bool Allocation::satisfies(const Request& request) const {
   if (request.type_count() != counts_.cols()) return false;
   for (std::size_t j = 0; j < counts_.cols(); ++j) {
@@ -113,58 +150,6 @@ bool Allocation::fits(const util::IntMatrix& remaining) const {
     return false;
   }
   return remaining.dominates(counts_);
-}
-
-namespace {
-
-// Exact-integer gate for the tiered scan: each tier distance must be a
-// small non-negative integer so every partial sum in both evaluation orders
-// (the legacy ascending-i loop and the tier decomposition) is an exact
-// integer well inside double precision (< 2^53), making the two bitwise
-// equal regardless of association.
-bool exactly_integral(double v) {
-  return v >= 0.0 && v <= static_cast<double>(1 << 20) &&
-         v == std::floor(v);
-}
-
-}  // namespace
-
-CentralNode best_central_tiered(const Allocation& alloc,
-                                const Topology& topology) {
-  const std::size_t n = alloc.node_count();
-  if (topology.node_count() != n) {
-    throw std::invalid_argument("best_central_tiered: topology shape mismatch");
-  }
-  const DistanceConfig& cfg = topology.distances();
-  if (!exactly_integral(cfg.same_node) || !exactly_integral(cfg.same_rack) ||
-      !exactly_integral(cfg.cross_rack) || !exactly_integral(cfg.cross_cloud)) {
-    return alloc.best_central(topology.distance_matrix());
-  }
-
-  std::vector<std::int32_t> w(n);
-  std::vector<std::int32_t> rack_total(topology.rack_count(), 0);
-  std::vector<std::int32_t> cloud_total(topology.cloud_count(), 0);
-  std::int32_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t vms = alloc.vms_on_node(i);
-    w[i] = vms;
-    total += vms;
-    rack_total[topology.rack_of(i)] += vms;
-    cloud_total[topology.cloud_of(i)] += vms;
-  }
-
-  // Strict < keeps the lowest-index winner on ties, like best_central.
-  CentralNode best{0, std::numeric_limits<double>::infinity()};
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::int32_t rs = rack_total[topology.rack_of(k)];
-    const std::int32_t cs = cloud_total[topology.cloud_of(k)];
-    const double acc0 = cfg.same_node * static_cast<double>(w[k]);
-    const double acc1 = acc0 + cfg.same_rack * static_cast<double>(rs - w[k]);
-    const double acc2 = acc1 + cfg.cross_rack * static_cast<double>(cs - rs);
-    const double d = acc2 + cfg.cross_cloud * static_cast<double>(total - cs);
-    if (d < best.distance) best = {k, d};
-  }
-  return best;
 }
 
 std::string Allocation::describe() const {

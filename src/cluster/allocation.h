@@ -13,6 +13,8 @@
 
 namespace vcopt::cluster {
 
+class Topology;
+
 /// Result of evaluating DC(C): the best central node and its distance sum.
 struct CentralNode {
   std::size_t node = 0;
@@ -52,27 +54,29 @@ class Allocation {
   std::vector<std::size_t> used_nodes() const;
 
   /// Distance of the cluster when node k is forced as central node:
-  /// sum_i (sum_j C_ij) * D(i, k).
+  /// sum_i (sum_j C_ij) * D(i, k), summed over the used nodes in ascending
+  /// order.  The topology form is the paper's latency model; the matrix form
+  /// takes an arbitrary metric (the exact solvers, measured distances).
+  double distance_from(std::size_t k, const Topology& topology) const;
   double distance_from(std::size_t k, const util::DoubleMatrix& dist) const;
 
-  /// Definition 1: DC(C) = min_k distance_from(k).  The paper restricts the
-  /// central node to any physical node (not only allocated ones); since D is
-  /// a hierarchy metric the minimiser is always a used node or tied with one,
-  /// but we scan all n to match the definition exactly.
+  /// Definition 1: DC(C) = min_k distance_from(k), the lowest-index
+  /// minimiser on ties.  The paper lets any physical node be the central
+  /// node, but under the topology's tiers an unused node is strictly beaten
+  /// by a used node in its rack (or, failing that, its cloud; or any used
+  /// node), so only the u used nodes are tried: O(n + u^2), and the same
+  /// node and bitwise the same distance as trying all n (docs/algorithms.md).
+  /// The empty allocation gives {0, 0}.
+  CentralNode best_central(const Topology& topology) const;
+  /// Definition 1 over an arbitrary metric D: every node is tried, O(n^2).
   CentralNode best_central(const util::DoubleMatrix& dist) const;
 
-  /// All central-node choices that achieve the minimum (ties are common when
-  /// the whole cluster sits in one rack).
-  std::vector<std::size_t> optimal_centrals(const util::DoubleMatrix& dist) const;
-
-  /// Weighted variant of Definition 1 (a §VII-style refinement): VM types
+  /// Weighted variant of distance_from (a §VII-style refinement): VM types
   /// contribute proportionally to `weights[type]` (e.g. compute units, a
   /// proxy for the traffic a VM generates) instead of uniformly.
   /// weights must be positive with size == type_count().
   double weighted_distance_from(std::size_t k, const util::DoubleMatrix& dist,
                                 const std::vector<double>& weights) const;
-  CentralNode best_weighted_central(const util::DoubleMatrix& dist,
-                                    const std::vector<double>& weights) const;
 
   /// True if this allocation delivers exactly the requested counts:
   /// for all j, sum_i C_ij == R_j.
@@ -91,19 +95,5 @@ class Allocation {
  private:
   util::IntMatrix counts_;
 };
-
-class Topology;
-
-/// Definition 1 evaluated through the 4-tier hierarchy instead of the dense
-/// D matrix: with per-node VM weights w, rack totals and cloud totals, the
-/// distance from candidate k collapses to
-///   d0·w[k] + d1·(rack[k]−w[k]) + d2·(cloud[k]−rack[k]) + d3·(T−cloud[k]),
-/// an O(n) scan versus best_central's O(n²).  Bit-identical to best_central
-/// when the DistanceConfig tiers are small non-negative integers (every
-/// partial sum is then an exact integer, so summation order is irrelevant);
-/// falls back to best_central(dist) for fractional configs, where FP
-/// reassociation could flip near-ties.
-CentralNode best_central_tiered(const Allocation& alloc,
-                                const Topology& topology);
 
 }  // namespace vcopt::cluster

@@ -44,9 +44,6 @@ class Cloud {
   const Topology& topology() const { return topology_; }
   const VmCatalog& catalog() const { return catalog_; }
   const Inventory& inventory() const { return inventory_; }
-  const util::DoubleMatrix& distance_matrix() const {
-    return topology_.distance_matrix();
-  }
 
   std::size_t node_count() const { return topology_.node_count(); }
   std::size_t type_count() const { return catalog_.size(); }

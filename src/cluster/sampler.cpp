@@ -73,8 +73,7 @@ void ClusterSampler::sample(double t) {
       }
       const Allocation& alloc = cloud_.lease_allocation(id);
       if (alloc.empty_allocation()) continue;  // shrunk-to-zero pending repair
-      it->second->record(
-          t, alloc.best_central(cloud_.distance_matrix()).distance);
+      it->second->record(t, alloc.best_central(cloud_.topology()).distance);
     }
   }
   sampled_once_ = true;

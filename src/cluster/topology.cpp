@@ -1,6 +1,7 @@
 #include "cluster/topology.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,7 +32,6 @@ Topology::Topology(std::vector<std::size_t> node_rack,
     rack_nodes_[node_rack_[i]].push_back(i);
   }
   cloud_count_ = 1 + *std::max_element(rack_cloud_.begin(), rack_cloud_.end());
-  dist_mu_ = std::make_shared<util::Mutex>();
 }
 
 Topology Topology::uniform(std::size_t racks, std::size_t nodes_per_rack,
@@ -61,22 +61,6 @@ Topology Topology::multi_cloud(std::size_t clouds, std::size_t racks_per_cloud,
   return Topology(std::move(node_rack), std::move(rack_cloud), distances);
 }
 
-std::size_t Topology::rack_of(std::size_t node) const {
-  if (node >= node_rack_.size()) throw std::out_of_range("Topology::rack_of");
-  return node_rack_[node];
-}
-
-std::size_t Topology::cloud_of(std::size_t node) const {
-  return rack_cloud_[rack_of(node)];
-}
-
-std::size_t Topology::cloud_of_rack(std::size_t rack) const {
-  if (rack >= rack_cloud_.size()) {
-    throw std::out_of_range("Topology::cloud_of_rack");
-  }
-  return rack_cloud_[rack];
-}
-
 const std::vector<std::size_t>& Topology::nodes_in_rack(std::size_t rack) const {
   if (rack >= rack_nodes_.size()) throw std::out_of_range("Topology::nodes_in_rack");
   return rack_nodes_[rack];
@@ -90,44 +74,26 @@ bool Topology::same_cloud(std::size_t a, std::size_t b) const {
   return cloud_of(a) == cloud_of(b);
 }
 
-double Topology::distance(std::size_t a, std::size_t b) const {
-  if (a >= node_count() || b >= node_count()) {
-    throw std::out_of_range("Topology::distance");
+std::vector<std::size_t> Topology::nodes_by_distance(std::size_t from) const {
+  if (from >= node_count()) {
+    throw std::out_of_range("Topology::nodes_by_distance");
   }
-  if (a == b) return cfg_.same_node;
-  const std::size_t ra = node_rack_[a];
-  const std::size_t rb = node_rack_[b];
-  if (ra == rb) return cfg_.same_rack;
-  if (rack_cloud_[ra] == rack_cloud_[rb]) return cfg_.cross_rack;
-  return cfg_.cross_cloud;
+  std::vector<std::size_t> order(node_count());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return distance(from, a) < distance(from, b);
+                   });
+  return order;
 }
 
-const util::DoubleMatrix& Topology::distance_matrix() const {
-  util::MutexLock lock(*dist_mu_);
-  if (!dist_) {
-    const std::size_t n = node_rack_.size();
-    auto m = std::make_shared<util::DoubleMatrix>(n, n);
-    for (std::size_t a = 0; a < n; ++a) {
-      const std::size_t ra = node_rack_[a];
-      const std::size_t ca = rack_cloud_[ra];
-      for (std::size_t b = 0; b < n; ++b) {
-        const std::size_t rb = node_rack_[b];
-        double d;
-        if (a == b) {
-          d = cfg_.same_node;
-        } else if (ra == rb) {
-          d = cfg_.same_rack;
-        } else if (ca == rack_cloud_[rb]) {
-          d = cfg_.cross_rack;
-        } else {
-          d = cfg_.cross_cloud;
-        }
-        (*m)(a, b) = d;
-      }
-    }
-    dist_ = std::move(m);
+util::DoubleMatrix Topology::distance_matrix() const {
+  const std::size_t n = node_count();
+  util::DoubleMatrix d(n, n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) d(a, b) = distance(a, b);
   }
-  return *dist_;
+  return d;
 }
 
 std::string Topology::describe() const {

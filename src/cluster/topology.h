@@ -1,17 +1,17 @@
 // Hierarchical physical topology (paper §II): nodes grouped into racks,
 // racks grouped into clouds/sites.  Latency-derived distances: 0 between VMs
 // on the same node, d1 within a rack, d2 across racks, d3 across clouds
-// (0 < d1 < d2 < d3).  The dense pairwise matrix D drives every placement
-// algorithm in the paper.
+// (0 < d1 < d2 < d3).  The paper's pairwise matrix D is therefore a function
+// of the lowest tier two nodes share: distance() computes an entry on
+// demand, and the dense matrix is only built for the exact solvers.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/matrix.h"
-#include "util/mutex.h"
 
 namespace vcopt::cluster {
 
@@ -47,22 +47,44 @@ class Topology {
   std::size_t rack_count() const { return rack_cloud_.size(); }
   std::size_t cloud_count() const { return cloud_count_; }
 
-  std::size_t rack_of(std::size_t node) const;
-  std::size_t cloud_of(std::size_t node) const;
-  std::size_t cloud_of_rack(std::size_t rack) const;
+  std::size_t rack_of(std::size_t node) const {
+    if (node >= node_rack_.size()) throw std::out_of_range("Topology::rack_of");
+    return node_rack_[node];
+  }
+  std::size_t cloud_of(std::size_t node) const {
+    return rack_cloud_[rack_of(node)];
+  }
+  std::size_t cloud_of_rack(std::size_t rack) const {
+    if (rack >= rack_cloud_.size()) {
+      throw std::out_of_range("Topology::cloud_of_rack");
+    }
+    return rack_cloud_[rack];
+  }
   const std::vector<std::size_t>& nodes_in_rack(std::size_t rack) const;
 
   bool same_rack(std::size_t a, std::size_t b) const;
   bool same_cloud(std::size_t a, std::size_t b) const;
 
-  /// Distance between two nodes per the latency model.  O(1) from the
-  /// rack/cloud tiers — never touches the dense matrix.
-  double distance(std::size_t a, std::size_t b) const;
-  /// The dense n x n matrix D.  Built lazily on first call (an n^2 object —
-  /// 80 GB at 100k nodes — that cell-routed placement never materialises;
-  /// tier-based scans use distance() instead).  Thread-safe; all copies of a
-  /// Topology share one matrix.
-  const util::DoubleMatrix& distance_matrix() const;
+  /// D(a, b) per the latency model: the distance of the lowest tier the
+  /// two nodes share.  O(1), and inline because the placement fills call
+  /// it once per visited node.
+  double distance(std::size_t a, std::size_t b) const {
+    const std::size_t ra = rack_of(a);
+    const std::size_t rb = rack_of(b);
+    if (a == b) return cfg_.same_node;
+    if (ra == rb) return cfg_.same_rack;
+    if (rack_cloud_[ra] == rack_cloud_[rb]) return cfg_.cross_rack;
+    return cfg_.cross_cloud;
+  }
+
+  /// Every node, nearest to `from` first and ties by index: `from`, its
+  /// rack-mates, the rest of its cloud, then the other clouds.
+  std::vector<std::size_t> nodes_by_distance(std::size_t from) const;
+
+  /// The dense n x n matrix D, built afresh on each call.  An n^2 object
+  /// (80 GB at 100k nodes) for the exact solvers, which take an arbitrary
+  /// metric; everything else calls distance().
+  util::DoubleMatrix distance_matrix() const;
 
   const DistanceConfig& distances() const { return cfg_; }
 
@@ -75,12 +97,6 @@ class Topology {
   std::vector<std::vector<std::size_t>> rack_nodes_;
   std::size_t cloud_count_ = 0;
   DistanceConfig cfg_;
-  /// Lazily built dense D, shared across copies.  The mutex lives behind a
-  /// shared_ptr so Topology stays copyable; once the inner pointer is set the
-  /// matrix is immutable, so handing out a reference after the lock drops is
-  /// safe.
-  std::shared_ptr<util::Mutex> dist_mu_;
-  mutable std::shared_ptr<const util::DoubleMatrix> dist_;
 };
 
 }  // namespace vcopt::cluster

@@ -17,7 +17,7 @@ DagEngine::DagEngine(const cluster::Topology& topology,
   if (cluster_.size() == 0) {
     throw std::invalid_argument("DagEngine: empty virtual cluster");
   }
-  metrics_.cluster_distance = cluster_.distance(topo_.distance_matrix());
+  metrics_.cluster_distance = cluster_.distance(topo_);
   metrics_.stages.resize(dag_.stage_count());
 
   states_.resize(dag_.stage_count());

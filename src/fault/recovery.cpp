@@ -57,7 +57,7 @@ struct RecoveryMetrics {
 double merged_distance(const util::IntMatrix& original,
                        const util::IntMatrix& lost,
                        const cluster::Allocation& fill,
-                       const util::DoubleMatrix& dist) {
+                       const cluster::Topology& topology) {
   cluster::Allocation merged(original.rows(), original.cols());
   for (std::size_t i = 0; i < original.rows(); ++i) {
     for (std::size_t j = 0; j < original.cols(); ++j) {
@@ -65,7 +65,7 @@ double merged_distance(const util::IntMatrix& original,
       if (v != 0) merged.add(i, j, v);
     }
   }
-  return merged.best_central(dist).distance;
+  return merged.best_central(topology).distance;
 }
 
 }  // namespace
@@ -125,9 +125,8 @@ void RecoveryManager::on_node_failed(std::size_t node) {
         p.anchor = tracked->second.central;
         p.distance_before = tracked->second.distance;
       } else {
-        const cluster::CentralNode c = cluster::Allocation(p.original)
-                                           .best_central(
-                                               cloud_.distance_matrix());
+        const cluster::CentralNode c =
+            cluster::Allocation(p.original).best_central(cloud_.topology());
         p.anchor = c.node;
         p.distance_before = c.distance;
       }
@@ -173,7 +172,6 @@ std::optional<cluster::Allocation> RecoveryManager::place_missing(
   const cluster::Request missing(p.missing, p.request_id);
   const util::IntMatrix remaining = repair_remaining(p);
   const cluster::Topology& topo = cloud_.topology();
-  const util::DoubleMatrix& dist = topo.distance_matrix();
 
   if (!policy_.affinity_preserving) {
     placement::OnlineHeuristic heuristic;
@@ -186,12 +184,7 @@ std::optional<cluster::Allocation> RecoveryManager::place_missing(
   // the cluster's original central node, so the first completions keep the
   // replacements in (or next to) the rack the cluster lives in.  Candidates
   // that are down or failure-tainted for this lease are skipped.
-  std::vector<std::size_t> order(topo.node_count());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return dist(p.anchor, a) < dist(p.anchor, b);
-                   });
+  const std::vector<std::size_t> order = topo.nodes_by_distance(p.anchor);
   std::optional<cluster::Allocation> best;
   double best_distance = 0;
   std::size_t scanned = 0;
@@ -205,7 +198,7 @@ std::optional<cluster::Allocation> RecoveryManager::place_missing(
     auto fill = placement::OnlineHeuristic::fill_from_central(
         missing, remaining, topo, x);
     if (!fill) continue;
-    const double d = merged_distance(p.original, p.lost, *fill, dist);
+    const double d = merged_distance(p.original, p.lost, *fill, topo);
     if (!best || d < best_distance) {
       best = std::move(fill);
       best_distance = d;
@@ -255,7 +248,7 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
         /*full_repair=*/true));
     cloud_.grow_lease(lease, *fill);
     const cluster::CentralNode c =
-        cloud_.lease_allocation(lease).best_central(cloud_.distance_matrix());
+        cloud_.lease_allocation(lease).best_central(cloud_.topology());
     auto tracked = tracked_.find(lease);
     if (tracked != tracked_.end()) {
       tracked->second.central = c.node;
@@ -285,13 +278,8 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   // and only release when nothing of the cluster is left.
   if (policy_.allow_partial) {
     const util::IntMatrix remaining = repair_remaining(p);
-    const util::DoubleMatrix& dist = cloud_.distance_matrix();
-    std::vector<std::size_t> order(remaining.rows());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return dist(p.anchor, a) < dist(p.anchor, b);
-                     });
+    const std::vector<std::size_t> order =
+        cloud_.topology().nodes_by_distance(p.anchor);
     cluster::Allocation partial(remaining.rows(), remaining.cols());
     for (std::size_t j = 0; j < remaining.cols(); ++j) {
       int want = p.missing[j];
@@ -309,9 +297,8 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
           p.original, p.lost, partial.counts(), p.failed_nodes,
           /*full_repair=*/false));
       cloud_.grow_lease(lease, partial);
-      const cluster::CentralNode c = cloud_.lease_allocation(lease)
-                                         .best_central(
-                                             cloud_.distance_matrix());
+      const cluster::CentralNode c =
+          cloud_.lease_allocation(lease).best_central(cloud_.topology());
       const int replaced = partial.total_vms();
       m.partial.add();
       m.vms_replaced.add(static_cast<std::uint64_t>(replaced));
@@ -322,7 +309,7 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   }
   if (cloud_.lease_allocation(lease).total_vms() > 0) {
     const cluster::CentralNode c =
-        cloud_.lease_allocation(lease).best_central(cloud_.distance_matrix());
+        cloud_.lease_allocation(lease).best_central(cloud_.topology());
     m.degraded.add();
     finalize(p, placement::PlacementStatus::kDegraded, 0, c.distance, false);
     return;

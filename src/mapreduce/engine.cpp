@@ -51,7 +51,7 @@ MapReduceEngine::MapReduceEngine(const cluster::Topology& topology,
       job_.replication, rng_);
 
   metrics_.maps_total = job_.num_maps();
-  metrics_.cluster_distance = cluster_.distance(topo_.distance_matrix());
+  metrics_.cluster_distance = cluster_.distance(topo_);
 
   const auto blocks = static_cast<std::size_t>(job_.num_maps());
   pending_maps_.resize(blocks);
@@ -548,7 +548,7 @@ JobMetrics MapReduceEngine::run() {
     metrics_.final_cluster_distance =
         live.empty_allocation()
             ? 0
-            : live.best_central(topo_.distance_matrix()).distance;
+            : live.best_central(topo_).distance;
   }
   metrics_.traffic = net_.stats();
   metrics_.traffic.local_bytes -= baseline.local_bytes;

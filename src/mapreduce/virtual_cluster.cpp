@@ -40,9 +40,9 @@ std::vector<std::size_t> VirtualCluster::nodes() const {
   return out;
 }
 
-double VirtualCluster::distance(const util::DoubleMatrix& dist) const {
+double VirtualCluster::distance(const cluster::Topology& topology) const {
   if (vms_.empty()) return 0;
-  return alloc_.best_central(dist).distance;
+  return alloc_.best_central(topology).distance;
 }
 
 }  // namespace vcopt::mapreduce

@@ -39,7 +39,7 @@ class VirtualCluster {
   std::vector<std::size_t> nodes() const;
 
   /// The paper's cluster-affinity metric for this cluster (Definition 1).
-  double distance(const util::DoubleMatrix& dist) const;
+  double distance(const cluster::Topology& topology) const;
 
  private:
   std::vector<VmInstance> vms_;

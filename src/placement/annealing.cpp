@@ -9,8 +9,8 @@ namespace vcopt::placement {
 namespace {
 
 // Re-evaluates one placement's best central after its allocation changed.
-void refresh(Placement& p, const util::DoubleMatrix& dist) {
-  const cluster::CentralNode c = p.allocation.best_central(dist);
+void refresh(Placement& p, const cluster::Topology& topology) {
+  const cluster::CentralNode c = p.allocation.best_central(topology);
   p.central = c.node;
   p.distance = c.distance;
 }
@@ -32,7 +32,6 @@ BatchPlacement anneal_batch(const std::vector<cluster::Request>& batch,
   BatchPlacement state = algo2.place_batch(batch, remaining, topology);
   if (state.placements.size() < 1) return state;
 
-  const util::DoubleMatrix& dist = topology.distance_matrix();
   const std::size_t n = remaining.rows();
   const std::size_t m = remaining.cols();
 
@@ -83,7 +82,7 @@ BatchPlacement anneal_batch(const std::vector<cluster::Request>& batch,
       if (to == from || free(to, type) <= 0) continue;
       a.allocation.at(from, type) -= 1;
       a.allocation.at(to, type) += 1;
-      refresh(a, dist);
+      refresh(a, topology);
       const double delta = a.distance - before;
       if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
         free(from, type) += 1;
@@ -92,7 +91,7 @@ BatchPlacement anneal_batch(const std::vector<cluster::Request>& batch,
       } else {  // reject: undo
         a.allocation.at(to, type) -= 1;
         a.allocation.at(from, type) += 1;
-        refresh(a, dist);
+        refresh(a, topology);
       }
     } else {
       // Exchange same-type VMs with another cluster.
@@ -115,8 +114,8 @@ BatchPlacement anneal_batch(const std::vector<cluster::Request>& batch,
       a.allocation.at(other, type) += 1;
       b.allocation.at(other, type) -= 1;
       b.allocation.at(from, type) += 1;
-      refresh(a, dist);
-      refresh(b, dist);
+      refresh(a, topology);
+      refresh(b, topology);
       const double delta = a.distance + b.distance - before_pair;
       if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
         current_total += delta;  // free capacity unchanged by swaps
@@ -125,8 +124,8 @@ BatchPlacement anneal_batch(const std::vector<cluster::Request>& batch,
         a.allocation.at(from, type) += 1;
         b.allocation.at(from, type) -= 1;
         b.allocation.at(other, type) += 1;
-        refresh(a, dist);
-        refresh(b, dist);
+        refresh(a, topology);
+        refresh(b, topology);
       }
     }
 

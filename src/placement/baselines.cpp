@@ -32,7 +32,7 @@ std::optional<Placement> FirstFitPolicy::place(const cluster::Request& request,
       }
     }
   }
-  return evaluate(std::move(alloc), topology.distance_matrix());
+  return evaluate(std::move(alloc), topology);
 }
 
 std::optional<Placement> SpreadPolicy::place(const cluster::Request& request,
@@ -59,7 +59,7 @@ std::optional<Placement> SpreadPolicy::place(const cluster::Request& request,
       left(best, j) -= 1;
     }
   }
-  return evaluate(std::move(alloc), topology.distance_matrix());
+  return evaluate(std::move(alloc), topology);
 }
 
 std::optional<Placement> RandomPolicy::place(const cluster::Request& request,
@@ -81,14 +81,17 @@ std::optional<Placement> RandomPolicy::place(const cluster::Request& request,
       left(pick, j) -= 1;
     }
   }
-  return evaluate(std::move(alloc), topology.distance_matrix());
+  return evaluate(std::move(alloc), topology);
 }
 
 std::optional<Placement> SdExactPolicy::place(const cluster::Request& request,
                                               const util::IntMatrix& remaining,
                                               const cluster::Topology& topology) {
-  const solver::SdResult res =
-      solver::solve_sd_exact(request, remaining, topology.distance_matrix());
+  // The exact scan takes an arbitrary metric, so it gets a dense D, built
+  // once per call.
+  const util::DoubleMatrix dist =
+      topology.distance_matrix();  // NOLINT(vcopt-dense-distance)
+  const solver::SdResult res = solver::solve_sd_exact(request, remaining, dist);
   if (!res.feasible) return std::nullopt;
   return Placement{res.allocation, res.central, res.distance};
 }

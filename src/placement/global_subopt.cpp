@@ -35,7 +35,7 @@ void record_transfer_metrics(std::size_t attempts, std::size_t applied,
 // node where `b` holds a VM of the same type, and vice versa, whenever the
 // triangle condition of Theorem 2 says the summed distance drops.
 std::size_t transfer_directed(Placement& a, Placement& b,
-                              const util::DoubleMatrix& dist,
+                              const cluster::Topology& topology,
                               double& gain_sum) {
   const std::size_t x = a.central;
   const std::size_t y = b.central;
@@ -47,7 +47,7 @@ std::size_t transfer_directed(Placement& a, Placement& b,
   const std::size_t n = ca.node_count();
   const std::size_t m = ca.type_count();
   // D(x, y) is invariant across the whole scan — hoisted out of the loops.
-  const double dxy = dist(x, y);
+  const double dxy = topology.distance(x, y);
   std::size_t swaps = 0;
   for (std::size_t r = 0; r < m; ++r) {
     if (ca.at(y, r) == 0) continue;  // a parked nothing of type r on y
@@ -62,7 +62,8 @@ std::size_t transfer_directed(Placement& a, Placement& b,
       double best_gain = kEps;
       for (std::size_t q = 0; q < n; ++q) {
         if (q == y || cb.at(q, r) == 0) continue;
-        const double gain = dxy + dist(y, q) - dist(x, q);
+        const double gain =
+            dxy + topology.distance(y, q) - topology.distance(x, q);
         if (gain > best_gain) {
           best_gain = gain;
           best_q = q;
@@ -74,8 +75,8 @@ std::size_t transfer_directed(Placement& a, Placement& b,
       a.allocation.add(best_q, r, 1);
       b.allocation.add(best_q, r, -1);
       b.allocation.add(y, r, 1);
-      a.distance += dist(x, best_q) - dxy;
-      b.distance += dist(y, y) - dist(y, best_q);
+      a.distance += topology.distance(x, best_q) - dxy;
+      b.distance += topology.distance(y, y) - topology.distance(y, best_q);
       gain_sum += best_gain;
       ++swaps;
     }
@@ -83,12 +84,10 @@ std::size_t transfer_directed(Placement& a, Placement& b,
   return swaps;
 }
 
-// Shared body of the two public transfer overloads.  `topology`, when
-// non-null, routes the post-swap central recompute through the O(n) tiered
-// scan; `dist` must then be topology->distance_matrix().
-std::size_t transfer_impl(Placement& a, Placement& b,
-                          const util::DoubleMatrix& dist,
-                          const cluster::Topology* topology) {
+}  // namespace
+
+std::size_t GlobalSubOpt::transfer(Placement& a, Placement& b,
+                                   const cluster::Topology& topology) {
 #if VCOPT_ENABLE_CHECKS
   // Theorem 2 promises every swap strictly reduces the summed distance and
   // conserves per-node/per-type totals across the pair; capture the state
@@ -98,19 +97,15 @@ std::size_t transfer_impl(Placement& a, Placement& b,
       a.allocation.counts() + b.allocation.counts();
 #endif
   double gain_sum = 0;
-  std::size_t swaps = transfer_directed(a, b, dist, gain_sum);
-  swaps += transfer_directed(b, a, dist, gain_sum);
+  std::size_t swaps = transfer_directed(a, b, topology, gain_sum);
+  swaps += transfer_directed(b, a, topology, gain_sum);
   record_transfer_metrics(1, swaps, gain_sum);
   if (swaps > 0) {
     // Allocations changed; the optimal central may have moved.
-    const cluster::CentralNode ca =
-        topology ? cluster::best_central_tiered(a.allocation, *topology)
-                 : a.allocation.best_central(dist);
+    const cluster::CentralNode ca = a.allocation.best_central(topology);
     a.central = ca.node;
     a.distance = ca.distance;
-    const cluster::CentralNode cb =
-        topology ? cluster::best_central_tiered(b.allocation, *topology)
-                 : b.allocation.best_central(dist);
+    const cluster::CentralNode cb = b.allocation.best_central(topology);
     b.central = cb.node;
     b.distance = cb.distance;
   }
@@ -125,23 +120,15 @@ std::size_t transfer_impl(Placement& a, Placement& b,
       << " Theorem-2 transfer did not conserve per-node/per-type totals:\n"
       << "before:\n" << combined_before << "\nafter:\n"
       << a.allocation.counts() + b.allocation.counts();
+  const auto dist = [&topology](std::size_t p, std::size_t q) {
+    return topology.distance(p, q);
+  };
   VCOPT_VALIDATE(check::validate_reported_distance(a.allocation.counts(), dist,
                                                    a.central, a.distance));
   VCOPT_VALIDATE(check::validate_reported_distance(b.allocation.counts(), dist,
                                                    b.central, b.distance));
 #endif
   return swaps;
-}
-}  // namespace
-
-std::size_t GlobalSubOpt::transfer(Placement& a, Placement& b,
-                                   const util::DoubleMatrix& dist) {
-  return transfer_impl(a, b, dist, nullptr);
-}
-
-std::size_t GlobalSubOpt::transfer(Placement& a, Placement& b,
-                                   const cluster::Topology& topology) {
-  return transfer_impl(a, b, topology.distance_matrix(), &topology);
 }
 
 BatchPlacement GlobalSubOpt::place_batch(

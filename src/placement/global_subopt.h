@@ -47,16 +47,9 @@ class GlobalSubOpt {
                              const util::IntMatrix& remaining,
                              const cluster::Topology& topology);
 
-  /// One Theorem-2 adjustment pass between two placements.  Returns the
-  /// number of improving swaps applied (0 when none exists).  Exposed for
-  /// unit tests of Theorem 2.
-  static std::size_t transfer(Placement& a, Placement& b,
-                              const util::DoubleMatrix& dist);
-
-  /// Same adjustment pass, but the post-swap central recompute goes through
-  /// cluster::best_central_tiered — O(n) (and SIMD) instead of the O(n²)
-  /// dense scan, bit-identical for integral DistanceConfig tiers.  This is
-  /// the overload place_batch uses on the hot path.
+  /// One Theorem-2 adjustment pass between two placements, after which
+  /// both re-evaluate Definition 1.  Returns the number of improving swaps
+  /// applied (0 when none exists).  Exposed for unit tests of Theorem 2.
   static std::size_t transfer(Placement& a, Placement& b,
                               const cluster::Topology& topology);
 

@@ -17,7 +17,7 @@ constexpr double kEps = 1e-9;
 // move exists.
 bool best_move_for_central(const cluster::Allocation& alloc,
                            const util::IntMatrix& remaining,
-                           const util::DoubleMatrix& dist, std::size_t x,
+                           const cluster::Topology& topology, std::size_t x,
                            const std::vector<double>& move_cost,
                            double min_net, Migration& move, double& gain,
                            double& cost) {
@@ -27,12 +27,13 @@ bool best_move_for_central(const cluster::Allocation& alloc,
   double best_net = 0;
   for (std::size_t donor = 0; donor < n; ++donor) {
     if (alloc.vms_on_node(donor) == 0) continue;
+    const double from_donor = topology.distance(donor, x);
     for (std::size_t j = 0; j < m; ++j) {
       if (alloc.at(donor, j) == 0) continue;
       const double c = j < move_cost.size() ? move_cost[j] : 0.0;
       for (std::size_t r = 0; r < n; ++r) {
         if (r == donor || remaining(r, j) <= 0) continue;
-        const double g = dist(donor, x) - dist(r, x);
+        const double g = from_donor - topology.distance(r, x);
         const double net = g - c;
         if (g > kEps && net > min_net + kEps && (!found || net > best_net)) {
           found = true;
@@ -51,7 +52,7 @@ bool best_move_for_central(const cluster::Allocation& alloc,
 
 ConsolidationResult consolidate(Placement& placement,
                                 util::IntMatrix& remaining,
-                                const util::DoubleMatrix& dist,
+                                const cluster::Topology& topology,
                                 const ConsolidateOptions& options) {
   cluster::Allocation& alloc = placement.allocation;
   if (remaining.rows() != alloc.node_count() ||
@@ -61,7 +62,7 @@ ConsolidationResult consolidate(Placement& placement,
 
   ConsolidationResult out;
   {
-    const cluster::CentralNode c = alloc.best_central(dist);
+    const cluster::CentralNode c = alloc.best_central(topology);
     placement.central = c.node;
     placement.distance = c.distance;
   }
@@ -72,7 +73,7 @@ ConsolidationResult consolidate(Placement& placement,
     Migration move;
     double gain = 0;
     double cost = 0;
-    if (!best_move_for_central(alloc, remaining, dist, placement.central,
+    if (!best_move_for_central(alloc, remaining, topology, placement.central,
                                no_cost, 0.0, move, gain, cost)) {
       break;
     }
@@ -85,7 +86,7 @@ ConsolidationResult consolidate(Placement& placement,
     out.migrations.push_back(move);
     // The optimal central may shift after a move; re-evaluate (only ever
     // lowers the distance further).
-    const cluster::CentralNode c = alloc.best_central(dist);
+    const cluster::CentralNode c = alloc.best_central(topology);
     placement.central = c.node;
     placement.distance = c.distance;
   }
@@ -95,7 +96,8 @@ ConsolidationResult consolidate(Placement& placement,
 
 BudgetedConsolidation consolidate_budgeted(
     Placement& placement, util::IntMatrix& remaining,
-    const util::DoubleMatrix& dist, const BudgetedConsolidateOptions& options) {
+    const cluster::Topology& topology,
+    const BudgetedConsolidateOptions& options) {
   cluster::Allocation& alloc = placement.allocation;
   if (remaining.rows() != alloc.node_count() ||
       remaining.cols() != alloc.type_count()) {
@@ -108,7 +110,7 @@ BudgetedConsolidation consolidate_budgeted(
 
   BudgetedConsolidation out;
   {
-    const cluster::CentralNode c = alloc.best_central(dist);
+    const cluster::CentralNode c = alloc.best_central(topology);
     placement.central = c.node;
     placement.distance = c.distance;
   }
@@ -118,7 +120,7 @@ BudgetedConsolidation consolidate_budgeted(
     Migration move;
     double gain = 0;
     double cost = 0;
-    if (!best_move_for_central(alloc, remaining, dist, placement.central,
+    if (!best_move_for_central(alloc, remaining, topology, placement.central,
                                options.move_cost, options.min_net_gain, move,
                                gain, cost)) {
       break;
@@ -129,7 +131,7 @@ BudgetedConsolidation consolidate_budgeted(
     remaining(move.to_node, move.type) -= 1;
     out.moves.push_back(BudgetedMove{move, gain, cost});
     out.total_cost += cost;
-    const cluster::CentralNode c = alloc.best_central(dist);
+    const cluster::CentralNode c = alloc.best_central(topology);
     placement.central = c.node;
     placement.distance = c.distance;
   }

@@ -44,7 +44,7 @@ struct ConsolidateOptions {
 /// per-type totals) and never oversubscribes `remaining`.
 ConsolidationResult consolidate(Placement& placement,
                                 util::IntMatrix& remaining,
-                                const util::DoubleMatrix& dist,
+                                const cluster::Topology& topology,
                                 const ConsolidateOptions& options = {});
 
 /// One accepted budgeted move: the relocation plus its DC gain (for the
@@ -87,7 +87,7 @@ struct BudgetedConsolidateOptions {
 /// sequence is identical to consolidate()'s.
 BudgetedConsolidation consolidate_budgeted(
     Placement& placement, util::IntMatrix& remaining,
-    const util::DoubleMatrix& dist,
+    const cluster::Topology& topology,
     const BudgetedConsolidateOptions& options = {});
 
 }  // namespace vcopt::placement

@@ -35,6 +35,7 @@ struct Workspace {
   std::vector<std::int32_t> key;    // per-node com(L[x], L[i]) overlap sums
   std::vector<std::int32_t> soa;    // column-major copy of `remaining`
   std::vector<std::size_t> tier;    // candidate ordering within one tier
+  std::vector<std::size_t> far;     // off-rack, other-cloud candidates
   std::vector<int> node_vms;        // VMs taken per node, current candidate
   std::vector<std::size_t> touched; // nodes written by the current candidate
   util::IntMatrix alloc;            // current candidate's allocation
@@ -51,6 +52,7 @@ struct Workspace {
     node_vms.assign(n, 0);
     touched.clear();
     tier.reserve(n);
+    far.reserve(n);
     alloc = util::IntMatrix(n, m, 0);
   }
 
@@ -76,7 +78,8 @@ Workspace& local_workspace() {
 // The greedy fill of Algorithm 1 for one fixed central node, evaluated into
 // ws.alloc.  Visits the central node, then rack-mates in descending
 // com(L[x], L[i]) overlap (the paper's getList ordering), then off-rack
-// nodes nearest-tier-first with the same overlap ordering inside each tier.
+// nodes nearest-tier-first (same cloud, then other clouds) with the same
+// overlap ordering inside each tier.
 //
 // `bound` enables Theorem-1-style pruning: the partial distance only grows
 // as farther nodes are taken, so once it reaches `bound` the candidate can
@@ -90,8 +93,7 @@ Workspace& local_workspace() {
 // independent recomputation.
 bool fill_candidate(const cluster::Request& request,
                     const util::IntMatrix& remaining,
-                    const cluster::Topology& topology,
-                    const util::DoubleMatrix& dist, std::size_t central,
+                    const cluster::Topology& topology, std::size_t central,
                     double bound, Workspace& ws, double& final_distance,
                     bool& pruned) {
   pruned = false;
@@ -158,64 +160,66 @@ bool fill_candidate(const cluster::Request& request,
     }
   };
 
+  // Visits one tier's nodes in order, all at distance `d` from the central
+  // node; false once the partial distance reaches `bound`.
+  double running = 0;
+  auto fill_tier = [&](const std::vector<std::size_t>& nodes, double d) {
+    for (std::size_t i : nodes) {
+      const int took = take(i);
+      if (took > 0) {
+        running += static_cast<double>(took) * d;
+        if (outstanding == 0) break;
+        if (running >= bound) {
+          pruned = true;
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  auto by_key = [&](std::size_t a, std::size_t b) {
+    if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
+    return a < b;
+  };
+
+  const cluster::DistanceConfig& tiers = topology.distances();
+  const std::size_t rack = topology.rack_of(central);
+
   // Step 1: the central node itself (com(L[x], R)); contributes distance 0.
   take(central);
-  double running = 0;
 
   // Step 2: rack-mates — getList(D, x, 0).
   if (outstanding > 0) {
     for (std::size_t j = 0; j < ws.m; ++j) ws.lx[j] = remaining(central, j);
     ws.tier.clear();
-    for (std::size_t i : topology.nodes_in_rack(topology.rack_of(central))) {
+    for (std::size_t i : topology.nodes_in_rack(rack)) {
       if (i != central) ws.tier.push_back(i);
     }
     compute_tier_keys();
-    std::sort(ws.tier.begin(), ws.tier.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
-                return a < b;
-              });
-    for (std::size_t i : ws.tier) {
-      const int took = take(i);
-      if (took > 0) {
-        running += static_cast<double>(took) * dist(i, central);
-        if (outstanding == 0) break;
-        if (running >= bound) {
-          pruned = true;
-          return false;
-        }
-      }
-    }
+    std::sort(ws.tier.begin(), ws.tier.end(), by_key);
+    if (!fill_tier(ws.tier, tiers.same_rack)) return false;
   }
 
   // Step 3: off-rack nodes — getList(D, x, 1), nearer tiers first (same
   // cloud before cross-cloud) so Theorem 1 keeps applying, then the
   // capacity-overlap ordering inside each tier.  Only reached (and only
-  // sorted) when the rack could not complete the request.
+  // sorted) when the rack could not complete the request.  One pass splits
+  // the two tiers.
   if (outstanding > 0) {
+    const std::size_t cloud = topology.cloud_of_rack(rack);
     ws.tier.clear();
+    ws.far.clear();
     for (std::size_t i = 0; i < ws.n; ++i) {
-      if (!topology.same_rack(i, central)) ws.tier.push_back(i);
+      const std::size_t r = topology.rack_of(i);
+      if (r == rack) continue;
+      (topology.cloud_of_rack(r) == cloud ? ws.tier : ws.far).push_back(i);
     }
     compute_all_keys();
-    std::sort(ws.tier.begin(), ws.tier.end(),
-              [&](std::size_t a, std::size_t b) {
-                const double da = dist(a, central);
-                const double db = dist(b, central);
-                if (da != db) return da < db;
-                if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
-                return a < b;
-              });
-    for (std::size_t i : ws.tier) {
-      const int took = take(i);
-      if (took > 0) {
-        running += static_cast<double>(took) * dist(i, central);
-        if (outstanding == 0) break;
-        if (running >= bound) {
-          pruned = true;
-          return false;
-        }
-      }
+    std::sort(ws.tier.begin(), ws.tier.end(), by_key);
+    if (!fill_tier(ws.tier, tiers.cross_rack)) return false;
+    if (outstanding > 0) {
+      std::sort(ws.far.begin(), ws.far.end(), by_key);
+      if (!fill_tier(ws.far, tiers.cross_cloud)) return false;
     }
   }
 
@@ -225,7 +229,7 @@ bool fill_candidate(const cluster::Request& request,
   std::sort(ws.touched.begin(), ws.touched.end());
   double d = 0;
   for (std::size_t i : ws.touched) {
-    d += static_cast<double>(ws.node_vms[i]) * dist(i, central);
+    d += static_cast<double>(ws.node_vms[i]) * topology.distance(i, central);
   }
   final_distance = d;
   return true;
@@ -261,8 +265,8 @@ std::optional<cluster::Allocation> OnlineHeuristic::fill_from_central(
   ws.build_soa(remaining);
   double d = 0;
   bool was_pruned = false;
-  if (!fill_candidate(request, remaining, topology, topology.distance_matrix(),
-                      central, kInf, ws, d, was_pruned)) {
+  if (!fill_candidate(request, remaining, topology, central, kInf, ws, d,
+                      was_pruned)) {
     return std::nullopt;
   }
   return cluster::Allocation(std::move(ws.alloc));
@@ -289,8 +293,6 @@ std::optional<Placement> OnlineHeuristic::place(
       return std::nullopt;
     }
   }
-
-  const util::DoubleMatrix& dist = topology.distance_matrix();
 
   // Lines 9-14: if one node can host everything, distance is 0 — take it.
   for (std::size_t i = 0; i < n; ++i) {
@@ -331,7 +333,7 @@ std::optional<Placement> OnlineHeuristic::place(
       ++evaluated;
       double d = 0;
       bool was_pruned = false;
-      if (fill_candidate(request, remaining, topology, dist, x, kInf, ws, d,
+      if (fill_candidate(request, remaining, topology, x, kInf, ws, d,
                          was_pruned)) {
         best = Placement{cluster::Allocation(ws.alloc), x, d};
         break;
@@ -373,7 +375,7 @@ std::optional<Placement> OnlineHeuristic::place(
         ++chunk_evaluated;
         double d = 0;
         bool was_pruned = false;
-        if (fill_candidate(request, remaining, topology, dist, x,
+        if (fill_candidate(request, remaining, topology, x,
                            chunk_found ? chunk_d : kInf, ws, d, was_pruned)) {
           if (!chunk_found || d < chunk_d) {
             chunk_found = true;
@@ -418,7 +420,11 @@ std::optional<Placement> OnlineHeuristic::place(
     VCOPT_VALIDATE(check::validate_allocation(best->allocation.counts(),
                                               request.counts(), remaining));
     VCOPT_VALIDATE(check::validate_reported_distance(
-        best->allocation.counts(), dist, best->central, best->distance));
+        best->allocation.counts(),
+        [&topology](std::size_t a, std::size_t b) {
+          return topology.distance(a, b);
+        },
+        best->central, best->distance));
   }
   return best;
 }

@@ -7,8 +7,9 @@
 
 namespace vcopt::placement {
 
-Placement evaluate(cluster::Allocation alloc, const util::DoubleMatrix& dist) {
-  const cluster::CentralNode c = alloc.best_central(dist);
+Placement evaluate(cluster::Allocation alloc,
+                   const cluster::Topology& topology) {
+  const cluster::CentralNode c = alloc.best_central(topology);
   return Placement{std::move(alloc), c.node, c.distance};
 }
 

@@ -28,7 +28,7 @@ class PlacementPolicy {
   virtual ~PlacementPolicy() = default;
 
   /// Computes an allocation for `request` against remaining capacity
-  /// `remaining` and the distance matrix of `topology`.  Returns nullopt when
+  /// `remaining` and the distances of `topology`.  Returns nullopt when
   /// the request cannot be satisfied from `remaining`.
   virtual std::optional<Placement> place(const cluster::Request& request,
                                          const util::IntMatrix& remaining,
@@ -38,7 +38,8 @@ class PlacementPolicy {
 };
 
 /// Evaluates an allocation into a Placement (best central + distance).
-Placement evaluate(cluster::Allocation alloc, const util::DoubleMatrix& dist);
+Placement evaluate(cluster::Allocation alloc,
+                   const cluster::Topology& topology);
 
 /// Factory for the built-in policies, keyed by name:
 /// "online-heuristic", "sd-exact", "first-fit", "spread", "random[:seed]".

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 
 #include "check/check.h"
@@ -71,13 +70,7 @@ cluster::Allocation best_effort_fill(const cluster::Request& r,
       anchor = i;
     }
   }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const util::DoubleMatrix& dist = topology.distance_matrix();
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return dist(anchor, a) < dist(anchor, b);
-                   });
+  const std::vector<std::size_t> order = topology.nodes_by_distance(anchor);
   cluster::Allocation alloc(n, m);
   for (std::size_t j = 0; j < m; ++j) {
     int want = r.count(j);
@@ -103,8 +96,7 @@ LadderPlan& plan_partial(const cluster::Request& r,
   if (options.allow_partial) {
     cluster::Allocation partial = best_effort_fill(r, remaining, topology);
     if (partial.total_vms() > 0) {
-      Placement placed =
-          evaluate(std::move(partial), topology.distance_matrix());
+      Placement placed = evaluate(std::move(partial), topology);
       // Grant exactly what was placed: the lease's request is the clipped
       // vector, so Def. 2 feasibility holds for the partial grant too.
       std::vector<int> placed_counts(placed.allocation.type_count());
@@ -317,9 +309,12 @@ LadderPlan plan_laddered(const cluster::Request& r,
   if (options.ilp_budget_ms > 0 && variables <= options.ilp_max_variables) {
     solver::IlpOptions ilp;
     ilp.max_nodes = options.ilp_max_nodes;
+    // The ILP takes an arbitrary metric, so it gets a dense D, built once
+    // per call (and never by the service, which leaves this rung off).
+    const util::DoubleMatrix dist =
+        topology.distance_matrix();  // NOLINT(vcopt-dense-distance)
     const auto t0 = std::chrono::steady_clock::now();
-    const solver::SdResult exact =
-        solver::solve_sd_ilp(r, remaining, topology.distance_matrix(), ilp);
+    const solver::SdResult exact = solver::solve_sd_ilp(r, remaining, dist, ilp);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -99,7 +99,7 @@ std::vector<PlannedMove> plan_moves(const cluster::Cloud& cloud,
       opts.move_cost[j] = migration_cost(cloud.catalog()[j], vms, policy.cost);
     }
     const placement::BudgetedConsolidation plan = placement::consolidate_budgeted(
-        p, rem, cloud.distance_matrix(), opts);
+        p, rem, cloud.topology(), opts);
     for (const placement::BudgetedMove& mv : plan.moves) {
       out.push_back(PlannedMove{cand.lease, mv.move, mv.gain, mv.cost});
     }

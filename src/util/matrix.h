@@ -1,6 +1,9 @@
-// Dense row-major matrix used for the paper's M/C/L capacity matrices and
-// the inter-node distance matrix D.  Header-only so it can hold any numeric
-// cell type without dragging in template instantiation boilerplate.
+// Dense row-major matrix used for the paper's M/C/L capacity and C
+// allocation matrices, and for the dense distance matrix D the exact
+// solvers take (an arbitrary or measured metric; the topology's own
+// distances are computed per pair, not stored).  Header-only so it can hold
+// any numeric cell type without dragging in template instantiation
+// boilerplate.
 #pragma once
 
 #include <cstddef>

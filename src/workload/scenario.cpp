@@ -54,7 +54,7 @@ std::vector<ExperimentCluster> fig7_clusters() {
       throw std::logic_error("fig7_clusters: every cluster must have 8 VMs");
     }
     ExperimentCluster ec{name, alloc,
-                         alloc.best_central(topo.distance_matrix()).distance};
+                         alloc.best_central(topo).distance};
     return ec;
   };
 

@@ -76,14 +76,6 @@ TEST(Allocation, BestCentralPicksMinimum) {
   EXPECT_DOUBLE_EQ(best.distance, 1.0);
 }
 
-TEST(Allocation, OptimalCentralsReportsTies) {
-  const Topology topo = Topology::uniform(1, 3);
-  // One VM on each node of a single rack: any used node gives 2*d1.
-  Allocation a({{1}, {1}, {1}});
-  const auto ties = a.optimal_centrals(topo.distance_matrix());
-  EXPECT_EQ(ties.size(), 3u);
-}
-
 TEST(Allocation, SatisfiesRequest) {
   Allocation a({{2, 1}, {0, 3}});
   EXPECT_TRUE(a.satisfies(Request({2, 4})));

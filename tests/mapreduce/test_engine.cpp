@@ -115,7 +115,7 @@ TEST(Engine, ClusterDistanceRecorded) {
   const VirtualCluster vc = cluster_on({{0, 2}, {3, 2}}, 6);
   MapReduceEngine eng(topo, test_net(), vc, small_job(), 7);
   const JobMetrics m = eng.run();
-  EXPECT_DOUBLE_EQ(m.cluster_distance, vc.distance(topo.distance_matrix()));
+  EXPECT_DOUBLE_EQ(m.cluster_distance, vc.distance(topo));
 }
 
 // The paper's core experimental claim (Fig. 7): a compact cluster finishes

@@ -33,7 +33,7 @@ TEST(VirtualCluster, DistanceMatchesAllocation) {
   alloc.at(0, 0) = 2;
   alloc.at(1, 0) = 2;
   const VirtualCluster vc = VirtualCluster::from_allocation(alloc);
-  EXPECT_DOUBLE_EQ(vc.distance(topo.distance_matrix()),
+  EXPECT_DOUBLE_EQ(vc.distance(topo),
                    alloc.best_central(topo.distance_matrix()).distance);
 }
 

@@ -131,7 +131,7 @@ TEST(Evaluate, ComputesBestCentral) {
   cluster::Allocation a(4, 1);
   a.at(0, 0) = 3;
   a.at(1, 0) = 1;
-  const Placement p = evaluate(a, topo.distance_matrix());
+  const Placement p = evaluate(a, topo);
   EXPECT_EQ(p.central, 0u);
   EXPECT_DOUBLE_EQ(p.distance, 1.0);
 }

@@ -17,7 +17,6 @@ using util::IntMatrix;
 // D(x,y) + D(y,q) > D(x,q); the transfer must strictly reduce the sum.
 TEST(GlobalSubOpt, TheoremTwoTransferImprovesSum) {
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
 
   // A: central node 0 (3 VMs), plus one VM on node 2 (B's central).
   Placement a;
@@ -25,7 +24,7 @@ TEST(GlobalSubOpt, TheoremTwoTransferImprovesSum) {
   a.allocation.at(0, 0) = 3;
   a.allocation.at(2, 0) = 1;
   a.central = 0;
-  a.distance = a.allocation.distance_from(0, d);
+  a.distance = a.allocation.distance_from(0, topo);
 
   // B: central node 2 (2 VMs), plus one VM on node 1 (in A's rack).
   Placement b;
@@ -33,10 +32,10 @@ TEST(GlobalSubOpt, TheoremTwoTransferImprovesSum) {
   b.allocation.at(2, 0) = 2;
   b.allocation.at(1, 0) = 1;
   b.central = 2;
-  b.distance = b.allocation.distance_from(2, d);
+  b.distance = b.allocation.distance_from(2, topo);
 
   const double before = a.distance + b.distance;
-  const std::size_t swaps = GlobalSubOpt::transfer(a, b, d);
+  const std::size_t swaps = GlobalSubOpt::transfer(a, b, topo);
   EXPECT_GE(swaps, 1u);
   const double after = a.distance + b.distance;
   EXPECT_LT(after, before);
@@ -53,12 +52,11 @@ TEST(GlobalSubOpt, TransferNoopWhenSameCentral) {
   a.allocation.at(0, 0) = 2;
   a.central = 0;
   Placement b = a;
-  EXPECT_EQ(GlobalSubOpt::transfer(a, b, topo.distance_matrix()), 0u);
+  EXPECT_EQ(GlobalSubOpt::transfer(a, b, topo), 0u);
 }
 
 TEST(GlobalSubOpt, TransferNoopWithoutPattern) {
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
   // Disjoint racks, no VM of A on B's central: nothing to swap.
   Placement a;
   a.allocation = cluster::Allocation(4, 1);
@@ -70,7 +68,7 @@ TEST(GlobalSubOpt, TransferNoopWithoutPattern) {
   b.allocation.at(2, 0) = 2;
   b.central = 2;
   b.distance = 0;
-  EXPECT_EQ(GlobalSubOpt::transfer(a, b, d), 0u);
+  EXPECT_EQ(GlobalSubOpt::transfer(a, b, topo), 0u);
 }
 
 TEST(GlobalSubOpt, BatchAdmitsFifoUntilCapacity) {
@@ -167,7 +165,7 @@ TEST_P(WorklistEquivalence, MatchesFullSweepBitwise) {
     std::size_t swaps = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       for (std::size_t j = i + 1; j < ref.size(); ++j) {
-        swaps += GlobalSubOpt::transfer(ref[i], ref[j], topo.distance_matrix());
+        swaps += GlobalSubOpt::transfer(ref[i], ref[j], topo);
       }
     }
     ref_transfers += swaps;

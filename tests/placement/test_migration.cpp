@@ -17,24 +17,23 @@ using cluster::Topology;
 using util::IntMatrix;
 
 Placement make_placement(const cluster::Allocation& alloc,
-                         const util::DoubleMatrix& dist) {
-  return evaluate(alloc, dist);
+                         const Topology& topology) {
+  return evaluate(alloc, topology);
 }
 
 TEST(Consolidate, PullsVmIntoFreedNearbySlot) {
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
   // Cluster: 2 VMs on node 0, 1 VM stranded cross-rack on node 2.
   cluster::Allocation alloc(4, 1);
   alloc.at(0, 0) = 2;
   alloc.at(2, 0) = 1;
-  Placement p = make_placement(alloc, d);
+  Placement p = make_placement(alloc, topo);
   EXPECT_DOUBLE_EQ(p.distance, 2.0);
   // Capacity freed on node 1 (same rack as the central node).
   IntMatrix remaining(4, 1, 0);
   remaining(1, 0) = 1;
 
-  const ConsolidationResult res = consolidate(p, remaining, d);
+  const ConsolidationResult res = consolidate(p, remaining, topo);
   ASSERT_EQ(res.migrations.size(), 1u);
   EXPECT_EQ(res.migrations[0].from_node, 2u);
   EXPECT_EQ(res.migrations[0].to_node, 1u);
@@ -51,10 +50,10 @@ TEST(Consolidate, NoopWhenNoFreeCapacity) {
   cluster::Allocation alloc(4, 1);
   alloc.at(0, 0) = 1;
   alloc.at(2, 0) = 1;
-  Placement p = make_placement(alloc, topo.distance_matrix());
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 0);
   const ConsolidationResult res =
-      consolidate(p, remaining, topo.distance_matrix());
+      consolidate(p, remaining, topo);
   EXPECT_TRUE(res.migrations.empty());
   EXPECT_DOUBLE_EQ(res.improvement(), 0.0);
 }
@@ -63,10 +62,10 @@ TEST(Consolidate, NoopWhenAlreadyTight) {
   const Topology topo = Topology::uniform(2, 2);
   cluster::Allocation alloc(4, 1);
   alloc.at(0, 0) = 3;
-  Placement p = make_placement(alloc, topo.distance_matrix());
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 5);
   const ConsolidationResult res =
-      consolidate(p, remaining, topo.distance_matrix());
+      consolidate(p, remaining, topo);
   EXPECT_TRUE(res.migrations.empty());
 }
 
@@ -76,14 +75,14 @@ TEST(Consolidate, RespectsMigrationBudget) {
   alloc.at(2, 0) = 1;
   alloc.at(3, 0) = 1;
   alloc.at(0, 0) = 2;
-  Placement p = make_placement(alloc, topo.distance_matrix());
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 0);
   remaining(0, 0) = 5;
   remaining(1, 0) = 5;
   ConsolidateOptions opt;
   opt.max_migrations = 1;
   const ConsolidationResult res =
-      consolidate(p, remaining, topo.distance_matrix(), opt);
+      consolidate(p, remaining, topo, opt);
   EXPECT_EQ(res.migrations.size(), 1u);
 }
 
@@ -92,15 +91,15 @@ TEST(Consolidate, TypeMatters) {
   cluster::Allocation alloc(4, 2);
   alloc.at(0, 0) = 2;
   alloc.at(2, 1) = 1;  // stranded VM is of type 1
-  Placement p = make_placement(alloc, topo.distance_matrix());
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 2, 0);
   remaining(1, 0) = 3;  // free capacity of the WRONG type nearby
   const ConsolidationResult res =
-      consolidate(p, remaining, topo.distance_matrix());
+      consolidate(p, remaining, topo);
   EXPECT_TRUE(res.migrations.empty());
   remaining(1, 1) = 1;  // now the right type
   const ConsolidationResult res2 =
-      consolidate(p, remaining, topo.distance_matrix());
+      consolidate(p, remaining, topo);
   EXPECT_EQ(res2.migrations.size(), 1u);
   EXPECT_EQ(res2.migrations[0].type, 1u);
 }
@@ -129,7 +128,7 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
 
   const double before = p.distance;
   const ConsolidationResult res =
-      consolidate(p, remaining, topo.distance_matrix());
+      consolidate(p, remaining, topo);
   EXPECT_LE(p.distance, before + 1e-9);
   EXPECT_DOUBLE_EQ(res.distance_after, p.distance);
   EXPECT_TRUE(p.allocation.satisfies(req_copy));
@@ -139,13 +138,14 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
 
   // Local optimality at the final central: no single VM has a strictly
   // nearer free slot (otherwise consolidate would have kept going).
-  const auto& d = topo.distance_matrix();
   for (std::size_t donor = 0; donor < remaining.rows(); ++donor) {
     for (std::size_t j = 0; j < remaining.cols(); ++j) {
       if (p.allocation.at(donor, j) == 0) continue;
       for (std::size_t recv = 0; recv < remaining.rows(); ++recv) {
         if (recv == donor || remaining(recv, j) <= 0) continue;
-        EXPECT_LE(d(donor, p.central) - d(recv, p.central), 1e-9)
+        EXPECT_LE(topo.distance(donor, p.central) -
+                      topo.distance(recv, p.central),
+                  1e-9)
             << "seed=" << GetParam() << " improving move left on the table";
       }
     }
@@ -166,18 +166,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConsolidateSweep,
 
 TEST(ConsolidateBudgeted, ZeroCostMatchesPlainConsolidate) {
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
   cluster::Allocation alloc(4, 1);
   alloc.at(0, 0) = 2;
   alloc.at(2, 0) = 1;
-  Placement a = make_placement(alloc, d);
+  Placement a = make_placement(alloc, topo);
   Placement b = a;
   IntMatrix rem_a(4, 1, 0);
   rem_a(1, 0) = 1;
   IntMatrix rem_b = rem_a;
 
-  const ConsolidationResult plain = consolidate(a, rem_a, d);
-  const BudgetedConsolidation econ = consolidate_budgeted(b, rem_b, d);
+  const ConsolidationResult plain = consolidate(a, rem_a, topo);
+  const BudgetedConsolidation econ = consolidate_budgeted(b, rem_b, topo);
   ASSERT_EQ(econ.moves.size(), plain.migrations.size());
   for (std::size_t i = 0; i < econ.moves.size(); ++i) {
     EXPECT_EQ(econ.moves[i].move.from_node, plain.migrations[i].from_node);
@@ -191,23 +190,22 @@ TEST(ConsolidateBudgeted, ZeroCostMatchesPlainConsolidate) {
 
 TEST(ConsolidateBudgeted, CostAboveGainVetoesTheMove) {
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
   cluster::Allocation alloc(4, 1);
   alloc.at(0, 0) = 2;
   alloc.at(2, 0) = 1;  // gain of pulling it to node 1 is 2 - 1 = 1 DC unit
-  Placement p = make_placement(alloc, d);
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 0);
   remaining(1, 0) = 1;
   BudgetedConsolidateOptions opt;
   opt.move_cost = {1.5};  // dearer than the gain: migration uneconomic
   const BudgetedConsolidation res =
-      consolidate_budgeted(p, remaining, d, opt);
+      consolidate_budgeted(p, remaining, topo, opt);
   EXPECT_TRUE(res.moves.empty());
   EXPECT_DOUBLE_EQ(res.distance_after, res.distance_before);
   // Cheapen the copy below the gain and the move goes through.
   opt.move_cost = {0.25};
   const BudgetedConsolidation res2 =
-      consolidate_budgeted(p, remaining, d, opt);
+      consolidate_budgeted(p, remaining, topo, opt);
   ASSERT_EQ(res2.moves.size(), 1u);
   EXPECT_DOUBLE_EQ(res2.moves[0].gain, 1.0);
   EXPECT_DOUBLE_EQ(res2.moves[0].cost, 0.25);
@@ -217,19 +215,18 @@ TEST(ConsolidateBudgeted, CostAboveGainVetoesTheMove) {
 
 TEST(ConsolidateBudgeted, MinNetGainRaisesTheBar) {
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
   cluster::Allocation alloc(4, 1);
   alloc.at(0, 0) = 2;
   alloc.at(2, 0) = 1;
-  Placement p = make_placement(alloc, d);
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 0);
   remaining(1, 0) = 1;
   BudgetedConsolidateOptions opt;
   opt.move_cost = {0.5};   // net gain would be 0.5
   opt.min_net_gain = 0.6;  // bar above it: vetoed
-  EXPECT_TRUE(consolidate_budgeted(p, remaining, d, opt).moves.empty());
+  EXPECT_TRUE(consolidate_budgeted(p, remaining, topo, opt).moves.empty());
   opt.min_net_gain = 0.4;  // bar below it: accepted
-  EXPECT_EQ(consolidate_budgeted(p, remaining, d, opt).moves.size(), 1u);
+  EXPECT_EQ(consolidate_budgeted(p, remaining, topo, opt).moves.size(), 1u);
 }
 
 TEST(ConsolidateBudgeted, PicksCheaperTypeWhenGainsTie) {
@@ -237,13 +234,12 @@ TEST(ConsolidateBudgeted, PicksCheaperTypeWhenGainsTie) {
   // budget for one move: the scan must take the higher NET gain (the
   // cheaper type), not just the higher raw gain.
   const Topology topo = Topology::uniform(2, 2);
-  const auto& d = topo.distance_matrix();
   cluster::Allocation alloc(4, 2);
   alloc.at(0, 0) = 2;
   alloc.at(0, 1) = 1;
   alloc.at(2, 0) = 1;  // type 0 stranded
   alloc.at(2, 1) = 1;  // type 1 stranded
-  Placement p = make_placement(alloc, d);
+  Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 2, 0);
   remaining(1, 0) = 1;
   remaining(1, 1) = 1;
@@ -251,7 +247,7 @@ TEST(ConsolidateBudgeted, PicksCheaperTypeWhenGainsTie) {
   opt.max_migrations = 1;
   opt.move_cost = {0.8, 0.1};  // type 1 is much cheaper to copy
   const BudgetedConsolidation res =
-      consolidate_budgeted(p, remaining, d, opt);
+      consolidate_budgeted(p, remaining, topo, opt);
   ASSERT_EQ(res.moves.size(), 1u);
   EXPECT_EQ(res.moves[0].move.type, 1u);
 }
@@ -284,7 +280,7 @@ TEST_P(BudgetedSweep, InvariantsAndEconomy) {
   }
   const double before = p.distance;
   const BudgetedConsolidation res =
-      consolidate_budgeted(p, remaining, topo.distance_matrix(), opt);
+      consolidate_budgeted(p, remaining, topo, opt);
   EXPECT_LE(res.moves.size(), 3u);
   EXPECT_LE(p.distance, before + 1e-9);
   EXPECT_TRUE(p.allocation.satisfies(req_copy));

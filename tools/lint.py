@@ -28,6 +28,16 @@ No-intrinsics rule (all scanned sources):
                      with a change that shows a measured served-path win
                      (docs/performance.md).
 
+Distance rule (src/ outside src/solver/ and src/cluster/topology.*):
+
+  vcopt-dense-distance
+                     no `.distance_matrix(` / `->distance_matrix(`: distance
+                     is a function of the topology (Topology::distance,
+                     Allocation::best_central(const Topology&)), and the
+                     dense n x n D — 80 GB at 100k nodes — is built only to
+                     feed the exact solvers.  Such a feed carries
+                     `// NOLINT(vcopt-dense-distance)` and says why.
+
 Lock-discipline rule (src/ outside src/util/):
 
   vcopt-raw-mutex    no raw std::mutex / std::lock_guard / std::unique_lock
@@ -101,6 +111,10 @@ IOSTREAM_ALLOWLIST = {
 # wrappers themselves.
 RAW_MUTEX_ALLOWLIST_PREFIX = "src/util/"
 
+# Where the dense distance matrix may be built: the solvers that take an
+# arbitrary metric, and the topology that defines it.
+DENSE_DISTANCE_ALLOWLIST_PREFIXES = ("src/solver/", "src/cluster/topology.")
+
 RULES: dict[str, str] = {
     "pragma-once": "headers must start with #pragma once",
     "using-in-header": "no `using namespace` at namespace scope in headers",
@@ -110,6 +124,8 @@ RULES: dict[str, str] = {
     "vcopt-raw-mutex":
         "src/ outside util/ uses util::Mutex wrappers, not std::mutex",
     "vcopt-raw-simd": "no raw SIMD intrinsics; placement kernels are scalar",
+    "vcopt-dense-distance":
+        "src/ outside solver/ uses Topology::distance, not a dense D",
     "vcopt-unordered-in-replay":
         "no unordered containers in replay-critical code (service/fault/sim)",
     "vcopt-wall-clock":
@@ -142,6 +158,7 @@ RE_SIMD = re.compile(
     r"|float(?:16|32|64)x(?:2|4|8)_t)\b"
     # The headers that provide them.
     r"|#\s*include\s*<(?:[a-z]*mmintrin|arm_neon|arm_sve|arm_acle)\.h>")
+RE_DENSE_DISTANCE = re.compile(r"(?:\.|->)\s*distance_matrix\s*\(")
 RE_UNORDERED = re.compile(r"std\s*::\s*unordered_(map|set|multimap|multiset)\b")
 RE_WALL_CLOCK = re.compile(
     r"\b(system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b"
@@ -206,6 +223,8 @@ class Linter:
         in_replay = rel.startswith(REPLAY_DIRS)
         mutex_scoped = in_src and not rel.startswith(
             RAW_MUTEX_ALLOWLIST_PREFIX)
+        dense_scoped = in_src and not rel.startswith(
+            DENSE_DISTANCE_ALLOWLIST_PREFIXES)
         exempt_io = (rel in IOSTREAM_ALLOWLIST or not in_src
                      or rel.startswith("src/exp/"))
 
@@ -253,6 +272,12 @@ class Linter:
                             "raw std synchronisation type; use util::Mutex/"
                             "MutexLock/CondVar (src/util/mutex.h) so the "
                             "thread-safety analysis sees the lock")
+            if dense_scoped and RE_DENSE_DISTANCE.search(
+                    code) and not suppressed(raw, "vcopt-dense-distance"):
+                self.report(path, lineno, "vcopt-dense-distance",
+                            "dense n x n distance matrix outside src/solver/; "
+                            "use Topology::distance (a solver feed gets "
+                            "NOLINT(vcopt-dense-distance) with its reason)")
             if RE_SIMD.search(code) and not suppressed(raw, "vcopt-raw-simd"):
                 self.report(path, lineno, "vcopt-raw-simd",
                             "raw SIMD intrinsic; write the scalar loop (a "

@@ -2,9 +2,9 @@
 """Self-test for tools/lint.py, run as a ctest (`lint_selftest`).
 
 Drives the linter over the fixture corpus in tests/lint/fixtures/ — a
-miniature repo layout (src/service/, src/placement/, src/util/) fed through
---fixture-root so the path-scoped rules classify the files exactly like real
-code — and asserts:
+miniature repo layout (src/service/, src/placement/, src/solver/,
+src/util/) fed through --fixture-root so the path-scoped rules classify the
+files exactly like real code — and asserts:
 
   * every rule fires on its bad-fixture line, and nowhere else;
   * NOLINT-annotated lines and out-of-scope patterns stay silent;
@@ -31,14 +31,18 @@ BAD_FILES = [
     FIXTURES / "src" / "placement" / "bad_general.cpp",
     FIXTURES / "src" / "placement" / "bad_header.h",
     FIXTURES / "src" / "placement" / "bad_simd.cpp",
+    FIXTURES / "src" / "placement" / "bad_dense_distance.cpp",
 ]
 GOOD_FILES = [
     FIXTURES / "src" / "service" / "good_determinism.cpp",
     FIXTURES / "src" / "util" / "ok_raw_mutex.cpp",
+    FIXTURES / "src" / "solver" / "ok_dense_distance.cpp",
 ]
 
 # (relative path, line, rule) for every finding the corpus must produce.
 EXPECTED = [
+    ("src/placement/bad_dense_distance.cpp", 9, "vcopt-dense-distance"),
+    ("src/placement/bad_dense_distance.cpp", 10, "vcopt-dense-distance"),
     ("src/placement/bad_general.cpp", 16, "vcopt-raw-mutex"),
     ("src/placement/bad_general.cpp", 17, "vcopt-raw-mutex"),
     ("src/placement/bad_general.cpp", 18, "vcopt-raw-mutex"),

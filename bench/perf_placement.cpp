@@ -1,25 +1,23 @@
 // Reproducible placement performance harness: emits BENCH_placement.json so
 // every future PR has a throughput/latency trajectory to regress against.
 //
-// Three implementations of Algorithm 1 run over the Fig.-5 request mix at
+// Two implementations of Algorithm 1 run over the Fig.-5 request mix at
 // several cloud scales:
 //
-//   baseline_prepr  The pre-PR scalar implementation (commit 5e9fcfb),
-//                   embedded below verbatim-in-spirit: per-comparison vector
+//   baseline_prepr  The pre-optimisation scalar implementation, embedded
+//                   below verbatim-in-spirit: per-comparison vector
 //                   allocations in the getList sort, a full O(n*m)
-//                   distance_from per candidate, no pruning, serial.  This
-//                   is the fixed yardstick the ">= 5x" acceptance criterion
-//                   is measured against.
-//   serial          Today's OnlineHeuristic forced to Execution::kSerial
-//                   (workspace reuse + key precompute + distance pruning).
-//   parallel        Today's OnlineHeuristic forced to Execution::kParallel
-//                   on the process-wide pool (VCOPT_THREADS); on a 1-core
-//                   host this degrades to the serial path.
+//                   distance_from per candidate, every candidate filled.
+//                   This is the fixed yardstick the speedups are measured
+//                   against.
+//   serial          Today's OnlineHeuristic: every candidate central scored
+//                   from per-rack and per-cloud free sums, only the winner
+//                   filled (docs/performance.md).
 //
-// Every (scenario, request) is additionally cross-checked: serial and
-// parallel must produce bit-identical placements, and both must match the
-// baseline's (distance, central, allocation) — the optimizations are not
-// allowed to change Algorithm-1 semantics.
+// Every (scenario, request) is additionally cross-checked: the optimised
+// placement must match the baseline's (distance, central, allocation) bit
+// for bit — the optimizations are not allowed to change Algorithm-1
+// semantics.
 //
 // Usage: perf_placement [--quick] [--out=FILE] [--seed=N]
 //   --quick   CI smoke mode: fewer iterations, smallest scenarios only.
@@ -42,7 +40,6 @@
 #include "placement/online_heuristic.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
 
@@ -269,20 +266,15 @@ util::Json run_scenario(const ScenarioSpec& spec, bool quick) {
                                   : spec.iters;
   const std::size_t warmup = std::max<std::size_t>(iters / 10, 2);
 
-  placement::OnlineHeuristic serial(placement::OnlineHeuristic::Mode::kBestOfAllStarts,
-                                    placement::OnlineHeuristic::Execution::kSerial);
-  placement::OnlineHeuristic parallel(placement::OnlineHeuristic::Mode::kBestOfAllStarts,
-                                      placement::OnlineHeuristic::Execution::kParallel);
+  placement::OnlineHeuristic serial;
 
   // Semantic cross-check over the whole request mix before timing anything.
-  bool serial_parallel_identical = true;
   bool baseline_identical = true;
   for (const cluster::Request& r : requests) {
-    const auto p0 = prepr::place(r, remaining, topo);
-    const auto p1 = serial.place(r, remaining, topo);
-    const auto p2 = parallel.place(r, remaining, topo);
-    if (!same_placement(p1, p2)) serial_parallel_identical = false;
-    if (!same_placement(p0, p1)) baseline_identical = false;
+    if (!same_placement(prepr::place(r, remaining, topo),
+                        serial.place(r, remaining, topo))) {
+      baseline_identical = false;
+    }
   }
 
   std::vector<Series> series;
@@ -292,10 +284,6 @@ util::Json run_scenario(const ScenarioSpec& spec, bool quick) {
   }));
   series.push_back(measure("serial", iters, warmup, [&](std::size_t i) {
     auto p = serial.place(requests[i % requests.size()], remaining, topo);
-    if (p && p->distance < -1) std::abort();
-  }));
-  series.push_back(measure("parallel", iters, warmup, [&](std::size_t i) {
-    auto p = parallel.place(requests[i % requests.size()], remaining, topo);
     if (p && p->distance < -1) std::abort();
   }));
 
@@ -309,21 +297,14 @@ util::Json run_scenario(const ScenarioSpec& spec, bool quick) {
   util::JsonArray arr;
   for (const Series& s : series) arr.push_back(series_json(s));
   o["series"] = util::Json(std::move(arr));
-  o["serial_parallel_identical"] = serial_parallel_identical;
   o["baseline_identical"] = baseline_identical;
   const double base = series[0].ops_per_sec;
   o["speedup_serial_vs_baseline"] = base > 0 ? series[1].ops_per_sec / base : 0;
-  o["speedup_parallel_vs_baseline"] = base > 0 ? series[2].ops_per_sec / base : 0;
 
   std::cout << spec.name << ": baseline " << series[0].ops_per_sec
             << " ops/s, serial " << series[1].ops_per_sec << " ops/s ("
-            << (base > 0 ? series[1].ops_per_sec / base : 0) << "x), parallel "
-            << series[2].ops_per_sec << " ops/s ("
-            << (base > 0 ? series[2].ops_per_sec / base : 0) << "x)"
-            << (serial_parallel_identical && baseline_identical
-                    ? ""
-                    : "  [EQUIVALENCE FAILURE]")
-            << "\n";
+            << (base > 0 ? series[1].ops_per_sec / base : 0) << "x)"
+            << (baseline_identical ? "" : "  [EQUIVALENCE FAILURE]") << "\n";
   return util::Json(std::move(o));
 }
 
@@ -369,9 +350,7 @@ util::Json run_routed_scenario(const RoutedSpec& spec, bool quick) {
     auto p = routed.place(requests[i % requests.size()], remaining, topo);
     if (p) ++routed_placed;
   }));
-  placement::OnlineHeuristic flat(
-      placement::OnlineHeuristic::Mode::kBestOfAllStarts,
-      placement::OnlineHeuristic::Execution::kSerial);
+  placement::OnlineHeuristic flat;
   // Exactness net: routing (with flat fallback) must admit exactly the
   // requests the flat scan admits on the same inventory.
   bool flat_matches_routed = true;
@@ -426,9 +405,7 @@ util::Json run_routed_quality(std::uint64_t seed) {
     const std::vector<cluster::Request> requests =
         workload::random_requests(catalog, rng, 40, 4, 10);
 
-    placement::OnlineHeuristic flat(
-        placement::OnlineHeuristic::Mode::kBestOfAllStarts,
-        placement::OnlineHeuristic::Execution::kSerial);
+    placement::OnlineHeuristic flat;
     cluster::Cloud flat_cloud(topo, catalog, inventory);
     double flat_dc = 0;
     std::size_t flat_grants = 0;
@@ -532,9 +509,8 @@ int main(int argc, char** argv) {
   // The registry is always on for perf runs: the sidecar next to the BENCH
   // JSON is part of the bench contract (same schema across all perf bins).
   obs::MetricsRegistry::global().set_enabled(true);
-  std::cout << "perf_placement: threads="
-            << util::ThreadPool::configured_threads()
-            << " quick=" << (quick ? "yes" : "no") << " seed=" << seed << "\n";
+  std::cout << "perf_placement: quick=" << (quick ? "yes" : "no")
+            << " seed=" << seed << "\n";
 
   // The paper scenario (3x10, the Fig.-5 setup), a "large" cloud of 100
   // nodes (the acceptance-criteria scenario), and a 320-node stretch run.
@@ -549,9 +525,7 @@ int main(int argc, char** argv) {
   for (const ScenarioSpec& spec : specs) {
     if (quick && !spec.quick_included) continue;
     util::Json sj = run_scenario(spec, quick);
-    all_equivalent = all_equivalent &&
-                     sj.at("serial_parallel_identical").as_bool() &&
-                     sj.at("baseline_identical").as_bool();
+    all_equivalent = all_equivalent && sj.at("baseline_identical").as_bool();
     scenarios.push_back(std::move(sj));
   }
 
@@ -582,8 +556,6 @@ int main(int argc, char** argv) {
   root["schema"] = "vcopt-bench-placement/1";
   root["quick"] = quick;
   root["seed"] = seed;
-  root["threads"] = util::ThreadPool::configured_threads();
-  root["pool_workers"] = util::ThreadPool::global().size();
   root["scenarios"] = util::Json(std::move(scenarios));
   root["routed_scenarios"] = util::Json(std::move(routed_scenarios));
   root["routed_quality"] = std::move(routed_quality);

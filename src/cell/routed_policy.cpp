@@ -52,8 +52,8 @@ std::optional<placement::Placement> RoutedPolicy::place(
   // cheaper than one flat scan, and it is what holds routed mean DC within
   // a few percent of flat — the router's sketch score is a capacity/affinity
   // signal, not a DC oracle.
-  std::optional<placement::Placement> best;
-  bool best_is_winner = false;
+  std::optional<placement::Placement> best;  // in the cell's local ids
+  std::size_t best_k = 0;
   for (std::size_t k = 0; k < decision.shortlist.size(); ++k) {
     const std::size_t c = decision.shortlist[k];
     const Cell& cl = directory_.partition().cell(c);
@@ -67,17 +67,18 @@ std::optional<placement::Placement> RoutedPolicy::place(
         request, local, directory_.partition().cell_topology(c));
     if (!placed) continue;
     if (best && placed->distance >= best->distance) continue;
-    placement::Placement out;
-    out.allocation = cluster::Allocation(directory_.partition().to_global(
-        c, placed->allocation.counts(), remaining.rows()));
-    out.central = cl.nodes[placed->central];
-    out.distance = placed->distance;
-    best = std::move(out);
-    best_is_winner = k == 0;
+    best = std::move(placed);
+    best_k = k;
   }
   if (best) {
-    (best_is_winner ? metrics.placed_in_winner : metrics.spilled).add();
-    return best;
+    // Scattered to global ids once, for the winning cell only: a dense
+    // n x m matrix per improving cell costs more than routing at 10k nodes.
+    (best_k == 0 ? metrics.placed_in_winner : metrics.spilled).add();
+    const std::size_t c = decision.shortlist[best_k];
+    return placement::Placement{
+        cluster::Allocation(directory_.partition().to_global(
+            c, best->allocation.counts(), remaining.rows())),
+        directory_.partition().cell(c).nodes[best->central], best->distance};
   }
 
   if (!options_.flat_fallback) return std::nullopt;

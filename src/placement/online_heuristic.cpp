@@ -1,6 +1,7 @@
 #include "placement/online_heuristic.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -10,7 +11,6 @@
 #include "check/validators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/mutex.h"
 
 namespace vcopt::placement {
 
@@ -18,28 +18,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Below this many candidate centrals the fork/join overhead of the pool
-// outweighs the scan itself, so Execution::kAuto stays serial.
-constexpr std::size_t kAutoParallelMinCandidates = 64;
-
-// Per-thread scratch for candidate evaluation.  All buffers are sized once
-// per (n, m) shape and reused across candidates and place() calls, so the
-// fill loop performs no heap allocation in steady state.  `alloc` holds the
-// current candidate's partial allocation; the invariant is that every entry
-// outside `touched`'s rows is zero (fills clear only the rows they wrote).
+// Per-thread scratch for Algorithm 1.  All buffers are sized once per
+// (n, m) shape and reused across place() calls, so the scan and the fill
+// perform no heap allocation in steady state.  `alloc` holds the last
+// filled candidate's allocation; the invariant is that every entry outside
+// `touched`'s rows is zero (fills clear only the rows they wrote).
 struct Workspace {
   std::size_t n = 0;
   std::size_t m = 0;
   std::vector<int> need;            // outstanding per-type demand
   std::vector<int> lx;              // central node's free-capacity row L[x]
   std::vector<std::int32_t> key;    // per-node com(L[x], L[i]) overlap sums
-  std::vector<std::int32_t> soa;    // column-major copy of `remaining`
   std::vector<std::size_t> tier;    // candidate ordering within one tier
   std::vector<std::size_t> far;     // off-rack, other-cloud candidates
   std::vector<int> node_vms;        // VMs taken per node, current candidate
   std::vector<std::size_t> touched; // nodes written by the current candidate
+  std::vector<int> rack_free;       // per-rack free sums, racks x m
+  std::vector<int> cloud_free;      // per-cloud free sums, clouds x m
+  std::vector<double> score;        // tier score per candidate central
   util::IntMatrix alloc;            // current candidate's allocation
-  util::IntMatrix best_alloc;       // snapshot of the chunk's best candidate
 
   void prepare(std::size_t n_, std::size_t m_) {
     if (n == n_ && m == m_) return;
@@ -48,25 +45,11 @@ struct Workspace {
     need.assign(m, 0);
     lx.assign(m, 0);
     key.assign(n, 0);
-    soa.assign(n * m, 0);
     node_vms.assign(n, 0);
     touched.clear();
     tier.reserve(n);
     far.reserve(n);
     alloc = util::IntMatrix(n, m, 0);
-  }
-
-  // Transposes `remaining` into `soa` (soa[j*n+i] = remaining(i,j)) so the
-  // off-rack getList scoring can stream whole columns.  Called once per
-  // candidate scan; the matrix is read-only for the scan's duration.
-  void build_soa(const util::IntMatrix& remaining) {
-    const std::vector<int>& flat = remaining.data();  // row-major
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t row = i * m;
-      for (std::size_t j = 0; j < m; ++j) {
-        soa[j * n + i] = static_cast<std::int32_t>(flat[row + j]);
-      }
-    }
   }
 };
 
@@ -81,12 +64,6 @@ Workspace& local_workspace() {
 // nodes nearest-tier-first (same cloud, then other clouds) with the same
 // overlap ordering inside each tier.
 //
-// `bound` enables Theorem-1-style pruning: the partial distance only grows
-// as farther nodes are taken, so once it reaches `bound` the candidate can
-// no longer strictly beat the incumbent (nor win the lowest-index tie-break
-// — the incumbent always has a lower candidate index within a chunk) and
-// the fill is abandoned.  Pass kInf to disable.
-//
 // On success, `final_distance` receives the exact distance from `central`,
 // summed in ascending node order — the same FP evaluation order as
 // Allocation::distance_from, so reported distances are bit-identical to an
@@ -94,10 +71,7 @@ Workspace& local_workspace() {
 bool fill_candidate(const cluster::Request& request,
                     const util::IntMatrix& remaining,
                     const cluster::Topology& topology, std::size_t central,
-                    double bound, Workspace& ws, double& final_distance,
-                    bool& pruned) {
-  pruned = false;
-
+                    Workspace& ws, double& final_distance) {
   // O(touched) reset of the previous candidate's writes.
   for (std::size_t i : ws.touched) {
     ws.node_vms[i] = 0;
@@ -110,7 +84,7 @@ bool fill_candidate(const cluster::Request& request,
   int outstanding = 0;
   for (int v : ws.need) outstanding += v;
 
-  // Takes min(remaining[node], need) of each type; returns VMs taken.
+  // Takes min(remaining[node], need) of each type.
   auto take = [&](std::size_t node) {
     int took = 0;
     for (std::size_t j = 0; j < ws.m; ++j) {
@@ -126,78 +100,41 @@ bool fill_candidate(const cluster::Request& request,
       ws.touched.push_back(node);
       outstanding -= took;
     }
-    return took;
   };
 
-  // Computes the getList sort keys for the nodes currently in ws.tier:
-  // key[i] = sum_j com(L[x], L[i])[j], against the cached central row.
-  // Used for the (small) rack tier, where a per-node scalar loop beats
-  // setting up column streams.
-  auto compute_tier_keys = [&] {
-    for (std::size_t i : ws.tier) {
+  // Sorts one tier into getList order, descending
+  // key[i] = sum_j com(L[x], L[i])[j] with ties by index, and visits it.
+  auto fill_tier = [&](std::vector<std::size_t>& nodes) {
+    for (std::size_t i : nodes) {
       std::int32_t k = 0;
       for (std::size_t j = 0; j < ws.m; ++j) {
         k += std::min(ws.lx[j], remaining(i, j));
       }
       ws.key[i] = k;
     }
-  };
-
-  // Same keys for ALL nodes at once, streamed column-wise over the SoA copy.
-  // Integer arithmetic in both paths, so the values (and hence every
-  // downstream sort order) are identical to compute_tier_keys.  Used for the
-  // off-rack tier, which is nearly the whole cluster whenever it is needed
-  // at all.
-  auto compute_all_keys = [&] {
-    std::fill(ws.key.begin(), ws.key.end(), 0);
-    for (std::size_t j = 0; j < ws.m; ++j) {
-      if (ws.lx[j] <= 0) continue;
-      const std::int32_t cap = static_cast<std::int32_t>(ws.lx[j]);
-      const std::int32_t* col = ws.soa.data() + j * ws.n;
-      for (std::size_t i = 0; i < ws.n; ++i) {
-        ws.key[i] += col[i] < cap ? col[i] : cap;
-      }
-    }
-  };
-
-  // Visits one tier's nodes in order, all at distance `d` from the central
-  // node; false once the partial distance reaches `bound`.
-  double running = 0;
-  auto fill_tier = [&](const std::vector<std::size_t>& nodes, double d) {
+    std::sort(nodes.begin(), nodes.end(), [&](std::size_t a, std::size_t b) {
+      if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
+      return a < b;
+    });
     for (std::size_t i : nodes) {
-      const int took = take(i);
-      if (took > 0) {
-        running += static_cast<double>(took) * d;
-        if (outstanding == 0) break;
-        if (running >= bound) {
-          pruned = true;
-          return false;
-        }
-      }
+      take(i);
+      if (outstanding == 0) return;
     }
-    return true;
-  };
-  auto by_key = [&](std::size_t a, std::size_t b) {
-    if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
-    return a < b;
   };
 
-  const cluster::DistanceConfig& tiers = topology.distances();
   const std::size_t rack = topology.rack_of(central);
 
-  // Step 1: the central node itself (com(L[x], R)); contributes distance 0.
+  // Step 1: the central node itself (com(L[x], R)).
   take(central);
+  for (std::size_t j = 0; j < ws.m; ++j) ws.lx[j] = remaining(central, j);
 
   // Step 2: rack-mates — getList(D, x, 0).
   if (outstanding > 0) {
-    for (std::size_t j = 0; j < ws.m; ++j) ws.lx[j] = remaining(central, j);
     ws.tier.clear();
     for (std::size_t i : topology.nodes_in_rack(rack)) {
       if (i != central) ws.tier.push_back(i);
     }
-    compute_tier_keys();
-    std::sort(ws.tier.begin(), ws.tier.end(), by_key);
-    if (!fill_tier(ws.tier, tiers.same_rack)) return false;
+    fill_tier(ws.tier);
   }
 
   // Step 3: off-rack nodes — getList(D, x, 1), nearer tiers first (same
@@ -214,13 +151,8 @@ bool fill_candidate(const cluster::Request& request,
       if (r == rack) continue;
       (topology.cloud_of_rack(r) == cloud ? ws.tier : ws.far).push_back(i);
     }
-    compute_all_keys();
-    std::sort(ws.tier.begin(), ws.tier.end(), by_key);
-    if (!fill_tier(ws.tier, tiers.cross_rack)) return false;
-    if (outstanding > 0) {
-      std::sort(ws.far.begin(), ws.far.end(), by_key);
-      if (!fill_tier(ws.far, tiers.cross_cloud)) return false;
-    }
+    fill_tier(ws.tier);
+    if (outstanding > 0) fill_tier(ws.far);
   }
 
   if (outstanding > 0) return false;  // infeasible from this central
@@ -235,19 +167,97 @@ bool fill_candidate(const cluster::Request& request,
   return true;
 }
 
-// One flush per place() call; the candidate scan itself stays atomics-free.
+// Per-rack and per-cloud free sums of `remaining`, in one pass over the
+// nodes.  Negative cells, which no fill takes from, count as 0.
+void build_free_sums(const util::IntMatrix& remaining,
+                     const cluster::Topology& topology, Workspace& ws) {
+  const std::size_t m = ws.m;
+  ws.rack_free.assign(topology.rack_count() * m, 0);
+  ws.cloud_free.assign(topology.cloud_count() * m, 0);
+  for (std::size_t i = 0; i < ws.n; ++i) {
+    int* rack_row = ws.rack_free.data() + topology.rack_of(i) * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      rack_row[j] += std::max(remaining(i, j), 0);
+    }
+  }
+  for (std::size_t r = 0; r < topology.rack_count(); ++r) {
+    int* cloud_row = ws.cloud_free.data() + topology.cloud_of_rack(r) * m;
+    for (std::size_t j = 0; j < m; ++j) cloud_row[j] += ws.rack_free[r * m + j];
+  }
+}
+
+// The distance fill_candidate(central) reaches, without filling.  Whatever
+// the getList order inside a tier, once the fill has visited the whole tier
+// it has taken min(outstanding, tier free) of each type, so with R the
+// request and L the free matrix: a = min(R, L[x]) on the node,
+// b = min(R - a, rack free - L[x]) in the rack, c = min(rest, cloud free -
+// rack free) in the cloud, and the rest beyond it.  O(m).
+double tier_score(const cluster::Request& request,
+                  const util::IntMatrix& remaining,
+                  const cluster::Topology& topology, std::size_t central,
+                  const Workspace& ws) {
+  const std::size_t rack = topology.rack_of(central);
+  const int* rack_row = ws.rack_free.data() + rack * ws.m;
+  const int* cloud_row =
+      ws.cloud_free.data() + topology.cloud_of_rack(rack) * ws.m;
+  std::int64_t on_node = 0;
+  std::int64_t in_rack = 0;
+  std::int64_t in_cloud = 0;
+  std::int64_t beyond = 0;
+  for (std::size_t j = 0; j < ws.m; ++j) {
+    int need = request.count(j);
+    const int lx = std::max(remaining(central, j), 0);
+    const int a = std::min(need, lx);
+    need -= a;
+    const int b = std::min(need, rack_row[j] - lx);
+    need -= b;
+    const int c = std::min(need, cloud_row[j] - rack_row[j]);
+    on_node += a;
+    in_rack += b;
+    in_cloud += c;
+    beyond += need - c;
+  }
+  const cluster::DistanceConfig& tiers = topology.distances();
+  return tiers.same_node * static_cast<double>(on_node) +
+         tiers.same_rack * static_cast<double>(in_rack) +
+         tiers.cross_rack * static_cast<double>(in_cloud) +
+         tiers.cross_cloud * static_cast<double>(beyond);
+}
+
+// How far above the minimum score a candidate may score and still fill to
+// the winning distance.  The fill sums at most n nonnegative products in
+// node order and the score four, so each lies within a relative
+// gamma_n = n·u/(1 - n·u), resp. gamma_4, of the exact distance (u = ε/2).
+// A candidate scoring above (1 + 2(n + 4)ε)·min therefore fills strictly
+// above the minimum's fill and cannot win.  With integral tiers and
+// request·(largest tier) <= 2^53, every product and partial sum of both
+// evaluations is an exact integer in double: the score is the fill's
+// distance bit for bit and the slack is 0.
+double rounding_slack(const cluster::Request& request,
+                      const cluster::DistanceConfig& tiers, std::size_t n,
+                      double min_score) {
+  bool exact =
+      static_cast<double>(request.total_vms()) * tiers.cross_cloud <= 0x1p53;
+  for (double t : {tiers.same_node, tiers.same_rack, tiers.cross_rack,
+                   tiers.cross_cloud}) {
+    exact = exact && t == std::trunc(t);
+  }
+  if (exact) return 0;
+  return 2.0 * static_cast<double>(n + 4) *
+         std::numeric_limits<double>::epsilon() * min_score;
+}
+
+// One flush per place() call; the scan itself stays atomics-free.
 void record_place_metrics(std::size_t candidates, std::size_t pruned,
-                          bool found, bool parallel) {
+                          bool found) {
   auto& reg = obs::MetricsRegistry::global();
   if (!reg.enabled()) return;
   static obs::Counter& placements = reg.counter("placement/placements");
   static obs::Counter& infeasible = reg.counter("placement/infeasible");
   static obs::Counter& evaluated = reg.counter("placement/candidates_evaluated");
   static obs::Counter& abandoned = reg.counter("placement/candidates_pruned");
-  static obs::Counter& par_scans = reg.counter("placement/parallel_scans");
   evaluated.add(candidates);
   abandoned.add(pruned);
-  if (parallel) par_scans.add();
   (found ? placements : infeasible).add();
 }
 
@@ -262,14 +272,25 @@ std::optional<cluster::Allocation> OnlineHeuristic::fill_from_central(
   }
   Workspace ws;
   ws.prepare(remaining.rows(), remaining.cols());
-  ws.build_soa(remaining);
   double d = 0;
-  bool was_pruned = false;
-  if (!fill_candidate(request, remaining, topology, central, kInf, ws, d,
-                      was_pruned)) {
+  if (!fill_candidate(request, remaining, topology, central, ws, d)) {
     return std::nullopt;
   }
   return cluster::Allocation(std::move(ws.alloc));
+}
+
+double OnlineHeuristic::score_from_central(const cluster::Request& request,
+                                           const util::IntMatrix& remaining,
+                                           const cluster::Topology& topology,
+                                           std::size_t central) {
+  if (topology.node_count() != remaining.rows() ||
+      request.type_count() != remaining.cols()) {
+    throw std::invalid_argument("score_from_central: shape mismatch");
+  }
+  Workspace ws;
+  ws.prepare(remaining.rows(), remaining.cols());
+  build_free_sums(remaining, topology, ws);
+  return tier_score(request, remaining, topology, central, ws);
 }
 
 std::optional<Placement> OnlineHeuristic::place(
@@ -285,11 +306,9 @@ std::optional<Placement> OnlineHeuristic::place(
   }
 
   // Admission precheck (lines 1-5 of Algorithm 1): total availability.
-  // col_sum also warms `remaining`'s sum cache from this single thread,
-  // before any pool worker touches the matrix read-only.
   for (std::size_t j = 0; j < m; ++j) {
     if (request.count(j) > remaining.col_sum(j)) {
-      record_place_metrics(0, 0, false, false);
+      record_place_metrics(0, 0, false);
       return std::nullopt;
     }
   }
@@ -308,7 +327,7 @@ std::optional<Placement> OnlineHeuristic::place(
       for (std::size_t j = 0; j < m; ++j) {
         alloc.at(i, j) = request.count(j);
       }
-      record_place_metrics(1, 0, true, false);
+      record_place_metrics(1, 0, true);
       return Placement{std::move(alloc), i, 0.0};
     }
   }
@@ -320,97 +339,75 @@ std::optional<Placement> OnlineHeuristic::place(
     if (remaining.row_sum(x) > 0) candidates.push_back(x);
   }
 
+  Workspace& ws = local_workspace();
+  ws.prepare(n, m);
   std::optional<Placement> best;
 
   if (mode_ == Mode::kFirstImprovement) {
     // Literal pseudocode behaviour: stop at the first candidate that
     // completes (the first feasible fill trivially improves on "nothing").
-    Workspace& ws = local_workspace();
-    ws.prepare(n, m);
-    ws.build_soa(remaining);
     std::size_t evaluated = 0;
     for (std::size_t x : candidates) {
       ++evaluated;
       double d = 0;
-      bool was_pruned = false;
-      if (fill_candidate(request, remaining, topology, x, kInf, ws, d,
-                         was_pruned)) {
+      if (fill_candidate(request, remaining, topology, x, ws, d)) {
         best = Placement{cluster::Allocation(ws.alloc), x, d};
         break;
       }
     }
-    record_place_metrics(evaluated, 0, best.has_value(), false);
+    record_place_metrics(evaluated, 0, best.has_value());
   } else {
-    // kBestOfAllStarts: every candidate is independent and read-only over
-    // `remaining`, so scan chunks in parallel.  Each chunk keeps a local
-    // incumbent (enabling the distance-bound pruning); chunk results merge
-    // commutatively — lexicographic min of (distance, central index) — so
-    // the winner is deterministic and bit-identical to the serial scan.
-    util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
-    const bool parallel =
-        execution_ != Execution::kSerial && pool.size() > 1 &&
-        !pool.in_worker() &&
-        (execution_ == Execution::kParallel ||
-         candidates.size() >= kAutoParallelMinCandidates);
-
-    util::Mutex merge_mu;
-    bool found = false;
-    double best_d = kInf;
-    std::size_t best_central = 0;
-    util::IntMatrix best_alloc;
-    std::size_t evaluated = 0;
-    std::size_t pruned = 0;
-
-    auto scan_chunk = [&](std::size_t chunk_begin, std::size_t chunk_end) {
-      Workspace& ws = local_workspace();
-      ws.prepare(n, m);
-      ws.build_soa(remaining);
-      bool chunk_found = false;
-      double chunk_d = kInf;
-      std::size_t chunk_central = 0;
-      std::size_t chunk_evaluated = 0;
-      std::size_t chunk_pruned = 0;
-      for (std::size_t idx = chunk_begin; idx < chunk_end; ++idx) {
-        const std::size_t x = candidates[idx];
-        ++chunk_evaluated;
-        double d = 0;
-        bool was_pruned = false;
-        if (fill_candidate(request, remaining, topology, x,
-                           chunk_found ? chunk_d : kInf, ws, d, was_pruned)) {
-          if (!chunk_found || d < chunk_d) {
-            chunk_found = true;
-            chunk_d = d;
-            chunk_central = x;
-            ws.best_alloc = ws.alloc;
-          }
-        } else if (was_pruned) {
-          ++chunk_pruned;
-        }
-      }
-      util::MutexLock lock(merge_mu);
-      evaluated += chunk_evaluated;
-      pruned += chunk_pruned;
-      if (chunk_found &&
-          (!found || chunk_d < best_d ||
-           (chunk_d == best_d && chunk_central < best_central))) {
-        found = true;
-        best_d = chunk_d;
-        best_central = chunk_central;
-        best_alloc = ws.best_alloc;
-      }
-    };
-
-    if (parallel) {
-      pool.parallel_for(candidates.size(), scan_chunk);
-    } else if (!candidates.empty()) {
-      scan_chunk(0, candidates.size());
+    // kBestOfAllStarts: the winner is the lexicographic minimum of
+    // (distance, central index) over every candidate.  Past the admission
+    // precheck every fill completes (it visits every node), and its
+    // distance is the candidate's tier score, so score them all, then fill
+    // in index order only those within rounding slack of the minimum — the
+    // first minimum alone when scores are exact.
+    build_free_sums(remaining, topology, ws);
+    ws.score.resize(candidates.size());
+    double min_score = kInf;
+    for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
+      ws.score[idx] = tier_score(request, remaining, topology,
+                                 candidates[idx], ws);
+      min_score = std::min(min_score, ws.score[idx]);
     }
-
-    record_place_metrics(evaluated, pruned, found, parallel);
-    if (found) {
-      best = Placement{cluster::Allocation(std::move(best_alloc)), best_central,
-                       best_d};
+    const double slack =
+        rounding_slack(request, topology.distances(), n, min_score);
+    std::size_t filled = 0;
+    for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
+      if (ws.score[idx] > min_score + slack) continue;
+      const std::size_t x = candidates[idx];
+      double d = 0;
+      fill_candidate(request, remaining, topology, x, ws, d);
+      ++filled;
+      if (!best || d < best->distance) {
+        best = Placement{cluster::Allocation(ws.alloc), x, d};
+      }
+      if (slack == 0) break;
     }
+    record_place_metrics(candidates.size(), candidates.size() - filled,
+                         best.has_value());
+#if VCOPT_ENABLE_CHECKS
+    // The exactness claim, checked against filling every candidate: each
+    // fill completes within the slack of its score, and the lexicographic
+    // minimum of (filled distance, central index) is the scored winner.
+    double ref_d = kInf;
+    std::size_t ref_x = 0;
+    for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
+      double d = kInf;  // stays infinite if the fill cannot complete
+      fill_candidate(request, remaining, topology, candidates[idx], ws, d);
+      VCOPT_INVARIANT(std::abs(d - ws.score[idx]) <= slack)
+          << " central " << candidates[idx] << " scored " << ws.score[idx]
+          << " but filled to " << d;
+      if (d < ref_d) {
+        ref_d = d;
+        ref_x = candidates[idx];
+      }
+    }
+    VCOPT_INVARIANT(best && best->central == ref_x && best->distance == ref_d)
+        << " scored scan disagrees with filling every candidate: central "
+        << ref_x << " at " << ref_d;
+#endif
   }
 
   if (best) {

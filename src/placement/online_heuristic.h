@@ -15,18 +15,19 @@
 // appropriate central node" and is never worse.  kFirstImprovement
 // reproduces the literal break-on-improvement behaviour.
 //
-// Performance (see docs/performance.md): every candidate evaluation is
-// independent and read-only over `remaining`, so kBestOfAllStarts scans
-// candidates in parallel on util::ThreadPool (VCOPT_THREADS).  The scan is
-// deterministic — the winner is the lexicographic minimum of (distance,
-// central index), reduced commutatively across chunks — so parallel output
-// is bit-identical to serial.  Per-thread Workspace buffers make the fill
-// allocation-free in steady state, and a candidate is abandoned early once
-// its partial distance can no longer beat the incumbent.
+// Performance (see docs/performance.md): for a fixed central node the fill
+// takes min(need, free) of each type tier by tier, so its distance depends
+// only on the per-tier free totals.  kBestOfAllStarts therefore scores every
+// candidate in O(m) from per-rack and per-cloud free sums built in one pass,
+// and fills only the winner: O(n·m + n log n) per request instead of
+// O(n²·m).  The winner is still the lexicographic minimum of (distance,
+// central index) over every candidate's fill, bit for bit; with tiers whose
+// products round, the candidates within a proven rounding slack of the
+// minimum score are filled and compared.  A per-thread Workspace makes the
+// fill allocation-free in steady state.
 #pragma once
 
 #include "placement/policy.h"
-#include "util/thread_pool.h"
 
 namespace vcopt::placement {
 
@@ -34,20 +35,8 @@ class OnlineHeuristic : public PlacementPolicy {
  public:
   enum class Mode { kBestOfAllStarts, kFirstImprovement };
 
-  /// How the candidate-central-node scan runs.  kAuto picks parallel when
-  /// the pool has workers and the candidate count amortises the fork/join;
-  /// kSerial/kParallel force one path (kParallel still degrades gracefully
-  /// to inline execution on a worker-less pool).
-  enum class Execution { kAuto, kSerial, kParallel };
-
-  explicit OnlineHeuristic(Mode mode = Mode::kBestOfAllStarts,
-                           Execution execution = Execution::kAuto)
-      : mode_(mode), execution_(execution) {}
-
-  /// Pool override for tests and embedders; nullptr means
-  /// util::ThreadPool::global().  Not owned; must outlive the heuristic.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-  void set_execution(Execution execution) { execution_ = execution; }
+  explicit OnlineHeuristic(Mode mode = Mode::kBestOfAllStarts)
+      : mode_(mode) {}
 
   std::optional<Placement> place(const cluster::Request& request,
                                  const util::IntMatrix& remaining,
@@ -61,10 +50,18 @@ class OnlineHeuristic : public PlacementPolicy {
       const cluster::Request& request, const util::IntMatrix& remaining,
       const cluster::Topology& topology, std::size_t central);
 
+  /// The distance fill_from_central(central) reaches, computed from
+  /// per-tier free totals without filling: the score place() ranks
+  /// candidates by; exposed for tests.  Equal to the fill's distance when
+  /// the request fits the total free capacity, exactly for integral tiers
+  /// and up to rounding otherwise.
+  static double score_from_central(const cluster::Request& request,
+                                   const util::IntMatrix& remaining,
+                                   const cluster::Topology& topology,
+                                   std::size_t central);
+
  private:
   Mode mode_;
-  Execution execution_;
-  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace vcopt::placement

@@ -1,5 +1,5 @@
-// Fixed-size worker pool for data-parallel scans (the parallel
-// candidate-central-node scan of Algorithm 1 is the primary customer).
+// Fixed-size worker pool for data-parallel scans.  No placement path uses
+// it; the served-path benchmark reports the global pool's size.
 // Design constraints, in order:
 //
 //   1. Determinism: parallel_for partitions [0, n) into contiguous chunks

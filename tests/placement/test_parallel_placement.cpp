@@ -1,53 +1,158 @@
-// ISSUE 3: the parallel candidate-central-node scan must be bit-identical
-// to the serial scan (same central, same distance down to the last bit,
-// same allocation matrix), and kBestOfAllStarts must equal an independent
-// argmin over fill_from_central — the optimizations (workspace reuse,
-// getList key precompute, distance-bound pruning, chunked parallel
-// reduction) are not allowed to change Algorithm-1 semantics.
+// Algorithm 1's scored candidate scan must equal an independent argmin over
+// fill_from_central: same central, same distance down to the last bit, same
+// allocation matrix.  place() scores every candidate central from per-rack
+// and per-cloud free sums and fills only the candidates that can still win,
+// so these tests pin the scan against the fill-every-candidate reference on
+// uniform, multi-cloud and irregular topologies, integral and fractional
+// tiers, and churned inventories, and pin the lemma the scan rests on: a
+// candidate's score is its fill's distance.
+//
+// The ParallelEquivalence and ParallelPlacement ids date from the chunked
+// parallel scan these suites used to compare with the serial one; they are
+// kept so test ids stay comparable across commits.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "placement/online_heuristic.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace vcopt::placement {
 namespace {
 
+using cluster::DistanceConfig;
 using cluster::Request;
 using cluster::Topology;
 using util::IntMatrix;
 
 void expect_identical(const std::optional<Placement>& a,
                       const std::optional<Placement>& b,
-                      std::uint64_t seed) {
-  ASSERT_EQ(a.has_value(), b.has_value()) << "seed=" << seed;
+                      const std::string& where) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << where;
   if (!a) return;
-  EXPECT_EQ(a->central, b->central) << "seed=" << seed;
+  EXPECT_EQ(a->central, b->central) << where;
   // Bitwise: both paths must evaluate the winning distance identically.
-  EXPECT_EQ(a->distance, b->distance) << "seed=" << seed;
-  EXPECT_EQ(a->allocation, b->allocation) << "seed=" << seed;
+  EXPECT_EQ(a->distance, b->distance) << where;
+  EXPECT_EQ(a->allocation, b->allocation) << where;
 }
 
-// Reference semantics of Mode::kBestOfAllStarts: argmin of
-// (distance, central index) over every candidate central with free
-// capacity, each filled by the public fill_from_central.
+// Reference semantics of Mode::kBestOfAllStarts: the first node that can
+// host the whole request, reported at distance 0 (lines 9-14 of Algorithm
+// 1, whatever the same-node tier), else the argmin of (distance, central
+// index) over every candidate central with free capacity, each filled by
+// the public fill_from_central.
 std::optional<Placement> reference_best(const Request& r,
                                         const IntMatrix& remaining,
                                         const Topology& topo) {
-  const util::DoubleMatrix& dist = topo.distance_matrix();
+  for (std::size_t x = 0; x < remaining.rows(); ++x) {
+    bool whole = true;
+    for (std::size_t j = 0; j < remaining.cols(); ++j) {
+      whole = whole && remaining(x, j) >= r.count(j);
+    }
+    if (!whole) continue;
+    cluster::Allocation alloc(remaining.rows(), remaining.cols());
+    for (std::size_t j = 0; j < remaining.cols(); ++j) {
+      alloc.at(x, j) = r.count(j);
+    }
+    return Placement{std::move(alloc), x, 0.0};
+  }
   std::optional<Placement> best;
   for (std::size_t x = 0; x < remaining.rows(); ++x) {
     if (remaining.row_sum(x) == 0) continue;
     auto alloc = OnlineHeuristic::fill_from_central(r, remaining, topo, x);
     if (!alloc) continue;
-    const double d = alloc->distance_from(x, dist);
+    const double d = alloc->distance_from(x, topo);
     if (!best || d < best->distance) best = Placement{std::move(*alloc), x, d};
   }
   return best;
+}
+
+bool integral(const DistanceConfig& t) {
+  for (double v : {t.same_node, t.same_rack, t.cross_rack, t.cross_cloud}) {
+    if (v != std::trunc(v)) return false;
+  }
+  return true;
+}
+
+// The rounding slack place() allows between a score and its fill: zero for
+// integral tiers, 2(n + 4)ε relative otherwise.
+double slack(const Topology& topo, double score) {
+  if (integral(topo.distances())) return 0;
+  return 2.0 * static_cast<double>(topo.node_count() + 4) *
+         std::numeric_limits<double>::epsilon() * score;
+}
+
+DistanceConfig tiers(double node, double rack, double cloud, double far) {
+  DistanceConfig t;
+  t.same_node = node;
+  t.same_rack = rack;
+  t.cross_rack = cloud;
+  t.cross_cloud = far;
+  return t;
+}
+
+struct Variant {
+  std::string name;
+  Topology topology;
+};
+
+// Racks of uneven size whose nodes interleave by index, and clouds whose
+// racks interleave too.
+Topology irregular(util::Rng& rng, std::size_t nodes, std::size_t racks,
+                   DistanceConfig t) {
+  std::vector<std::size_t> node_rack(nodes);
+  for (std::size_t& r : node_rack) {
+    r = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(racks) - 1));
+  }
+  std::vector<std::size_t> rack_cloud(racks);
+  for (std::size_t r = 0; r < racks; ++r) rack_cloud[r] = r % 3;
+  return Topology(std::move(node_rack), std::move(rack_cloud), t);
+}
+
+std::vector<Variant> variants(util::Rng& rng) {
+  const DistanceConfig frac = tiers(0.1, 0.7, 1.3, 2.9);
+  return {
+      {"uniform", Topology::uniform(3, 10)},
+      {"multi_cloud", Topology::multi_cloud(2, 3, 5)},
+      {"irregular", irregular(rng, 36, 7, DistanceConfig{})},
+      {"fractional", Topology::multi_cloud(2, 3, 5, frac)},
+      {"fractional_irregular",
+       irregular(rng, 40, 6, tiers(0.05, 0.3, 1.1, 3.7))},
+      {"fractional_zero_node", Topology::uniform(4, 8, tiers(0, 0.3, 0.7, 1.9))},
+  };
+}
+
+// A Fig.-5 inventory after churn: about a fifth of the nodes emptied and a
+// few placements taken out of the rest.
+IntMatrix churned_inventory(const Topology& topo,
+                            const cluster::VmCatalog& catalog,
+                            util::Rng& rng) {
+  IntMatrix remaining = workload::random_inventory(topo, catalog, rng, 0, 4);
+  for (std::size_t i = 0; i < remaining.rows(); ++i) {
+    if (!rng.bernoulli(0.2)) continue;
+    for (std::size_t j = 0; j < remaining.cols(); ++j) remaining(i, j) = 0;
+  }
+  OnlineHeuristic heuristic;
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    const Request r = workload::random_request(catalog, rng, 0, 3, id);
+    if (auto p = heuristic.place(r, remaining, topo)) {
+      remaining -= p->allocation.counts();
+    }
+  }
+  return remaining;
+}
+
+bool admissible(const Request& r, const IntMatrix& remaining) {
+  for (std::size_t j = 0; j < remaining.cols(); ++j) {
+    if (r.count(j) > remaining.col_sum(j)) return false;
+  }
+  return true;
 }
 
 class ParallelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -60,21 +165,14 @@ TEST_P(ParallelEquivalence, SerialAndParallelBitIdentical) {
   const IntMatrix remaining =
       workload::random_inventory(topo, catalog, rng, 0, 4);
 
-  util::ThreadPool pool(4);
-  OnlineHeuristic serial(OnlineHeuristic::Mode::kBestOfAllStarts,
-                         OnlineHeuristic::Execution::kSerial);
-  OnlineHeuristic parallel(OnlineHeuristic::Mode::kBestOfAllStarts,
-                           OnlineHeuristic::Execution::kParallel);
-  parallel.set_thread_pool(&pool);
-
+  OnlineHeuristic heuristic;
   // Several request shapes per seed, including ones too big to admit.
   for (int lo_hi = 0; lo_hi < 4; ++lo_hi) {
     const Request r =
         workload::random_request(catalog, rng, lo_hi, 2 + 3 * lo_hi, 0);
-    const auto ps = serial.place(r, remaining, topo);
-    const auto pp = parallel.place(r, remaining, topo);
-    expect_identical(ps, pp, seed);
-    expect_identical(ps, reference_best(r, remaining, topo), seed);
+    expect_identical(heuristic.place(r, remaining, topo),
+                     reference_best(r, remaining, topo),
+                     "seed=" + std::to_string(seed));
   }
 }
 
@@ -88,55 +186,90 @@ TEST(ParallelPlacement, LargeCloudMultiRackIdentical) {
   const IntMatrix remaining =
       workload::random_inventory(topo, catalog, rng, 0, 3);
 
-  util::ThreadPool pool(7);  // deliberately not a divisor of the node count
-  OnlineHeuristic serial(OnlineHeuristic::Mode::kBestOfAllStarts,
-                         OnlineHeuristic::Execution::kSerial);
-  OnlineHeuristic parallel(OnlineHeuristic::Mode::kBestOfAllStarts,
-                           OnlineHeuristic::Execution::kParallel);
-  parallel.set_thread_pool(&pool);
-
+  OnlineHeuristic heuristic;
   for (std::uint64_t id = 0; id < 10; ++id) {
     const Request r = workload::random_request(catalog, rng, 2, 12, id);
-    const auto ps = serial.place(r, remaining, topo);
-    const auto pp = parallel.place(r, remaining, topo);
-    expect_identical(ps, pp, id);
+    expect_identical(heuristic.place(r, remaining, topo),
+                     reference_best(r, remaining, topo),
+                     "id=" + std::to_string(id));
   }
 }
 
-TEST(ParallelPlacement, AutoExecutionMatchesForcedPaths) {
-  util::Rng rng(77);
-  const Topology topo = Topology::uniform(4, 8);
-  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
-  const IntMatrix remaining =
-      workload::random_inventory(topo, catalog, rng, 0, 4);
-  const Request r = workload::random_request(catalog, rng, 3, 9, 0);
+class ScoredScan : public ::testing::TestWithParam<std::uint64_t> {};
 
-  util::ThreadPool pool(3);
-  OnlineHeuristic auto_exec(OnlineHeuristic::Mode::kBestOfAllStarts,
-                            OnlineHeuristic::Execution::kAuto);
-  auto_exec.set_thread_pool(&pool);
-  OnlineHeuristic serial(OnlineHeuristic::Mode::kBestOfAllStarts,
-                         OnlineHeuristic::Execution::kSerial);
-  expect_identical(auto_exec.place(r, remaining, topo),
-                   serial.place(r, remaining, topo), 77);
+TEST_P(ScoredScan, MatchesReferenceOnEveryTopology) {
+  util::Rng rng(GetParam());
+  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  OnlineHeuristic heuristic;
+  for (const Variant& v : variants(rng)) {
+    const IntMatrix remaining = churned_inventory(v.topology, catalog, rng);
+    for (int lo_hi = 0; lo_hi < 4; ++lo_hi) {
+      const Request r =
+          workload::random_request(catalog, rng, lo_hi, 2 + 3 * lo_hi, 0);
+      expect_identical(heuristic.place(r, remaining, v.topology),
+                       reference_best(r, remaining, v.topology),
+                       v.name + " seed=" + std::to_string(GetParam()));
+    }
+  }
 }
 
-TEST(ParallelPlacement, WorkerlessPoolDegradesToSerial) {
-  util::Rng rng(9);
-  const Topology topo = Topology::uniform(3, 10);
+// The lemma: for every candidate central of an admissible request, the
+// score equals the distance of fill_from_central — bit for bit on integral
+// tiers, within the rounding slack on fractional ones.
+TEST_P(ScoredScan, ScoreEqualsFillDistance) {
+  util::Rng rng(GetParam());
   const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
-  const IntMatrix remaining =
-      workload::random_inventory(topo, catalog, rng, 0, 4);
-  const Request r = workload::random_request(catalog, rng, 2, 8, 0);
+  for (const Variant& v : variants(rng)) {
+    const IntMatrix remaining = churned_inventory(v.topology, catalog, rng);
+    for (int lo_hi = 0; lo_hi < 3; ++lo_hi) {
+      const Request r =
+          workload::random_request(catalog, rng, lo_hi, 2 + 3 * lo_hi, 0);
+      if (!admissible(r, remaining)) continue;
+      for (std::size_t x = 0; x < remaining.rows(); ++x) {
+        if (remaining.row_sum(x) == 0) continue;
+        const auto fill =
+            OnlineHeuristic::fill_from_central(r, remaining, v.topology, x);
+        ASSERT_TRUE(fill.has_value()) << v.name << " central " << x;
+        const double d = fill->distance_from(x, v.topology);
+        const double score =
+            OnlineHeuristic::score_from_central(r, remaining, v.topology, x);
+        EXPECT_LE(std::abs(score - d), slack(v.topology, score))
+            << v.name << " central " << x << " scored " << score
+            << " filled " << d;
+      }
+    }
+  }
+}
 
-  util::ThreadPool pool(1);  // no workers
-  OnlineHeuristic serial(OnlineHeuristic::Mode::kBestOfAllStarts,
-                         OnlineHeuristic::Execution::kSerial);
-  OnlineHeuristic parallel(OnlineHeuristic::Mode::kBestOfAllStarts,
-                           OnlineHeuristic::Execution::kParallel);
-  parallel.set_thread_pool(&pool);
-  expect_identical(serial.place(r, remaining, topo),
-                   parallel.place(r, remaining, topo), 9);
+INSTANTIATE_TEST_SUITE_P(Seeds, ScoredScan,
+                         ::testing::Range<std::uint64_t>(0, 40));
+
+// Two centrals whose fills tie in exact arithmetic: node 3 takes 5 + 1 + 5
+// VMs at 0.1, 0.7 and 1.3, node 5 takes 4 + 3 + 4.  Both fills sum to the
+// same double, but node 5 scores a rounding step below node 3, so an argmin
+// over scores alone would pick node 5.  The lower index must win.
+TEST(ScoredScan, FractionalNearTieLowerIndexWins) {
+  const Topology topo =
+      Topology::multi_cloud(2, 2, 2, tiers(0.1, 0.7, 1.3, 2.9));
+  const IntMatrix remaining{{1}, {4}, {1}, {5}, {3}, {4}, {3}, {1}};
+  const Request r({11});
+  auto fill_distance = [&](std::size_t x) {
+    return OnlineHeuristic::fill_from_central(r, remaining, topo, x)
+        ->distance_from(x, topo);
+  };
+  auto score = [&](std::size_t x) {
+    return OnlineHeuristic::score_from_central(r, remaining, topo, x);
+  };
+  ASSERT_EQ(fill_distance(3), fill_distance(5));
+  ASSERT_LT(score(5), score(3));
+  for (std::size_t x = 0; x < remaining.rows(); ++x) {
+    ASSERT_GE(score(x), score(5)) << "central " << x;
+  }
+
+  const auto best = OnlineHeuristic().place(r, remaining, topo);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->central, 3u);
+  expect_identical(best, reference_best(r, remaining, topo), "near tie");
 }
 
 // Mode semantics (ISSUE 3 satellite): kFirstImprovement stops at the first

@@ -51,9 +51,11 @@ struct ServedRun {
 // Requests arrive at random instants; every third one carries a deadline
 // that can expire before its window closes, and the oldest lease is
 // released whenever more than kLiveLeases are held.
-ServedRun serve(ServiceOptions options, obs::Recorder* recorder) {
+ServedRun serve(ServiceOptions options, obs::Recorder* recorder,
+                cluster::DistanceConfig distances = {}) {
   util::Rng rng(kSeed);
-  const cluster::Topology topology = cluster::Topology::multi_cloud(2, 3, 6);
+  const cluster::Topology topology =
+      cluster::Topology::multi_cloud(2, 3, 6, distances);
   const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
   cluster::Cloud cloud(topology, catalog,
                        workload::random_inventory(topology, catalog, rng, 0, 3));
@@ -174,6 +176,17 @@ TEST(GoldenStream, RebalanceWithRecorder) {
   const ServedRun run = serve(options, &recorder);
   EXPECT_GT(run.stats.rebalance_migrations, 0u);
   expect_golden("rebalance", run);
+}
+
+// Tiers whose products and sums are not exact in double, so distances tie
+// only up to rounding.
+TEST(GoldenStream, FlatFractionalTiers) {
+  cluster::DistanceConfig distances;
+  distances.same_rack = 0.7;
+  distances.cross_rack = 1.3;
+  distances.cross_cloud = 2.9;
+  const ServedRun run = serve(ServiceOptions{}, nullptr, distances);
+  expect_golden("flat_fractional", run);
 }
 
 }  // namespace

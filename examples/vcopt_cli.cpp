@@ -35,7 +35,8 @@
 //       records stream to stdout as NDJSON; --journal writes the write-ahead
 //       journal and --replay re-executes one instead of serving stdin
 //       (see docs/service.md).  --rebalance enables the journaled
-//       drift-repair pass (budgeted live migration between windows).
+//       drift-repair pass (budgeted live migration between windows, planned
+//       off the DC the cloud keeps on each lease; no telemetry needed).
 //
 //   vcopt_cli export [--seed N] [--out cloud.json]
 //       write the generated random cloud as a JSON description that
@@ -456,8 +457,8 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   // --rebalance: the journaled drift-repair pass — budgeted live migration
-  // planned off the recorder's per-lease DC trajectories, written ahead to
-  // the journal so --replay reproduces the exact same moves.
+  // planned off each lease's DC record in the cloud, written ahead to the
+  // journal so --replay reproduces the exact same moves.
   if (flags.count("rebalance")) {
     options.rebalance.enabled = true;
     options.rebalance.period =
@@ -724,7 +725,8 @@ int main(int argc, char** argv) {
                  "         --discipline fifo|priority|smallest-first --policy P\n"
                  "         --journal FILE --grants-out FILE | --replay FILE\n"
                  "         --stats-interval S (SLO snapshot lines on stderr)\n"
-                 "         --rebalance (journaled drift-repair pass; same knobs)\n"
+                 "         --rebalance (journaled drift-repair pass off each lease's\n"
+                 "         DC; same knobs)\n"
                  "  stats: --in telemetry.json (dashboard from --telemetry-out)\n"
                  "  any:   --metrics-out=FILE --trace-out=FILE\n"
                  "         --telemetry-out=FILE --prometheus-out=FILE\n";
@@ -741,10 +743,7 @@ int main(int argc, char** argv) {
       flags.count("prometheus-out")) {
     obs::MetricsRegistry::global().set_enabled(true);
   }
-  if (flags.count("telemetry-out") || flags.count("prometheus-out") ||
-      flags.count("rebalance")) {
-    // The rebalancer plans exclusively off recorded lease DC trajectories,
-    // so --rebalance implies time-series collection.
+  if (flags.count("telemetry-out") || flags.count("prometheus-out")) {
     obs::Recorder::global().set_enabled(true);
     obs::MetricsRegistry::global().set_enabled(true);
   }

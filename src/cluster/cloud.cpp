@@ -67,9 +67,19 @@ LeaseId Cloud::grant(const Request& request, const Allocation& alloc) {
   }
   inventory_.allocate(alloc);  // throws if it does not fit
   const LeaseId id = next_lease_++;
-  leases_.emplace(id, alloc);
+  const CentralNode c = alloc.best_central(topology_);
+  leases_.emplace(id, Lease{alloc, LeaseDc{c.node, c.distance, c.distance}});
   notify_alloc(alloc);
   return id;
+}
+
+void Cloud::refresh_dc(Lease& lease) const {
+  const CentralNode c = lease.alloc.best_central(topology_);
+  lease.dc.central = c.node;
+  lease.dc.last = c.distance;
+  if (!lease.alloc.empty_allocation()) {
+    lease.dc.min = std::min(lease.dc.min, c.distance);
+  }
 }
 
 int Cloud::remaining_at(std::size_t node, std::size_t type) const {
@@ -84,7 +94,7 @@ void Cloud::release(LeaseId id) {
   if (it == leases_.end()) {
     throw std::invalid_argument("Cloud::release: unknown lease");
   }
-  const Allocation alloc = std::move(it->second);
+  const Allocation alloc = std::move(it->second.alloc);
   leases_.erase(it);
   inventory_.release(alloc);
   notify_alloc(alloc);
@@ -94,9 +104,9 @@ std::vector<LeaseId> Cloud::fail_node(std::size_t node) {
   inventory_.fail_node(node);  // bounds-checks `node`
   notify_one(node);
   std::vector<LeaseId> affected;
-  for (const auto& [id, alloc] : leases_) {
-    for (std::size_t j = 0; j < alloc.type_count(); ++j) {
-      if (alloc.at(node, j) > 0) {
+  for (const auto& [id, lease] : leases_) {
+    for (std::size_t j = 0; j < lease.alloc.type_count(); ++j) {
+      if (lease.alloc.at(node, j) > 0) {
         affected.push_back(id);
         break;
       }
@@ -125,16 +135,17 @@ void Cloud::shrink_lease(LeaseId id, const Allocation& lost) {
   if (lost.node_count() != node_count() || lost.type_count() != type_count()) {
     throw std::invalid_argument("Cloud::shrink_lease: shape mismatch");
   }
-  if (!lost.valid() || !it->second.counts().dominates(lost.counts())) {
+  if (!lost.valid() || !it->second.alloc.counts().dominates(lost.counts())) {
     throw std::invalid_argument(
         "Cloud::shrink_lease: lease does not hold the VMs being removed");
   }
   inventory_.release(lost);
   for (std::size_t i = 0; i < lost.node_count(); ++i) {
     for (std::size_t j = 0; j < lost.type_count(); ++j) {
-      if (lost.at(i, j) != 0) it->second.add(i, j, -lost.at(i, j));
+      if (lost.at(i, j) != 0) it->second.alloc.add(i, j, -lost.at(i, j));
     }
   }
+  refresh_dc(it->second);
   notify_alloc(lost);
 }
 
@@ -151,9 +162,10 @@ void Cloud::grow_lease(LeaseId id, const Allocation& extra) {
   inventory_.allocate(extra);  // validates shape and fit
   for (std::size_t i = 0; i < extra.node_count(); ++i) {
     for (std::size_t j = 0; j < extra.type_count(); ++j) {
-      if (extra.at(i, j) != 0) it->second.add(i, j, extra.at(i, j));
+      if (extra.at(i, j) != 0) it->second.alloc.add(i, j, extra.at(i, j));
     }
   }
+  refresh_dc(it->second);
   notify_alloc(extra);
 }
 
@@ -174,7 +186,7 @@ std::uint64_t Cloud::begin_migration(LeaseId lease, std::size_t from,
   // Transient refusals (return 0, caller may retry): the source VM must
   // still exist on a live node, and the destination must offer a free,
   // unreserved slot.
-  if (it->second.at(from, type) <= 0) return 0;
+  if (it->second.alloc.at(from, type) <= 0) return 0;
   if (inventory_.is_failed(from)) return 0;
   if (inventory_.is_failed(to) || inventory_.is_drained(to)) return 0;
   if (inventory_.remaining_at(to, type) - reserved_(to, type) <= 0) return 0;
@@ -195,7 +207,7 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
   auto lease_it = leases_.find(m.lease);
   // Re-validate against the current world; any mismatch rolls back.
   const bool source_alive = lease_it != leases_.end() &&
-                            lease_it->second.at(m.from, m.type) > 0 &&
+                            lease_it->second.alloc.at(m.from, m.type) > 0 &&
                             !inventory_.is_failed(m.from);
   const bool dest_alive =
       !inventory_.is_failed(m.to) && !inventory_.is_drained(m.to);
@@ -203,7 +215,7 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
     rollback_migration(ticket);
     return false;
   }
-  Allocation& alloc = lease_it->second;
+  Allocation& alloc = lease_it->second.alloc;
   const util::IntMatrix before = alloc.counts();
   // Free the reservation first so the inventory move lands in the slot it
   // held (the reservation guaranteed remaining_at(to, type) >= 1).
@@ -220,6 +232,7 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
   alloc.add(m.to, m.type, 1);
   VCOPT_VALIDATE(check::validate_migration_conservation(
       before, alloc.counts(), m.from, m.to, m.type));
+  refresh_dc(lease_it->second);
   notify_pair(m.from, m.to);
   return true;
 }
@@ -239,7 +252,7 @@ void Cloud::rollback_migration(std::uint64_t ticket) {
 std::vector<LeaseId> Cloud::lease_ids() const {
   std::vector<LeaseId> out;
   out.reserve(leases_.size());
-  for (const auto& [id, alloc] : leases_) out.push_back(id);
+  for (const auto& [id, lease] : leases_) out.push_back(id);
   return out;
 }
 
@@ -248,7 +261,15 @@ const Allocation& Cloud::lease_allocation(LeaseId id) const {
   if (it == leases_.end()) {
     throw std::invalid_argument("Cloud::lease_allocation: unknown lease");
   }
-  return it->second;
+  return it->second.alloc;
+}
+
+LeaseDc Cloud::lease_dc(LeaseId id) const {
+  auto it = leases_.find(id);
+  if (it == leases_.end()) {
+    throw std::invalid_argument("Cloud::lease_dc: unknown lease");
+  }
+  return it->second.dc;
 }
 
 std::string Cloud::describe() const {

@@ -19,6 +19,15 @@ namespace vcopt::cluster {
 /// Identifier for a granted virtual cluster (lease).
 using LeaseId = std::uint64_t;
 
+/// Definition 1 of a lease's current allocation, kept on the lease record:
+/// grant sets it; grow_lease, shrink_lease and commit_migration update it.
+struct LeaseDc {
+  std::size_t central = 0;  ///< best central node
+  double last = 0;          ///< DC of the current allocation
+  /// Lowest `last` since the grant; a shrink to zero VMs leaves it as is.
+  double min = 0;
+};
+
 class Cloud;
 
 /// Observer of capacity mutations.  The cell directory registers one so its
@@ -145,7 +154,9 @@ class Cloud {
   bool has_lease(LeaseId id) const { return leases_.count(id) > 0; }
   std::size_t lease_count() const { return leases_.size(); }
   const Allocation& lease_allocation(LeaseId id) const;
-  /// Ids of all live leases, ascending (telemetry sampling / audits).
+  /// The lease's DC record.  Throws on an unknown lease.
+  LeaseDc lease_dc(LeaseId id) const;
+  /// Ids of all live leases, ascending (rebalancer collect step / audits).
   std::vector<LeaseId> lease_ids() const;
 
   std::string describe() const;
@@ -154,6 +165,13 @@ class Cloud {
   void notify_one(std::size_t node);
   void notify_pair(std::size_t a, std::size_t b);
   void notify_alloc(const Allocation& alloc);
+
+  struct Lease {
+    Allocation alloc;
+    LeaseDc dc;
+  };
+  /// Re-evaluates `lease.dc` after its allocation changed.
+  void refresh_dc(Lease& lease) const;
 
   struct PendingMigration {
     LeaseId lease = 0;
@@ -165,7 +183,7 @@ class Cloud {
   Topology topology_;
   VmCatalog catalog_;
   Inventory inventory_;
-  std::map<LeaseId, Allocation> leases_;
+  std::map<LeaseId, Lease> leases_;
   LeaseId next_lease_ = 1;
   /// Destination slots held by in-flight migrations; subtracted from
   /// remaining() so nothing else can claim them mid-copy.

@@ -124,10 +124,19 @@ void Inventory::allocate(const Allocation& alloc) {
   if (alloc.node_count() != node_count() || alloc.type_count() != type_count()) {
     throw std::invalid_argument("Inventory::allocate: shape mismatch");
   }
-  if (!alloc.valid() || !alloc.fits(remaining())) {
-    throw std::invalid_argument("Inventory::allocate: does not fit remaining capacity");
+  // Fit test in place, without building remaining(): a zero entry always
+  // fits, so only the allocation's nonzero entries look at L.
+  const util::IntMatrix& add = alloc.counts();
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    for (std::size_t j = 0; j < type_count(); ++j) {
+      const int v = add(i, j);
+      if (v != 0 && (v < 0 || v > remaining_at(i, j))) {
+        throw std::invalid_argument(
+            "Inventory::allocate: does not fit remaining capacity");
+      }
+    }
   }
-  alloc_ += alloc.counts();
+  alloc_ += add;
   // C + L == M with 0 <= C <= M must hold after every mutation (drains only
   // mask remaining(), so conservation is checked on the unmasked matrices).
   VCOPT_VALIDATE(

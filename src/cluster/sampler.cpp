@@ -9,15 +9,13 @@ namespace vcopt::cluster {
 ClusterSampler::ClusterSampler(const Cloud& cloud, obs::Recorder& recorder,
                                ClusterSamplerOptions options)
     : cloud_(cloud), recorder_(recorder), options_(options) {
-  const std::size_t cap = options_.capacity;
-  if (options_.per_node) {
-    node_load_.reserve(cloud_.node_count());
-    node_free_.reserve(cloud_.node_count());
-    for (std::size_t i = 0; i < cloud_.node_count(); ++i) {
-      const obs::Labels labels{{"node", std::to_string(i)}};
-      node_load_.push_back(&recorder_.series("cluster/node/load", labels, cap));
-      node_free_.push_back(&recorder_.series("cluster/node/free", labels, cap));
-    }
+  constexpr std::size_t cap = 512;  // ring capacity of every series
+  node_load_.reserve(cloud_.node_count());
+  node_free_.reserve(cloud_.node_count());
+  for (std::size_t i = 0; i < cloud_.node_count(); ++i) {
+    const obs::Labels labels{{"node", std::to_string(i)}};
+    node_load_.push_back(&recorder_.series("cluster/node/load", labels, cap));
+    node_free_.push_back(&recorder_.series("cluster/node/free", labels, cap));
   }
   utilization_ = &recorder_.series("cluster/utilization", {}, cap);
   leases_ = &recorder_.series("cluster/leases", {}, cap);
@@ -35,19 +33,17 @@ ClusterSampler::ClusterSampler(const Cloud& cloud, obs::Recorder& recorder,
 void ClusterSampler::sample(double t) {
   if (!recorder_.enabled()) return;
   const Inventory& inv = cloud_.inventory();
-  if (options_.per_node) {
-    const util::IntMatrix& alloc = inv.allocated();
-    const util::IntMatrix remaining = inv.remaining();
-    for (std::size_t i = 0; i < cloud_.node_count(); ++i) {
-      int load = 0;
-      int free = 0;
-      for (std::size_t j = 0; j < cloud_.type_count(); ++j) {
-        load += alloc.at(i, j);
-        free += remaining.at(i, j);
-      }
-      node_load_[i]->record(t, load);
-      node_free_[i]->record(t, free);
+  const util::IntMatrix& alloc = inv.allocated();
+  const util::IntMatrix remaining = inv.remaining();
+  for (std::size_t i = 0; i < cloud_.node_count(); ++i) {
+    int load = 0;
+    int free = 0;
+    for (std::size_t j = 0; j < cloud_.type_count(); ++j) {
+      load += alloc.at(i, j);
+      free += remaining.at(i, j);
     }
+    node_load_[i]->record(t, load);
+    node_free_[i]->record(t, free);
   }
   utilization_->record(t, inv.utilization());
   leases_->record(t, static_cast<double>(cloud_.lease_count()));
@@ -57,25 +53,6 @@ void ClusterSampler::sample(double t) {
   frag_largest_node_->record(t, frag.largest_single_node_request);
   frag_largest_rack_->record(t, frag.largest_single_rack_request);
   frag_free_vms_->record(t, frag.free_vms);
-  if (options_.per_lease) {
-    for (const LeaseId id : cloud_.lease_ids()) {
-      auto it = lease_dc_.find(id);
-      if (it == lease_dc_.end()) {
-        if (lease_dc_.size() >= options_.max_lease_series) {
-          ++untracked_;
-          continue;
-        }
-        const obs::Labels labels{{"lease", std::to_string(id)}};
-        it = lease_dc_
-                 .emplace(id, &recorder_.series("cluster/lease/dc", labels,
-                                                options_.capacity))
-                 .first;
-      }
-      const Allocation& alloc = cloud_.lease_allocation(id);
-      if (alloc.empty_allocation()) continue;  // shrunk-to-zero pending repair
-      it->second->record(t, alloc.best_central(cloud_.topology()).distance);
-    }
-  }
   sampled_once_ = true;
   last_t_ = t;
   ++samples_;

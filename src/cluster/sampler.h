@@ -1,10 +1,11 @@
-// Periodic cluster sampler: records the signals a continuous rebalancer
-// (ROADMAP) watches — per-node VM load and free capacity, free-capacity
-// fragmentation, utilization, lease count and per-lease DC trajectories —
-// into an obs::Recorder as time series over simulated (or service-clock)
-// time.  Wired into sim::ClusterSim and vcopt::service via their options.
+// Periodic cluster sampler: records per-node VM load and free capacity,
+// free-capacity fragmentation, utilization and lease count into an
+// obs::Recorder as time series over simulated (or service-clock) time.
+// Wired into sim::ClusterSim and vcopt::service via their options.  A
+// lease's own DC is not a series: the cloud keeps it on the lease record
+// (cluster::Cloud::lease_dc), where the rebalancer reads it.
 //
-// Series written (labels in braces):
+// Series written (labels in braces), each a ring of 512 points:
 //   cluster/node/load{node=i}        VMs hosted on node i
 //   cluster/node/free{node=i}        free VM slots on node i
 //   cluster/utilization              allocated fraction of total capacity
@@ -14,11 +15,9 @@
 //   cluster/frag/largest_node_request
 //   cluster/frag/largest_rack_request
 //   cluster/frag/free_vms
-//   cluster/lease/dc{lease=id}       DC (Definition 1) of each live lease
 //
-// Series references are cached at construction (per node) and on first
-// sight (per lease), so a sampling tick does no map lookups for node
-// series; when the recorder is disabled a tick is one atomic load.
+// Series references are cached at construction, so a sampling tick does no
+// map lookups; when the recorder is disabled a tick is one atomic load.
 //
 // Thread-compatibility: the sampler itself holds no lock — each owner
 // (sim::ClusterSim single-threaded; vcopt::service under its service mutex,
@@ -29,8 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "cluster/cloud.h"
@@ -41,14 +38,6 @@ namespace vcopt::cluster {
 struct ClusterSamplerOptions {
   /// Minimum time between samples for maybe_sample() (same clock as `t`).
   double period = 1.0;
-  bool per_node = true;   ///< record cluster/node/* series
-  bool per_lease = true;  ///< record cluster/lease/dc series
-  /// Ring capacity for every series this sampler creates.
-  std::size_t capacity = 512;
-  /// Cap on distinct per-lease series, guarding label cardinality in
-  /// long churn runs.  Leases beyond the cap are not tracked (the counter
-  /// `untracked_leases()` says how many were skipped).
-  std::size_t max_lease_series = 128;
 };
 
 class ClusterSampler {
@@ -66,8 +55,6 @@ class ClusterSampler {
   bool maybe_sample(double t);
 
   std::size_t samples_taken() const { return samples_; }
-  std::size_t untracked_leases() const { return untracked_; }
-  const ClusterSamplerOptions& options() const { return options_; }
 
  private:
   const Cloud& cloud_;
@@ -84,12 +71,10 @@ class ClusterSampler {
   obs::TimeSeries* frag_largest_node_;
   obs::TimeSeries* frag_largest_rack_;
   obs::TimeSeries* frag_free_vms_;
-  std::map<LeaseId, obs::TimeSeries*> lease_dc_;
 
   bool sampled_once_ = false;
   double last_t_ = 0;
   std::size_t samples_ = 0;
-  std::size_t untracked_ = 0;
 };
 
 }  // namespace vcopt::cluster

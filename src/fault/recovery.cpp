@@ -247,18 +247,17 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
         p.original, p.lost, fill->counts(), p.failed_nodes,
         /*full_repair=*/true));
     cloud_.grow_lease(lease, *fill);
-    const cluster::CentralNode c =
-        cloud_.lease_allocation(lease).best_central(cloud_.topology());
+    const cluster::LeaseDc dc = cloud_.lease_dc(lease);
     auto tracked = tracked_.find(lease);
     if (tracked != tracked_.end()) {
-      tracked->second.central = c.node;
-      tracked->second.distance = c.distance;
+      tracked->second.central = dc.central;
+      tracked->second.distance = dc.last;
     }
     const int replaced = fill->total_vms();
     m.repaired.add();
     m.vms_replaced.add(static_cast<std::uint64_t>(replaced));
     if (restricted) m.restricted_hits.add(); else m.full_scans.add();
-    finalize(p, placement::PlacementStatus::kRepaired, replaced, c.distance,
+    finalize(p, placement::PlacementStatus::kRepaired, replaced, dc.last,
              restricted);
     return;
   }
@@ -297,21 +296,18 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
           p.original, p.lost, partial.counts(), p.failed_nodes,
           /*full_repair=*/false));
       cloud_.grow_lease(lease, partial);
-      const cluster::CentralNode c =
-          cloud_.lease_allocation(lease).best_central(cloud_.topology());
       const int replaced = partial.total_vms();
       m.partial.add();
       m.vms_replaced.add(static_cast<std::uint64_t>(replaced));
-      finalize(p, placement::PlacementStatus::kPartial, replaced, c.distance,
-               false);
+      finalize(p, placement::PlacementStatus::kPartial, replaced,
+               cloud_.lease_dc(lease).last, false);
       return;
     }
   }
   if (cloud_.lease_allocation(lease).total_vms() > 0) {
-    const cluster::CentralNode c =
-        cloud_.lease_allocation(lease).best_central(cloud_.topology());
     m.degraded.add();
-    finalize(p, placement::PlacementStatus::kDegraded, 0, c.distance, false);
+    finalize(p, placement::PlacementStatus::kDegraded, 0,
+             cloud_.lease_dc(lease).last, false);
     return;
   }
   m.abandoned.add();

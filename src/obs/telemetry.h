@@ -31,7 +31,7 @@ bool write_telemetry_file(const std::string& path,
 
 /// Renders the text dashboard from a telemetry bundle: per-stage service
 /// latency (admit/queue/batch/solve/commit), time-series summaries
-/// (per-node load, per-lease DC, ...) and SLO burn-rate status.  Tolerates
+/// (per-node load, fragmentation, ...) and SLO burn-rate status.  Tolerates
 /// bundles with missing sections (renders what is present).  Throws
 /// std::invalid_argument when `bundle` is not a vcopt-telemetry/1 document.
 void render_stats(const util::Json& bundle, std::ostream& out);

@@ -2,9 +2,10 @@
 // (name, labels), sampled on simulated-time or wall-clock ticks, with
 // windowed summaries (count/min/max/mean/p50/p99) and CSV / JSON /
 // Prometheus export.  This is the history layer the point-in-time
-// MetricsRegistry lacks — the signals a continuous rebalancer (ROADMAP)
-// watches are recorded here: per-node load and free capacity, fragmentation,
-// and per-lease DC trajectories (see cluster::ClusterSampler).
+// MetricsRegistry lacks — cluster telemetry is recorded here: per-node load
+// and free capacity, utilization and fragmentation (see
+// cluster::ClusterSampler).  A lease's own DC is not a series; the cloud
+// keeps it on the lease record (cluster::Cloud::lease_dc).
 //
 // Like the metrics registry, a disabled Recorder makes every record() a
 // single relaxed atomic load, so samplers can stay wired unconditionally;

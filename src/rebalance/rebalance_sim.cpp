@@ -14,8 +14,8 @@ RebalanceSimResult run_rebalance_sim(
   VCOPT_TRACE_SPAN("rebalance/rebalance_sim");
   if (options.fault.recorder == nullptr) {
     throw std::invalid_argument(
-        "run_rebalance_sim: a recorder is required (the rebalancer triggers "
-        "off recorded telemetry)");
+        "run_rebalance_sim: a recorder is required (the rebalancer writes "
+        "its rebalance/* series to it)");
   }
 
   // The rebalancer is created inside the attach hook (the queue only exists

@@ -16,10 +16,9 @@
 namespace vcopt::rebalance {
 
 struct RebalanceSimOptions {
-  /// Underlying fault-sim wiring.  `fault.recorder` is REQUIRED — the
-  /// rebalancer triggers off recorded telemetry, so without a recorder it
-  /// would simply never act (run_rebalance_sim throws instead of running a
-  /// silently inert loop).
+  /// Underlying fault-sim wiring.  `fault.recorder` is REQUIRED: it
+  /// receives the rebalancer's rebalance/* series (run_rebalance_sim throws
+  /// without one).
   fault::FaultSimOptions fault;
   RebalancePolicy policy;
   /// Seed for the rebalancer's retry jitter (independent of the fault

@@ -48,22 +48,18 @@ double migration_duration(const cluster::VmType& type,
 }
 
 std::vector<DriftCandidate> collect_drift(const cluster::Cloud& cloud,
-                                          obs::Recorder& recorder,
                                           const RebalancePolicy& policy,
                                           bool slo_hot) {
   std::vector<DriftCandidate> out;
   for (const cluster::LeaseId id : cloud.lease_ids()) {
     const int vms = cloud.lease_allocation(id).total_vms();
     if (vms <= 0) continue;
-    const obs::Labels labels{{"lease", std::to_string(id)}};
-    const obs::TimeSeries::Summary s =
-        recorder.series("cluster/lease/dc", labels).summarize();
-    if (s.count == 0) continue;  // no telemetry -> never a candidate
-    const double dc_per_vm = s.last / static_cast<double>(vms);
-    const bool drifted = s.last > policy.drift_ratio * s.min + kEps;
+    const cluster::LeaseDc dc = cloud.lease_dc(id);
+    const double dc_per_vm = dc.last / static_cast<double>(vms);
+    const bool drifted = dc.last > policy.drift_ratio * dc.min + kEps;
     const bool hot = slo_hot && dc_per_vm > policy.dc_per_vm_threshold;
     if (!drifted && !hot) continue;
-    out.push_back(DriftCandidate{id, s.last - s.min, dc_per_vm});
+    out.push_back(DriftCandidate{id, dc.last - dc.min, dc_per_vm});
   }
   std::sort(out.begin(), out.end(),
             [](const DriftCandidate& a, const DriftCandidate& b) {
@@ -144,11 +140,7 @@ void Rebalancer::feed_telemetry(double now) {
   for (const cluster::LeaseId id : cloud_.lease_ids()) {
     const int vms = cloud_.lease_allocation(id).total_vms();
     if (vms <= 0) continue;
-    const obs::Labels labels{{"lease", std::to_string(id)}};
-    const obs::TimeSeries::Summary s =
-        recorder_.series("cluster/lease/dc", labels).summarize();
-    if (s.count == 0) continue;
-    sum += s.last / static_cast<double>(vms);
+    sum += cloud_.lease_dc(id).last / static_cast<double>(vms);
     ++n;
   }
   if (n == 0) return;
@@ -178,7 +170,7 @@ void Rebalancer::tick() {
 
   const bool slo_hot = slo_ != nullptr && slo_->any_alerting(now);
   std::vector<DriftCandidate> candidates =
-      collect_drift(cloud_, recorder_, policy_, slo_hot);
+      collect_drift(cloud_, policy_, slo_hot);
   // Rate-limit rails: leases with an in-flight move or inside their
   // cooldown window are left alone this round.
   candidates.erase(

@@ -1,26 +1,26 @@
 // vcopt::rebalance — the continuous self-healing rebalancer the ROADMAP
-// names: a background actor that closes the loop from telemetry to live VM
-// migration.  The shape follows the collect -> decide -> migrate cycle of
-// dynamic VM schedulers:
+// names: a background actor that closes the loop from lease distance to
+// live VM migration.  The shape follows the collect -> decide -> migrate
+// cycle of dynamic VM schedulers:
 //
-//     obs::Recorder (cluster/lease/dc trajectories, written by
-//     cluster::ClusterSampler)                      --- collect ---.
+//     cluster::Cloud::lease_dc (each live lease's current
+//     and lowest DC, kept on the lease record)      --- collect ---.
 //                                                                  v
-//     drift detection (trajectory ratio + SloTracker          [ decide ]
+//     drift detection (last/min ratio + SloTracker            [ decide ]
 //     objective on DC-per-VM)                                      |
 //                                                                  v
 //     placement::consolidate_budgeted (Theorem-2 moves       [ migrate ]
 //     charged a data-movement cost)                                |
 //                                                                  v
 //     cluster::Cloud::begin/commit/rollback_migration  (two-phase, with
-//     conservation checks) ... back into the sampler's next sample.
+//     conservation checks) ... which updates the lease's DC record.
 //
-// The collect step reads ONLY recorded telemetry — the rebalancer never
-// re-scans the cloud to find drift, so its trigger behaviour is exactly
-// what an operator sees on the dashboard.  The decide step treats each
-// migration as an economic decision: a move is planned only when its DC
-// gain exceeds a data-movement cost modeled from the VM's memory size and
-// the lease's shuffle traffic (VM count as proxy).
+// The collect step reads the DC record the cloud keeps for every live
+// lease, so a decision depends on the allocations alone: not on lease
+// ordinal, sample period, or whether a recorder is attached.  The decide
+// step treats each migration as an economic decision: a move is planned
+// only when its DC gain exceeds a data-movement cost modeled from the VM's
+// memory size and the lease's shuffle traffic (VM count as proxy).
 //
 // Robustness rails (the headline):
 //   * two-phase reserve -> move -> commit per migration, rolled back when a
@@ -83,7 +83,7 @@ struct RebalancePolicy {
   double tick_period = 10.0;          ///< seconds between rounds
   std::size_t max_moves_per_round = 4;  ///< migration budget per round
   double lease_cooldown = 20.0;       ///< seconds a migrated lease is left alone
-  /// A lease has drifted when its recorded DC trajectory satisfies
+  /// A lease has drifted when its DC record satisfies
   /// last > drift_ratio * min (the lease has been measurably tighter).
   double drift_ratio = 1.10;
   double min_net_gain = 1e-6;         ///< accept moves with gain - cost above this
@@ -101,7 +101,7 @@ struct RebalancePolicy {
   int disable_after_bad_rounds = 8;
   // SLO objective on mean DC-per-VM, declared as "rebalance/dc_per_vm":
   // while it alerts, leases whose DC-per-VM exceeds the threshold are
-  // candidates even when their own trajectory ratio looks flat (a cluster
+  // candidates even when their own last/min ratio looks flat (a cluster
   // placed badly from the start has no "tighter past" to drift from).
   double dc_per_vm_threshold = 4.0;
   double dc_per_vm_objective = 0.25;
@@ -148,7 +148,7 @@ struct RoundRecord {
 /// A drifted lease the collect step surfaced.
 struct DriftCandidate {
   cluster::LeaseId lease = 0;
-  double drift = 0;          ///< last - min of the recorded DC trajectory
+  double drift = 0;          ///< last - min of the lease's DC record
   double dc_per_vm = 0;      ///< last DC divided by current VM count
 };
 
@@ -161,14 +161,11 @@ struct PlannedMove {
 };
 
 /// Collect step, reusable without a Rebalancer (the service's inline
-/// rebalance pass shares it): scans the recorded `cluster/lease/dc` series
-/// of every live lease and returns the drifted ones, ordered by drift
-/// descending (ties by lease id).  `slo_hot` widens the net to leases whose
-/// DC-per-VM exceeds `policy.dc_per_vm_threshold`.  Leases without recorded
-/// telemetry are never candidates — the collect step reads the dashboard,
-/// it does not re-scan the cloud.
+/// rebalance pass shares it): reads the DC record (Cloud::lease_dc) of
+/// every live lease holding VMs and returns the drifted ones, ordered by
+/// drift descending (ties by lease id).  `slo_hot` widens the net to leases
+/// whose DC-per-VM exceeds `policy.dc_per_vm_threshold`.
 std::vector<DriftCandidate> collect_drift(const cluster::Cloud& cloud,
-                                          obs::Recorder& recorder,
                                           const RebalancePolicy& policy,
                                           bool slo_hot);
 
@@ -187,11 +184,10 @@ std::vector<PlannedMove> plan_moves(const cluster::Cloud& cloud,
 /// under its own lock instead).
 class Rebalancer {
  public:
-  /// `recorder` is the telemetry the collect step reads (must be enabled to
-  /// ever find drift) and receives the rebalance/* series this writes.  The
-  /// optional `slo` gains a "rebalance/dc_per_vm" objective (declared on
-  /// first use) fed once per tick.  All references must outlive the
-  /// rebalancer.
+  /// `recorder` receives the rebalance/* series this writes.  The optional
+  /// `slo` gains a "rebalance/dc_per_vm" objective (declared on first use)
+  /// fed once per tick with the mean DC per VM over every live lease.  All
+  /// references must outlive the rebalancer.
   Rebalancer(cluster::Cloud& cloud, sim::EventQueue& queue,
              obs::Recorder& recorder, RebalancePolicy policy = {},
              std::uint64_t seed = 1, obs::SloTracker* slo = nullptr);

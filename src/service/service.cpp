@@ -787,7 +787,7 @@ void PlacementService::publish_outcomes_locked(std::size_t shed_count,
 
 void PlacementService::maybe_rebalance_locked(double t) {
   const ServiceRebalanceOptions& ro = options_.rebalance;
-  if (!ro.enabled || options_.recorder == nullptr) return;
+  if (!ro.enabled) return;
   if (t < last_rebalance_ + ro.period) return;
   last_rebalance_ = t;
 
@@ -800,8 +800,7 @@ void PlacementService::maybe_rebalance_locked(double t) {
   rp.cost.shuffle_cost_factor = ro.shuffle_cost_factor;
 
   std::vector<rebalance::DriftCandidate> candidates =
-      rebalance::collect_drift(cloud_, *options_.recorder, rp,
-                               /*slo_hot=*/false);
+      rebalance::collect_drift(cloud_, rp, /*slo_hot=*/false);
   candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
                                   [&](const rebalance::DriftCandidate& c) {
                                     const auto it =

@@ -188,13 +188,13 @@ struct ServiceSloOptions {
 };
 
 /// Opt-in drift-repair pass (docs/robustness.md): between decide windows
-/// the service runs a budgeted rebalance — collect drifted leases from
-/// recorded telemetry, plan Theorem-2 moves whose DC gain beats their
-/// data-movement cost, apply them through the cloud's two-phase migration
-/// primitive.  Every pass is journaled write-ahead (a "rebalance" record
-/// listing the exact moves), so replay reproduces the capacity evolution
-/// byte-identically.  Requires ServiceOptions::recorder — without one the
-/// pass has no telemetry to read and stays inert.
+/// the service runs a budgeted rebalance — collect drifted leases from the
+/// DC record the cloud keeps on every lease (Cloud::lease_dc), plan
+/// Theorem-2 moves whose DC gain beats their data-movement cost, apply them
+/// through the cloud's two-phase migration primitive.  Every pass is
+/// journaled write-ahead (a "rebalance" record listing the exact moves), so
+/// replay reproduces the capacity evolution byte-identically.  The pass
+/// reads no telemetry: it acts the same with or without a recorder.
 struct ServiceRebalanceOptions {
   bool enabled = false;
   double period = 5.0;        ///< min service-clock seconds between passes
@@ -222,9 +222,10 @@ struct ServiceOptions {
   std::ostream* journal = nullptr;  ///< NDJSON sink; null = no journal
   ServiceSloOptions slo;  ///< objectives for the per-service SloTracker
   /// Optional time-series recorder: when set, a cluster::ClusterSampler
-  /// records per-node load/free, fragmentation and per-lease DC on every
-  /// window close and release (at most once per `sample_period` service
-  /// seconds).  Must outlive the service.
+  /// records per-node load/free, utilization, lease count and fragmentation
+  /// on every window close and release (at most once per `sample_period`
+  /// service seconds).  Telemetry only; no decision reads it.  Must outlive
+  /// the service.
   obs::Recorder* recorder = nullptr;
   double sample_period = 1.0;
   /// Opt-in, journaled drift-repair between decide windows (see above).

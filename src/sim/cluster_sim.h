@@ -54,7 +54,7 @@ struct ClusterSimOptions {
   /// Wait-queue service order for one-by-one draining.
   placement::QueueDiscipline discipline = placement::QueueDiscipline::kFifo;
   /// Optional time-series recorder: when set, a cluster::ClusterSampler
-  /// records per-node load/free, fragmentation and per-lease DC at event
+  /// records per-node load/free, utilization and fragmentation at event
   /// instants (at most once per `sample_period` simulated seconds).
   obs::Recorder* recorder = nullptr;
   double sample_period = 1.0;

@@ -1,11 +1,8 @@
-// ClusterSampler: per-node load/free series, fragmentation and per-lease DC
-// trajectories, the maybe_sample period gate, the lease-cardinality cap and
-// the disabled-recorder fast path.
+// ClusterSampler: per-node load/free series, fragmentation, the
+// maybe_sample period gate and the disabled-recorder fast path.
 #include "cluster/sampler.h"
 
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "cluster/cloud.h"
 #include "obs/timeseries.h"
@@ -51,28 +48,6 @@ TEST(ClusterSampler, RecordsPerNodeLoadAndFree) {
               1e-12);
 }
 
-TEST(ClusterSampler, RecordsPerLeaseDcTrajectory) {
-  Cloud cloud = make_cloud();
-  obs::Recorder rec;
-  rec.set_enabled(true);
-  ClusterSampler sampler(cloud, rec);
-  const LeaseId lease = grant_spanning_lease(cloud);
-  sampler.sample(0.0);
-  sampler.sample(1.0);
-
-  obs::TimeSeries& dc =
-      rec.series("cluster/lease/dc", {{"lease", std::to_string(lease)}});
-  ASSERT_EQ(dc.size(), 2u);
-  // Cross-rack pair in a uniform 2x2 topology: distance 2 from the central
-  // node to the other rack's VM.
-  EXPECT_GT(dc.summarize().last, 0);
-
-  // Released leases stop being sampled; the trajectory is retained.
-  cloud.release(lease);
-  sampler.sample(2.0);
-  EXPECT_EQ(dc.size(), 2u);
-}
-
 TEST(ClusterSampler, FragmentationSeriesArePresent) {
   Cloud cloud = make_cloud();
   obs::Recorder rec;
@@ -109,46 +84,6 @@ TEST(ClusterSampler, DisabledRecorderMakesSamplingANoOp) {
   sampler.sample(0.0);
   EXPECT_EQ(rec.series("cluster/utilization").summarize().count, 0u);
   EXPECT_EQ(sampler.samples_taken(), 0u);
-}
-
-TEST(ClusterSampler, PerNodeAndPerLeaseCanBeTurnedOff) {
-  Cloud cloud = make_cloud();
-  obs::Recorder rec;
-  rec.set_enabled(true);
-  ClusterSamplerOptions opt;
-  opt.per_node = false;
-  opt.per_lease = false;
-  ClusterSampler sampler(cloud, rec, opt);
-  grant_spanning_lease(cloud);
-  sampler.sample(0.0);
-  EXPECT_EQ(rec.series("cluster/node/load", {{"node", "0"}}).size(), 0u);
-  EXPECT_EQ(rec.series("cluster/utilization").size(), 1u);
-}
-
-TEST(ClusterSampler, LeaseSeriesCardinalityIsCapped) {
-  Cloud cloud = make_cloud();
-  obs::Recorder rec;
-  rec.set_enabled(true);
-  ClusterSamplerOptions opt;
-  opt.max_lease_series = 2;
-  ClusterSampler sampler(cloud, rec, opt);
-  // Three concurrent single-VM leases on distinct nodes.
-  for (int n = 0; n < 3; ++n) {
-    Request r({1, 0, 0});
-    Allocation a(4, 3);
-    a.at(static_cast<std::size_t>(n), 0) = 1;
-    cloud.grant(r, a);
-  }
-  sampler.sample(0.0);
-  EXPECT_EQ(sampler.untracked_leases(), 1u);
-  std::size_t lease_series = 0;
-  for (const LeaseId id : cloud.lease_ids()) {
-    if (rec.series("cluster/lease/dc", {{"lease", std::to_string(id)}})
-            .size() > 0) {
-      ++lease_series;
-    }
-  }
-  EXPECT_EQ(lease_series, 2u);
 }
 
 }  // namespace

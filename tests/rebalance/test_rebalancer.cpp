@@ -1,11 +1,13 @@
-// The self-healing rebalancer: drift collection off recorded telemetry,
+// The self-healing rebalancer: drift collection off each lease's DC record,
 // budgeted economic planning, two-phase migration with rollback + capped
 // retry, the per-round degradation ladder, cooldown/budget rate limits and
-// the disable/reset rail.
+// the disable/reset rail.  Drift comes from real allocation history: a
+// lease is granted tight and a committed migration loosens it.
 #include "rebalance/rebalancer.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "cluster/cloud.h"
@@ -29,7 +31,8 @@ Cloud make_cloud() {
 
 // 2 VMs of type 0 on node 0 + 1 stranded cross-rack on node 2: DC = 2,
 // and node 1 (same rack as the central) has free slots, so one Theorem-1
-// move with gain 1.0 tightens it.
+// move with gain 1.0 tightens it.  Loose from the grant on, so its DC
+// record is flat: min == last == 2.
 LeaseId stranded_lease(Cloud& cloud) {
   Request r({3, 0, 0});
   Allocation a(4, 3);
@@ -38,22 +41,31 @@ LeaseId stranded_lease(Cloud& cloud) {
   return cloud.grant(r, a);
 }
 
-// Records a drifted DC trajectory for `lease`: tight past (min 1.0),
-// loose present (last 2.0) — well past the default 1.10 drift ratio.
-void record_drift(obs::Recorder& rec, LeaseId lease) {
-  obs::TimeSeries& s = rec.series("cluster/lease/dc",
-                                  {{"lease", std::to_string(lease)}});
-  s.record(0.0, 1.0);
-  s.record(1.0, 2.0);
+// Moves one VM of `type` of lease `id` from node `from` to node `to`.
+void migrate(Cloud& cloud, LeaseId id, std::size_t from, std::size_t to,
+             std::size_t type) {
+  ASSERT_TRUE(cloud.commit_migration(cloud.begin_migration(id, from, to, type)));
+}
+
+// The stranded lease with a tighter past: granted with its third VM on
+// node 1 (DC 1), then migrated across racks to node 2.  Its DC record reads
+// min 1.0, last 2.0 — well past the default 1.10 drift ratio.
+LeaseId drifted_lease(Cloud& cloud) {
+  Request r({3, 0, 0});
+  Allocation a(4, 3);
+  a.at(0, 0) = 2;
+  a.at(1, 0) = 1;
+  const LeaseId id = cloud.grant(r, a);
+  migrate(cloud, id, 1, 2, 0);
+  return id;
 }
 
 TEST(Rebalancer, MigratesDriftedLeaseBackTogether) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  const LeaseId id = drifted_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, id);
 
   Rebalancer reb(cloud, queue, recorder);
   reb.tick();
@@ -72,6 +84,7 @@ TEST(Rebalancer, MigratesDriftedLeaseBackTogether) {
   // The VM actually moved.
   EXPECT_EQ(cloud.lease_allocation(id).counts()(1, 0), 1);
   EXPECT_EQ(cloud.lease_allocation(id).counts()(2, 0), 0);
+  EXPECT_DOUBLE_EQ(cloud.lease_dc(id).last, 1.0);
 
   ASSERT_EQ(reb.rounds().size(), 1u);
   const RoundRecord& r = reb.rounds()[0];
@@ -85,9 +98,9 @@ TEST(Rebalancer, MigratesDriftedLeaseBackTogether) {
   EXPECT_GT(recorder.series("rebalance/round_net_gain").summarize().count, 0u);
 }
 
-TEST(Rebalancer, NeverActsWithoutRecordedTelemetry) {
+TEST(Rebalancer, FlatTrajectoryIsNotDrift) {
   Cloud cloud = make_cloud();
-  stranded_lease(cloud);  // badly placed, but nothing recorded about it
+  stranded_lease(cloud);  // loose but stable: last == min (and no SLO wired)
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
@@ -101,31 +114,12 @@ TEST(Rebalancer, NeverActsWithoutRecordedTelemetry) {
   EXPECT_EQ(reb.rounds()[0].candidates, 0u);
 }
 
-TEST(Rebalancer, FlatTrajectoryIsNotDrift) {
-  Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
-  sim::EventQueue queue;
-  obs::Recorder recorder;
-  recorder.set_enabled(true);
-  // Loose but stable: last == min, so no drift (and no SLO wired).
-  obs::TimeSeries& s = recorder.series("cluster/lease/dc",
-                                       {{"lease", std::to_string(id)}});
-  s.record(0.0, 2.0);
-  s.record(1.0, 2.0);
-
-  Rebalancer reb(cloud, queue, recorder);
-  reb.tick();
-  queue.run();
-  EXPECT_TRUE(reb.migrations().empty());
-}
-
 TEST(Rebalancer, HealthGateDefersWhileNodesAreDown) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  drifted_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, id);
   cloud.fail_node(3);  // unrelated node, but the cluster is unhealthy
 
   Rebalancer reb(cloud, queue, recorder);
@@ -144,11 +138,10 @@ TEST(Rebalancer, HealthGateDefersWhileNodesAreDown) {
 
 TEST(Rebalancer, DisablesAfterConsecutiveBadRoundsAndResetsBack) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  drifted_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, id);
   cloud.fail_node(3);
 
   RebalancePolicy policy;
@@ -174,18 +167,29 @@ TEST(Rebalancer, DisablesAfterConsecutiveBadRoundsAndResetsBack) {
 
 TEST(Rebalancer, CooldownLeavesAJustMigratedLeaseAlone) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  // Four VMs granted on nodes 0 and 1 (DC 2), then two stranded across
+  // racks on nodes 2 and 3 (DC 4).
+  Request r({4, 0, 0});
+  Allocation a(4, 3);
+  a.at(0, 0) = 2;
+  a.at(1, 0) = 2;
+  const LeaseId id = cloud.grant(r, a);
+  migrate(cloud, id, 1, 2, 0);
+  migrate(cloud, id, 1, 3, 0);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, id);
 
-  Rebalancer reb(cloud, queue, recorder);
+  RebalancePolicy policy;
+  policy.max_moves_per_round = 1;
+  Rebalancer reb(cloud, queue, recorder, policy);
   reb.tick();
   queue.run();
   ASSERT_EQ(reb.migrations().size(), 1u);
-  // Telemetry still shows drift (the sampler has not caught up), but the
-  // lease is inside its cooldown window: the next round skips it.
+  // One stranded VM is back (DC 3, min 2): the lease is still drifted, but
+  // it is inside its cooldown window, so the next round skips it.
+  const cluster::LeaseDc dc = cloud.lease_dc(id);
+  EXPECT_GT(dc.last, policy.drift_ratio * dc.min);
   reb.tick();
   queue.run();
   EXPECT_EQ(reb.migrations().size(), 1u);
@@ -195,18 +199,18 @@ TEST(Rebalancer, CooldownLeavesAJustMigratedLeaseAlone) {
 
 TEST(Rebalancer, PerRoundBudgetCapsConcurrentMoves) {
   Cloud cloud = make_cloud();
-  const LeaseId a = stranded_lease(cloud);
-  // Second drifted lease of a different type, also stranded cross-rack.
+  drifted_lease(cloud);
+  // Second drifted lease of a different type: granted within rack 0, then
+  // stranded cross-rack on node 3.
   Request r({0, 2, 0});
   Allocation al(4, 3);
   al.at(0, 1) = 1;
-  al.at(3, 1) = 1;
+  al.at(1, 1) = 1;
   const LeaseId b = cloud.grant(r, al);
+  migrate(cloud, b, 1, 3, 1);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, a);
-  record_drift(recorder, b);
 
   RebalancePolicy policy;
   policy.max_moves_per_round = 1;
@@ -214,16 +218,16 @@ TEST(Rebalancer, PerRoundBudgetCapsConcurrentMoves) {
   reb.tick();
   queue.run();
   EXPECT_EQ(reb.migrations().size(), 1u);
+  EXPECT_EQ(reb.rounds()[0].candidates, 2u);
   EXPECT_EQ(reb.rounds()[0].planned, 1u);
 }
 
 TEST(Rebalancer, MidCopyNodeFailureRollsBackThenRetriesToExhaustion) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  const LeaseId id = drifted_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, id);
 
   RebalancePolicy policy;
   policy.max_retries = 2;
@@ -250,11 +254,10 @@ TEST(Rebalancer, MidCopyNodeFailureRollsBackThenRetriesToExhaustion) {
 
 TEST(Rebalancer, LeaseReleasedMidRetryEndsTheChainCleanly) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  const LeaseId id = drifted_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  record_drift(recorder, id);
 
   Rebalancer reb(cloud, queue, recorder);
   reb.tick();
@@ -268,16 +271,12 @@ TEST(Rebalancer, LeaseReleasedMidRetryEndsTheChainCleanly) {
 
 TEST(Rebalancer, SloObjectiveWidensTheNetToFlatButLooseLeases) {
   Cloud cloud = make_cloud();
-  const LeaseId id = stranded_lease(cloud);
+  stranded_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  // Flat trajectory — no drift signal — but DC-per-VM is 2/3 per VM with
+  // Flat DC record — no drift signal — but DC-per-VM is 2/3 per VM with
   // the whole lease loose from day one.
-  obs::TimeSeries& s = recorder.series("cluster/lease/dc",
-                                       {{"lease", std::to_string(id)}});
-  s.record(0.0, 2.0);
-  s.record(1.0, 2.0);
 
   RebalancePolicy policy;
   policy.dc_per_vm_threshold = 0.5;  // 2/3 VMs = 0.667 per VM: too loose
@@ -298,11 +297,10 @@ TEST(Rebalancer, SloObjectiveWidensTheNetToFlatButLooseLeases) {
 TEST(Rebalancer, ArmedTickerReplaysByteIdenticalTranscripts) {
   const auto run = [] {
     Cloud cloud = make_cloud();
-    const LeaseId id = stranded_lease(cloud);
+    drifted_lease(cloud);
     sim::EventQueue queue;
     obs::Recorder recorder;
     recorder.set_enabled(true);
-    record_drift(recorder, id);
     RebalancePolicy policy;
     policy.tick_period = 5.0;
     Rebalancer reb(cloud, queue, recorder, policy, /*seed=*/7);

@@ -1,8 +1,10 @@
 // The service's opt-in drift-repair pass: journaled write-ahead rebalance
-// records, byte-identical replay of a rebalancing run, and the gating rails
-// (disabled by default, recorder required, cooldowns respected).
+// records, byte-identical replay of a rebalancing run, decisions that see
+// every lease whatever the recorder does, and the gating rails (disabled by
+// default, period respected).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,17 +34,18 @@ struct RunResult {
   ServiceStats stats;
 };
 
-// Churn driver: three rounds of submits, releasing the previous round's
-// leases first, with the clock advanced between rounds so the sampler
-// records lease DC trajectories and the rebalance period elapses.
+// Churn driver: `rounds` rounds of submits, releasing the previous round's
+// leases first, with the clock advanced between rounds so the rebalance
+// period elapses.  `recorder` may be null.
 RunResult run_churn(const workload::SimScenario& scenario,
-                    ServiceOptions options, obs::Recorder& recorder) {
+                    ServiceOptions options, obs::Recorder* recorder,
+                    int rounds = 3) {
   Cloud cloud = scenario_cloud(scenario);
   std::ostringstream journal;
   options.clock = ClockMode::kVirtual;
   options.journal = &journal;
   options.queue_capacity = 4096;
-  options.recorder = &recorder;
+  options.recorder = recorder;
   options.sample_period = 0.5;
   RunResult result;
   {
@@ -51,7 +54,7 @@ RunResult run_churn(const workload::SimScenario& scenario,
     std::vector<cluster::LeaseId> held;
     double t = 0;
     std::uint64_t id = 1;
-    for (int round = 0; round < 3; ++round) {
+    for (int round = 0; round < rounds; ++round) {
       for (const auto& r : scenario.requests) {
         svc.submit(Request(r.counts(), id));
         ++id;
@@ -86,8 +89,8 @@ ServiceOptions rebalance_options() {
   options.rebalance.enabled = true;
   options.rebalance.period = 1.0;
   options.rebalance.max_moves = 4;
-  // Any recorded lease is a candidate: churn leaves loose placements whose
-  // DC trajectory never had a "tighter past" to drift from.
+  // Any lease with DC > 0 is a candidate: churn leaves loose placements
+  // that never had a "tighter past" to drift from.
   options.rebalance.drift_ratio = 0.0;
   options.rebalance.lease_cooldown = 1.0;
   options.rebalance.cost_per_gb = 1e-4;
@@ -95,14 +98,14 @@ ServiceOptions rebalance_options() {
   return options;
 }
 
-TEST(ServiceRebalance, DisabledByDefaultAndInertWithoutRecorder) {
+TEST(ServiceRebalance, DisabledByDefault) {
   const auto scenario = workload::paper_sim_scenario(3);
   obs::Recorder recorder;
   recorder.set_enabled(true);
   // Default options: pass disabled even with a recorder wired.
   ServiceOptions off;
   off.max_batch = 4;
-  const RunResult a = run_churn(scenario, off, recorder);
+  const RunResult a = run_churn(scenario, off, &recorder);
   EXPECT_EQ(a.stats.rebalance_passes, 0u);
   EXPECT_EQ(a.stats.rebalance_migrations, 0u);
   EXPECT_EQ(a.journal.find("\"rebalance\""), std::string::npos);
@@ -112,7 +115,7 @@ TEST(ServiceRebalance, ChurnTriggersJournaledMigrations) {
   const auto scenario = workload::paper_sim_scenario(7);
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  const RunResult live = run_churn(scenario, rebalance_options(), recorder);
+  const RunResult live = run_churn(scenario, rebalance_options(), &recorder);
   EXPECT_GT(live.stats.rebalance_migrations, 0u) << "churn never drifted";
   EXPECT_GT(live.stats.rebalance_passes, 0u);
   EXPECT_NE(live.journal.find("\"type\":\"rebalance\""), std::string::npos);
@@ -134,7 +137,7 @@ TEST(ServiceRebalance, JournalReplaysByteIdentically) {
   obs::Recorder recorder;
   recorder.set_enabled(true);
   const ServiceOptions options = rebalance_options();
-  const RunResult live = run_churn(scenario, options, recorder);
+  const RunResult live = run_churn(scenario, options, &recorder);
   ASSERT_GT(live.stats.rebalance_migrations, 0u);
 
   // Replay has no recorder and no drift detector: the journaled moves alone
@@ -155,9 +158,63 @@ TEST(ServiceRebalance, PeriodGatesBackToBackPasses) {
   recorder.set_enabled(true);
   ServiceOptions slow = rebalance_options();
   slow.rebalance.period = 1e9;  // one pass per geological era
-  const RunResult r = run_churn(scenario, slow, recorder);
+  const RunResult r = run_churn(scenario, slow, &recorder);
   // The gate admits at most the very first eligible pass.
   EXPECT_LE(r.stats.rebalance_passes, 1u);
+}
+
+// Sixty rounds of the six-request scenario grant 360 leases, most of them
+// after the 128th; the pass must keep moving those too.
+constexpr int kLongChurnRounds = 60;
+
+// Journaled moves of every rebalance record, in journal order.
+std::vector<RebalanceMove> journaled_moves(const std::string& journal) {
+  std::istringstream in(journal);
+  std::vector<RebalanceMove> moves;
+  for (const JournalRecord& rec : parse_journal(in, "live")) {
+    if (rec.type != RecordType::kRebalance) continue;
+    moves.insert(moves.end(), rec.moves.begin(), rec.moves.end());
+  }
+  return moves;
+}
+
+TEST(ServiceRebalance, MovesLeasesBeyondThe128th) {
+  const auto scenario = workload::paper_sim_scenario(7);
+  obs::Recorder recorder;
+  recorder.set_enabled(true);
+  const RunResult live =
+      run_churn(scenario, rebalance_options(), &recorder, kLongChurnRounds);
+  const std::vector<RebalanceMove> moves = journaled_moves(live.journal);
+  ASSERT_FALSE(moves.empty());
+  const auto late = std::count_if(
+      moves.begin(), moves.end(),
+      [](const RebalanceMove& m) { return m.lease > 128; });
+  EXPECT_GT(late, 0) << "no journaled move names a lease above 128 (of "
+                     << moves.size() << " moves)";
+}
+
+TEST(ServiceRebalance, SameMovesWithADisabledRecorderOrNone) {
+  const auto scenario = workload::paper_sim_scenario(7);
+  obs::Recorder enabled;
+  enabled.set_enabled(true);
+  obs::Recorder disabled;
+  const ServiceOptions options = rebalance_options();
+  const RunResult on =
+      run_churn(scenario, options, &enabled, kLongChurnRounds);
+  const RunResult off =
+      run_churn(scenario, options, &disabled, kLongChurnRounds);
+  const RunResult none =
+      run_churn(scenario, options, nullptr, kLongChurnRounds);
+  ASSERT_GT(on.stats.rebalance_migrations, 0u);
+  const std::size_t on_moves = journaled_moves(on.journal).size();
+  EXPECT_TRUE(off.journal == on.journal)
+      << journaled_moves(off.journal).size()
+      << " moves with a disabled recorder, " << on_moves << " enabled";
+  EXPECT_TRUE(off.grants == on.grants);
+  EXPECT_TRUE(none.journal == on.journal)
+      << journaled_moves(none.journal).size() << " moves without a recorder, "
+      << on_moves << " with one";
+  EXPECT_TRUE(none.grants == on.grants);
 }
 
 }  // namespace

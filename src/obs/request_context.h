@@ -49,14 +49,18 @@ inline std::uint64_t derive_trace_id(std::uint64_t seq,
   return derive_trace_id(seq, hash_string64(request_id));
 }
 
-/// 16-hex-digit lowercase rendering, the form journals and grants carry.
+/// Appends the 16-hex-digit lowercase rendering of `v`, the form journals
+/// and grants carry for trace ids and line checksums.
+inline void append_hex16(std::string& out, std::uint64_t v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) out += kHex[(v >> shift) & 0xF];
+}
+
+/// 16-hex-digit lowercase rendering of a trace id.
 inline std::string trace_id_hex(std::uint64_t id) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[id & 0xF];
-    id >>= 4;
-  }
+  std::string out;
+  out.reserve(16);
+  append_hex16(out, id);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "obs/slo.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace vcopt::obs {
@@ -13,10 +14,17 @@ void SloTracker::declare(const SloSpec& spec) {
     throw std::invalid_argument("SloTracker::declare: objective must be in (0,1]: " +
                                 spec.name);
   }
-  if (spec.short_window <= 0 || spec.long_window < spec.short_window) {
+  if (!(spec.short_window > 0) || !std::isfinite(spec.long_window) ||
+      spec.long_window < spec.short_window) {
     throw std::invalid_argument(
-        "SloTracker::declare: need 0 < short_window <= long_window: " +
+        "SloTracker::declare: need 0 < short_window <= long_window < inf: " +
         spec.name);
+  }
+  if (spec.long_window / spec.short_window > 0x1p25) {
+    // Keeps a long window's slice span (and so its window starts) in range.
+    throw std::invalid_argument(
+        "SloTracker::declare: long_window may span at most 2^25 short "
+        "windows: " + spec.name);
   }
   util::MutexLock lock(mu_);
   auto it = slos_.find(spec.name);
@@ -39,42 +47,77 @@ std::vector<std::string> SloTracker::names() const {
   return out;
 }
 
-void SloTracker::record_event(const std::string& name, double t, bool good) {
-  util::MutexLock lock(mu_);
+namespace {
+
+double slice_width(const SloSpec& spec) {
+  return spec.short_window / SloTracker::kSlicesPerShortWindow;
+}
+
+/// The slice `t` falls in.  Guards the double -> integer conversion: a time
+/// that is not finite, or whose index would not fit in 62 bits, is a caller
+/// bug and throws rather than reaching an undefined cast.
+std::int64_t slice_of(double t, double width) {
+  const double k = std::floor(t / width);
+  if (!std::isfinite(k) || std::abs(k) >= 0x1p62) {
+    throw std::invalid_argument("SloTracker: time " + std::to_string(t) +
+                                " is not finite or out of slice range");
+  }
+  return static_cast<std::int64_t>(k);
+}
+
+}  // namespace
+
+SloTracker::Series& SloTracker::series_locked(const std::string& name) {
   auto it = slos_.find(name);
   if (it == slos_.end()) {
     throw std::invalid_argument("SloTracker: undeclared SLO: " + name);
   }
-  Series& s = it->second;
-  s.events.push_back(Event{t, good});
+  return it->second;
+}
+
+void SloTracker::add(Series& s, double t, bool good) {
+  // Every slice index is computed before the series changes, so a time out
+  // of range throws with the series untouched.
+  const double width = slice_width(s.spec);
+  const std::int64_t k = slice_of(t, width);
+  const double max_t = std::max(s.max_t, t);
+  const std::int64_t horizon = slice_of(max_t - s.spec.long_window, width);
+  auto it = s.slices.end();
+  if (s.slices.empty() || s.slices.back().index < k) {
+    it = s.slices.insert(it, Slice{k, 0, 0});
+  } else if (s.slices.back().index == k) {
+    --it;
+  } else {
+    // Out of order: count it in its own slice, not the newest one.
+    it = std::lower_bound(
+        s.slices.begin(), s.slices.end(), k,
+        [](const Slice& sl, std::int64_t index) { return sl.index < index; });
+    if (it->index != k) it = s.slices.insert(it, Slice{k, 0, 0});
+  }
+  ++it->total;
   ++s.total;
-  if (!good) ++s.bad;
-  s.max_t = std::max(s.max_t, t);
-  // Prune anything older than the long window behind the newest event, so a
-  // long-running service holds O(window * rate) events, not the full history.
-  const double horizon = s.max_t - s.spec.long_window;
-  while (!s.events.empty() && s.events.front().t < horizon) {
-    s.events.pop_front();
+  if (!good) {
+    ++it->bad;
+    ++s.bad;
+  }
+  // Drop slices wholly older than the long window behind the newest event,
+  // so a long-running service holds a bounded number of slices.
+  s.max_t = max_t;
+  while (!s.slices.empty() && s.slices.front().index < horizon) {
+    s.slices.pop_front();
   }
 }
 
-void SloTracker::record_value(const std::string& name, double t, double value) {
-  // Threshold lookup needs the spec; do it under the same lock as the push.
+void SloTracker::record_event(const std::string& name, double t, bool good) {
   util::MutexLock lock(mu_);
-  auto it = slos_.find(name);
-  if (it == slos_.end()) {
-    throw std::invalid_argument("SloTracker: undeclared SLO: " + name);
-  }
-  Series& s = it->second;
-  const bool good = value <= s.spec.threshold;
-  s.events.push_back(Event{t, good});
-  ++s.total;
-  if (!good) ++s.bad;
-  s.max_t = std::max(s.max_t, t);
-  const double horizon = s.max_t - s.spec.long_window;
-  while (!s.events.empty() && s.events.front().t < horizon) {
-    s.events.pop_front();
-  }
+  add(series_locked(name), t, good);
+}
+
+void SloTracker::record_value(const std::string& name, double t, double value) {
+  // Threshold lookup needs the spec; do it under the same lock as the add.
+  util::MutexLock lock(mu_);
+  Series& s = series_locked(name);
+  add(s, t, value <= s.spec.threshold);
 }
 
 SloStatus SloTracker::evaluate_locked(const Series& s, double now) const {
@@ -82,17 +125,18 @@ SloStatus SloTracker::evaluate_locked(const Series& s, double now) const {
   st.spec = s.spec;
   st.total = s.total;
   st.bad = s.bad;
-  const double short_start = now - s.spec.short_window;
-  const double long_start = now - s.spec.long_window;
-  for (const Event& e : s.events) {
-    if (e.t > now) continue;  // future events (clock skew) don't count yet
-    if (e.t >= long_start) {
-      ++st.long_total;
-      if (!e.good) ++st.long_bad;
-    }
-    if (e.t >= short_start) {
-      ++st.short_total;
-      if (!e.good) ++st.short_bad;
+  const double width = slice_width(s.spec);
+  const std::int64_t now_slice = slice_of(now, width);
+  const std::int64_t short_start = slice_of(now - s.spec.short_window, width);
+  const std::int64_t long_start = slice_of(now - s.spec.long_window, width);
+  for (auto it = s.slices.rbegin(); it != s.slices.rend(); ++it) {
+    if (it->index > now_slice) continue;  // future slices don't count yet
+    if (it->index < long_start) break;
+    st.long_total += it->total;
+    st.long_bad += it->bad;
+    if (it->index >= short_start) {
+      st.short_total += it->total;
+      st.short_bad += it->bad;
     }
   }
   if (st.short_total > 0) {
@@ -129,6 +173,12 @@ bool SloTracker::any_alerting(double now) const {
   return false;
 }
 
+std::size_t SloTracker::slice_count(const std::string& name) const {
+  util::MutexLock lock(mu_);
+  const auto it = slos_.find(name);
+  return it == slos_.end() ? 0 : it->second.slices.size();
+}
+
 util::Json SloTracker::snapshot_json(double now) const {
   util::MutexLock lock(mu_);
   util::JsonArray arr;
@@ -161,7 +211,7 @@ util::Json SloTracker::snapshot_json(double now) const {
 void SloTracker::reset() {
   util::MutexLock lock(mu_);
   for (auto& [name, s] : slos_) {
-    s.events.clear();
+    s.slices.clear();
     s.total = 0;
     s.bad = 0;
     s.max_t = 0;

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "check/check.h"
 #include "obs/request_context.h"
@@ -14,17 +15,9 @@
 namespace vcopt::service {
 
 using util::Json;
-using util::JsonArray;
 using util::JsonObject;
 
 namespace {
-
-JsonArray to_json_array(const std::vector<std::uint64_t>& xs) {
-  JsonArray arr;
-  arr.reserve(xs.size());
-  for (std::uint64_t x : xs) arr.push_back(Json(static_cast<double>(x)));
-  return arr;
-}
 
 std::vector<std::uint64_t> from_json_array(const Json& j) {
   std::vector<std::uint64_t> out;
@@ -42,7 +35,7 @@ std::uint64_t u64_at(const Json& j, const std::string& key) {
 // Per-line integrity: FNV-1a 64 over the record serialised without its
 // len/sum fields.  Json objects are key-sorted maps, so stripping the two
 // fields and re-dumping reproduces the writer's payload bytes exactly.
-std::uint64_t fnv1a(const std::string& s) {
+std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const unsigned char c : s) {
     h ^= c;
@@ -51,14 +44,47 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-std::string hex64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
+// The writer emits each record's members in util::Json's sorted key order
+// straight into a reused buffer, so its lines are the bytes
+// Json(JsonObject).dump(0) would produce, without building the object.
+// Every member is written as `"key":value,`: a splice point is then simply
+// the offset where the next member starts, and JournalWriter::finish()
+// turns the final comma into the closing brace.
+void key(std::string& b, std::string_view k) {
+  b += '"';
+  b += k;
+  b += "\":";
+}
+
+void number(std::string& b, std::string_view k, double v) {
+  key(b, k);
+  util::append_json_number(b, v);
+  b += ',';
+}
+
+void text(std::string& b, std::string_view k, std::string_view v) {
+  key(b, k);
+  util::append_json_string(b, v);
+  b += ',';
+}
+
+void hex(std::string& b, std::string_view k, std::uint64_t v) {
+  key(b, k);
+  b += '"';
+  obs::append_hex16(b, v);
+  b += "\",";
+}
+
+template <class T>
+void number_array(std::string& b, std::string_view k,
+                  const std::vector<T>& xs) {
+  key(b, k);
+  b += '[';
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) b += ',';
+    util::append_json_number(b, static_cast<double>(xs[i]));
   }
-  return out;
+  b += "],";
 }
 
 /// True when the line's len/sum fields (if present) match its payload.
@@ -71,8 +97,10 @@ bool integrity_ok(const Json& j) {
   stripped.erase("len");
   stripped.erase("sum");
   const std::string payload = Json(std::move(stripped)).dump(0);
+  std::string sum;
+  obs::append_hex16(sum, fnv1a(payload));
   return static_cast<double>(payload.size()) == j.at("len").as_number() &&
-         hex64(fnv1a(payload)) == j.at("sum").as_string();
+         sum == j.at("sum").as_string();
 }
 
 }  // namespace
@@ -87,15 +115,29 @@ const char* to_string(RecordType t) {
   return "?";
 }
 
-void JournalWriter::write(JsonObject record) {
+std::string& JournalWriter::begin() {
+  payload_.clear();
+  payload_ += '{';
+  return payload_;
+}
+
+void JournalWriter::finish() {
   // One compact line per record; flush so a crash loses at most the record
   // being written, never a decided-but-unjournaled one (records are written
   // before their effects execute).  len/sum are computed over the record
-  // WITHOUT them, so the parser can strip and re-derive both.
-  const std::string payload = Json(record).dump(0);
-  record["len"] = static_cast<double>(payload.size());
-  record["sum"] = hex64(fnv1a(payload));
-  out_ << Json(std::move(record)).dump(0) << "\n";
+  // WITHOUT them, so the parser can strip and re-derive both; "len" sorts
+  // before "sum" and neither is ever the last key, so both splice in ahead
+  // of a member the payload already holds.
+  VCOPT_DCHECK(len_at_ <= sum_at_ && sum_at_ < payload_.size());
+  payload_.back() = '}';
+  const std::string_view payload = payload_;
+  line_.assign(payload.substr(0, len_at_));
+  number(line_, "len", static_cast<double>(payload.size()));
+  line_ += payload.substr(len_at_, sum_at_ - len_at_);
+  hex(line_, "sum", fnv1a(payload));
+  line_ += payload.substr(sum_at_);
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   out_.flush();
   ++records_;
 }
@@ -103,22 +145,19 @@ void JournalWriter::write(JsonObject record) {
 void JournalWriter::submit(std::uint64_t seq, const cluster::Request& request,
                            const SubmitOptions& options, double time,
                            std::uint64_t trace_id) {
-  JsonObject o;
-  o["type"] = "submit";
-  o["seq"] = static_cast<double>(seq);
-  o["id"] = static_cast<double>(request.id());
-  JsonArray counts;
-  counts.reserve(request.type_count());
-  for (std::size_t j = 0; j < request.type_count(); ++j) {
-    counts.push_back(Json(request.count(j)));
-  }
-  o["counts"] = Json(std::move(counts));
-  o["priority"] = options.priority;
-  o["class"] = to_string(options.klass);
-  if (std::isfinite(options.deadline)) o["deadline"] = options.deadline;
-  o["time"] = time;
-  o["trace"] = obs::trace_id_hex(trace_id);
-  write(std::move(o));
+  std::string& b = begin();
+  text(b, "class", to_string(options.klass));
+  number_array(b, "counts", request.counts());
+  if (std::isfinite(options.deadline)) number(b, "deadline", options.deadline);
+  number(b, "id", static_cast<double>(request.id()));
+  len_at_ = b.size();
+  number(b, "priority", options.priority);
+  number(b, "seq", static_cast<double>(seq));
+  sum_at_ = b.size();
+  number(b, "time", time);
+  hex(b, "trace", trace_id);
+  text(b, "type", "submit");
+  finish();
 }
 
 void JournalWriter::window(std::uint64_t window_id, double time,
@@ -126,42 +165,48 @@ void JournalWriter::window(std::uint64_t window_id, double time,
                            const std::vector<std::uint64_t>& members,
                            const std::vector<std::uint64_t>& shed,
                            std::size_t cell) {
-  JsonObject o;
-  o["type"] = "window";
-  o["window"] = static_cast<double>(window_id);
-  o["time"] = time;
-  o["reason"] = reason;
-  if (cell != kNoCell) o["cell"] = static_cast<double>(cell);
-  o["members"] = Json(to_json_array(members));
-  o["shed"] = Json(to_json_array(shed));
-  write(std::move(o));
+  std::string& b = begin();
+  if (cell != kNoCell) number(b, "cell", static_cast<double>(cell));
+  len_at_ = b.size();
+  number_array(b, "members", members);
+  text(b, "reason", reason);
+  number_array(b, "shed", shed);
+  sum_at_ = b.size();
+  number(b, "time", time);
+  text(b, "type", "window");
+  number(b, "window", static_cast<double>(window_id));
+  finish();
 }
 
 void JournalWriter::release(cluster::LeaseId lease, double time) {
-  JsonObject o;
-  o["type"] = "release";
-  o["lease"] = static_cast<double>(lease);
-  o["time"] = time;
-  write(std::move(o));
+  std::string& b = begin();
+  number(b, "lease", static_cast<double>(lease));
+  len_at_ = sum_at_ = b.size();
+  number(b, "time", time);
+  text(b, "type", "release");
+  finish();
 }
 
 void JournalWriter::rebalance(double time,
                               const std::vector<RebalanceMove>& moves) {
-  JsonObject o;
-  o["type"] = "rebalance";
-  o["time"] = time;
-  JsonArray arr;
-  arr.reserve(moves.size());
-  for (const RebalanceMove& m : moves) {
-    JsonObject mo;
-    mo["lease"] = static_cast<double>(m.lease);
-    mo["from"] = static_cast<double>(m.from);
-    mo["to"] = static_cast<double>(m.to);
-    mo["vmtype"] = static_cast<double>(m.type);
-    arr.push_back(Json(std::move(mo)));
+  std::string& b = begin();
+  len_at_ = b.size();
+  key(b, "moves");
+  b += '[';
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const RebalanceMove& m = moves[i];
+    b += i > 0 ? ",{" : "{";
+    number(b, "from", static_cast<double>(m.from));
+    number(b, "lease", static_cast<double>(m.lease));
+    number(b, "to", static_cast<double>(m.to));
+    number(b, "vmtype", static_cast<double>(m.type));
+    b.back() = '}';
   }
-  o["moves"] = Json(std::move(arr));
-  write(std::move(o));
+  b += "],";
+  sum_at_ = b.size();
+  number(b, "time", time);
+  text(b, "type", "rebalance");
+  finish();
 }
 
 std::vector<JournalRecord> parse_journal(std::istream& in,

@@ -84,8 +84,12 @@ struct JournalRecord {
 };
 
 /// Appends NDJSON records to a stream (one line per call, flushed so the
-/// journal survives a crash mid-run).  Not internally synchronised — the
-/// service serialises calls under its own lock.
+/// journal survives a crash mid-run).  Each record is written key by key,
+/// in util::Json's sorted order, into a buffer the writer reuses; "len" and
+/// "sum" are then spliced in at their sorted positions.  The bytes are those
+/// of dumping the record as a util::JsonObject, which is what the parser's
+/// integrity check re-derives.  Not internally synchronised — the service
+/// serialises calls under its own lock.
 class JournalWriter {
  public:
   explicit JournalWriter(std::ostream& out) : out_(out) {}
@@ -104,9 +108,17 @@ class JournalWriter {
   std::uint64_t records_written() const { return records_; }
 
  private:
-  void write(util::JsonObject record);
+  /// Clears the payload buffer and opens the record's object.
+  std::string& begin();
+  /// Closes the payload, splices len/sum in at len_at_/sum_at_, and writes
+  /// and flushes the line.
+  void finish();
 
   std::ostream& out_;
+  std::string payload_;     ///< the record without len/sum
+  std::string line_;        ///< the record as written
+  std::size_t len_at_ = 0;  ///< payload offset of the member "len" precedes
+  std::size_t sum_at_ = 0;  ///< payload offset of the member "sum" precedes
   std::uint64_t records_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace vcopt::util {
@@ -203,9 +203,26 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void dump_string(std::string& out, const std::string& s) {
+}  // namespace
+
+void append_json_number(std::string& out, double v) {
+  if (v == 0 && std::signbit(v)) {
+    out += "-0";  // what "%.0f" prints; the integer path would drop the sign
+    return;
+  }
+  char buf[32];  // "%.17g" needs at most 24: sign, 17 digits, '.', "e-308"
+  char* const end = buf + sizeof(buf);
+  const std::to_chars_result r =
+      v == std::floor(v) && std::abs(v) < 1e15
+          ? std::to_chars(buf, end, static_cast<long long>(v))
+          : std::to_chars(buf, end, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -214,32 +231,20 @@ void dump_string(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+      default: {
+        const auto u = static_cast<unsigned char>(c);
+        if (u < 0x20) {
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
         } else {
           out += c;
         }
+      }
     }
   }
   out += '"';
 }
-
-void dump_number(std::string& out, double v) {
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  }
-}
-
-}  // namespace
 
 bool Json::as_bool() const {
   if (type_ != Type::kBool) type_error("bool", type_);
@@ -318,8 +323,8 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: dump_number(out, num_); break;
-    case Type::kString: dump_string(out, str_); break;
+    case Type::kNumber: append_json_number(out, num_); break;
+    case Type::kString: append_json_string(out, str_); break;
     case Type::kArray: {
       if (arr_.empty()) {
         out += "[]";
@@ -343,7 +348,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       for (const auto& [k, v] : obj_) {
         out += (first ? "" : ",") + nl + pad;
         first = false;
-        dump_string(out, k);
+        append_json_string(out, k);
         out += indent > 0 ? ": " : ":";
         v.dump_impl(out, indent, depth + 1);
       }

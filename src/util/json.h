@@ -9,9 +9,21 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vcopt::util {
+
+/// Appends `v` the way Json::dump writes a number: integral values below
+/// 1e15 in magnitude as plain integers ("-0" for negative zero), everything
+/// else as printf's "%.17g" (std::to_chars, general format, precision 17),
+/// which round-trips every finite double.  The one number formatter: writers
+/// that emit JSON without building a Json (the service journal) call it too.
+void append_json_number(std::string& out, double v);
+
+/// Appends `s` as a quoted JSON string, escaping '"', '\\' and control
+/// characters exactly as Json::dump does.
+void append_json_string(std::string& out, std::string_view s);
 
 class Json;
 using JsonArray = std::vector<Json>;

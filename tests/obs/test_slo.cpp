@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "util/json.h"
 
@@ -215,6 +219,111 @@ TEST(SloTracker, ObjectiveReArmsAfterRecovery) {
   // Lifetime totals accumulated across both storms.
   EXPECT_EQ(st.total, 20u);
   EXPECT_EQ(st.bad, 20u);
+}
+
+TEST(SloTracker, MillionEventsHoldBoundedSlicesAndAlignedWindowsAreExact) {
+  // The service's windows: 60 s short, 600 s long, so 0.9375 s slices and
+  // at most 600 / 0.9375 + 1 = 641 retained.  10^6 events at 1 ms spacing
+  // (1000 s of traffic) never hold more, and at slice-aligned instants the
+  // window counts equal an exact count over the same events.
+  SloTracker t;
+  t.declare(spec("s", 0.05, 60, 600, 2.0, 10));
+  const double width = 60.0 / SloTracker::kSlicesPerShortWindow;
+  const std::size_t bound =
+      static_cast<std::size_t>(std::ceil(600 / width)) + 1;
+  constexpr int kEvents = 1000000;
+  std::vector<double> times(kEvents);
+  std::vector<std::uint32_t> bad_before(kEvents + 1, 0);  // prefix counts
+  for (int i = 0; i < kEvents; ++i) {
+    times[i] = i * 0.001;
+    const bool bad = (static_cast<std::uint64_t>(i) * 2654435761ULL) % 97 < 4;
+    bad_before[i + 1] = bad_before[i] + (bad ? 1 : 0);
+  }
+  // [a, b] inclusive, as the old per-event rule counted it.
+  const auto exact = [&](double a, double b, std::uint64_t* bad) {
+    const auto lo =
+        std::lower_bound(times.begin(), times.end(), a) - times.begin();
+    const auto hi =
+        std::upper_bound(times.begin(), times.end(), b) - times.begin();
+    *bad = bad_before[hi] - bad_before[lo];
+    return static_cast<std::uint64_t>(hi - lo);
+  };
+  std::size_t max_slices = 0;
+  std::size_t aligned_checks = 0;
+  std::int64_t next_slice = 1;
+  for (int i = 0; i < kEvents; ++i) {
+    // Once an event lies past a slice's start, evaluate at that start: every
+    // event recorded so far is at or before it.
+    const double boundary = next_slice * width;
+    if (times[i] > boundary) {
+      if (next_slice % 37 == 0) {
+        const SloStatus st = t.evaluate(boundary)[0];
+        std::uint64_t short_bad = 0;
+        std::uint64_t long_bad = 0;
+        EXPECT_EQ(st.short_total, exact(boundary - 60, boundary, &short_bad));
+        EXPECT_EQ(st.short_bad, short_bad);
+        EXPECT_EQ(st.long_total, exact(boundary - 600, boundary, &long_bad));
+        EXPECT_EQ(st.long_bad, long_bad);
+        ++aligned_checks;
+      }
+      ++next_slice;
+    }
+    t.record_event("s", times[i], bad_before[i + 1] == bad_before[i]);
+    max_slices = std::max(max_slices, t.slice_count("s"));
+  }
+  EXPECT_EQ(bound, 641u);
+  EXPECT_LE(max_slices, bound);
+  EXPECT_GE(max_slices, bound - 1);  // 1000 s of traffic fills the horizon
+  EXPECT_GE(aligned_checks, 20u);
+  const SloStatus last = t.evaluate(times.back())[0];
+  EXPECT_EQ(last.total, static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(last.bad, bad_before[kEvents]);
+}
+
+TEST(SloTracker, OutOfOrderEventCountsInItsOwnSlice) {
+  SloTracker t;
+  t.declare(spec("s", 0.1, 10, 100));
+  t.record_event("s", 50.0, true);
+  t.record_event("s", 20.0, false);  // late: belongs 30 s back
+  EXPECT_EQ(t.slice_count("s"), 2u);
+  // At t = 25 only the late event has happened.
+  const SloStatus early = t.evaluate(25.0)[0];
+  EXPECT_EQ(early.short_total, 1u);
+  EXPECT_EQ(early.short_bad, 1u);
+  // At t = 50 it has left the short window but not the long one.
+  const SloStatus late = t.evaluate(50.0)[0];
+  EXPECT_EQ(late.short_total, 1u);
+  EXPECT_EQ(late.short_bad, 0u);
+  EXPECT_EQ(late.long_total, 2u);
+  EXPECT_EQ(late.long_bad, 1u);
+}
+
+TEST(SloTracker, NonFiniteOrOutOfRangeTimesThrow) {
+  SloTracker t;
+  t.declare(spec("s"));
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(), 1e300,
+                         -1e300};
+  for (const double v : kBad) {
+    EXPECT_THROW(t.record_event("s", v, true), std::invalid_argument) << v;
+    EXPECT_THROW(t.record_value("s", v, 0), std::invalid_argument) << v;
+    EXPECT_THROW(t.evaluate(v), std::invalid_argument) << v;
+    EXPECT_THROW(t.any_alerting(v), std::invalid_argument) << v;
+  }
+  // A rejected event leaves the series untouched.
+  const SloStatus st = t.evaluate(0)[0];
+  EXPECT_EQ(st.total, 0u);
+  EXPECT_EQ(t.slice_count("s"), 0u);
+  // So do windows that are not finite or span too many slices.
+  SloSpec inf = spec("inf");
+  inf.long_window = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(t.declare(inf), std::invalid_argument);
+  SloSpec nan = spec("nan");
+  nan.short_window = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(t.declare(nan), std::invalid_argument);
+  SloSpec wide = spec("wide", 0.1, 1e-3, 1e6);
+  EXPECT_THROW(t.declare(wide), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "cluster/request.h"
 #include "obs/request_context.h"
+#include "util/json.h"
+#include "util/rng.h"
 
 namespace vcopt::service {
 namespace {
@@ -251,6 +256,254 @@ TEST(Journal, GrantStreamIsSeqSortedAndOrderInsensitive) {
   const std::string backward = grant_stream({b, a});
   EXPECT_EQ(forward, backward);
   EXPECT_LT(forward.find("\"seq\":1"), forward.find("\"seq\":2"));
+}
+
+// The writer emits records straight into a buffer.  Its bytes are pinned
+// against the util::JsonObject writer it replaced, kept here as the
+// reference: build the object, dump it, add len/sum, dump it again.
+class ReferenceWriter {
+ public:
+  std::string submit(std::uint64_t seq, const Request& request,
+                     const SubmitOptions& options, double time,
+                     std::uint64_t trace_id) {
+    util::JsonObject o;
+    o["type"] = "submit";
+    o["seq"] = static_cast<double>(seq);
+    o["id"] = static_cast<double>(request.id());
+    util::JsonArray counts;
+    for (std::size_t j = 0; j < request.type_count(); ++j) {
+      counts.push_back(util::Json(request.count(j)));
+    }
+    o["counts"] = util::Json(std::move(counts));
+    o["priority"] = options.priority;
+    o["class"] = to_string(options.klass);
+    if (std::isfinite(options.deadline)) o["deadline"] = options.deadline;
+    o["time"] = time;
+    o["trace"] = obs::trace_id_hex(trace_id);
+    return line(std::move(o));
+  }
+  std::string window(std::uint64_t window_id, double time, const char* reason,
+                     const std::vector<std::uint64_t>& members,
+                     const std::vector<std::uint64_t>& shed,
+                     std::size_t cell) {
+    util::JsonObject o;
+    o["type"] = "window";
+    o["window"] = static_cast<double>(window_id);
+    o["time"] = time;
+    o["reason"] = reason;
+    if (cell != kNoCell) o["cell"] = static_cast<double>(cell);
+    o["members"] = array(members);
+    o["shed"] = array(shed);
+    return line(std::move(o));
+  }
+  std::string release(cluster::LeaseId lease, double time) {
+    util::JsonObject o;
+    o["type"] = "release";
+    o["lease"] = static_cast<double>(lease);
+    o["time"] = time;
+    return line(std::move(o));
+  }
+  std::string rebalance(double time, const std::vector<RebalanceMove>& moves) {
+    util::JsonObject o;
+    o["type"] = "rebalance";
+    o["time"] = time;
+    util::JsonArray arr;
+    for (const RebalanceMove& m : moves) {
+      util::JsonObject mo;
+      mo["lease"] = static_cast<double>(m.lease);
+      mo["from"] = static_cast<double>(m.from);
+      mo["to"] = static_cast<double>(m.to);
+      mo["vmtype"] = static_cast<double>(m.type);
+      arr.push_back(util::Json(std::move(mo)));
+    }
+    o["moves"] = util::Json(std::move(arr));
+    return line(std::move(o));
+  }
+
+ private:
+  static util::Json array(const std::vector<std::uint64_t>& xs) {
+    util::JsonArray arr;
+    for (std::uint64_t x : xs) {
+      arr.push_back(util::Json(static_cast<double>(x)));
+    }
+    return util::Json(std::move(arr));
+  }
+  static std::string line(util::JsonObject record) {
+    const std::string payload = util::Json(record).dump(0);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const unsigned char c : payload) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+    record["len"] = static_cast<double>(payload.size());
+    record["sum"] = obs::trace_id_hex(h);
+    return util::Json(std::move(record)).dump(0) + "\n";
+  }
+};
+
+/// Draws record fields with the edge values mixed in: integers around and
+/// above 2^53 up to 2^64-1, integral doubles at and above 1e15, negative
+/// zero, fractions, negative priorities.
+class FieldDraws {
+ public:
+  explicit FieldDraws(std::uint64_t seed) : rng_(seed) {}
+
+  std::uint64_t u64() {
+    static const std::uint64_t kEdges[] = {
+        0,
+        1,
+        (1ULL << 53) - 1,
+        1ULL << 53,
+        (1ULL << 53) + 1,
+        (1ULL << 53) + 3,
+        999999999999999ULL,
+        1000000000000000ULL,
+        1ULL << 63,
+        std::numeric_limits<std::uint64_t>::max()};
+    switch (rng_.uniform_int(0, 2)) {
+      case 0: return kEdges[pick(std::size(kEdges))];
+      case 1: return static_cast<std::uint64_t>(rng_.uniform_int(0, 100000));
+      default: return rng_();
+    }
+  }
+  double time() {
+    static const double kEdges[] = {0.0,
+                                    -0.0,
+                                    1e15,
+                                    1e15 + 1,
+                                    -1e15,
+                                    999999999999999.0,
+                                    999999999999999.5,
+                                    0x1p60,
+                                    1e300,
+                                    0.1,
+                                    1.0 / 3.0,
+                                    -2.5,
+                                    5e-324,
+                                    std::numeric_limits<double>::max()};
+    switch (rng_.uniform_int(0, 2)) {
+      case 0: return kEdges[pick(std::size(kEdges))];
+      case 1: return static_cast<double>(rng_.uniform_int(0, 1000000));
+      default: return rng_.uniform(0.0, 1e4);
+    }
+  }
+  int priority() {
+    static const int kEdges[] = {INT_MIN, -7, -1, 0, 1, 4, INT_MAX};
+    return kEdges[pick(std::size(kEdges))];
+  }
+  std::size_t small(std::size_t n) { return pick(n); }
+  std::vector<std::uint64_t> u64s() {
+    std::vector<std::uint64_t> xs(pick(5));
+    for (std::uint64_t& x : xs) x = u64();
+    return xs;
+  }
+
+ private:
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+  util::Rng rng_;
+};
+
+TEST(JournalBytes, WriterMatchesJsonObjectReference) {
+  static const char* kReasons[] = {"size", "wait", "flush", "",
+                                   "q\"uote\\back\x01" "ctl\x1f\n\t"};
+  static const RequestClass kClasses[] = {
+      RequestClass::kInteractive, RequestClass::kBatch,
+      RequestClass::kBestEffort};
+  FieldDraws draw(20240917);
+  ReferenceWriter ref;
+  std::ostringstream out;
+  JournalWriter writer(out);  // one writer: its buffers are reused
+  std::size_t checked = 0;
+  for (int i = 0; i < 4000; ++i) {
+    out.str("");
+    std::string want;
+    switch (i % 4) {
+      case 0: {
+        std::vector<int> counts(1 + draw.small(5));
+        for (int& c : counts) c = static_cast<int>(draw.small(1000));
+        const Request request(std::move(counts), draw.u64(), draw.priority());
+        SubmitOptions opts;
+        opts.priority = draw.priority();
+        opts.klass = kClasses[draw.small(3)];
+        switch (draw.small(3)) {
+          case 0: opts.deadline = kNoDeadline; break;
+          case 1:
+            opts.deadline = -std::numeric_limits<double>::infinity();
+            break;
+          default: opts.deadline = draw.time();
+        }
+        const std::uint64_t seq = draw.u64();
+        const double time = draw.time();
+        const std::uint64_t trace = draw.u64();
+        writer.submit(seq, request, opts, time, trace);
+        want = ref.submit(seq, request, opts, time, trace);
+        break;
+      }
+      case 1: {
+        const std::uint64_t id = draw.u64();
+        const double time = draw.time();
+        const char* reason = kReasons[draw.small(std::size(kReasons))];
+        const std::vector<std::uint64_t> members = draw.u64s();
+        const std::vector<std::uint64_t> shed = draw.u64s();
+        const std::size_t cell =
+            draw.small(2) == 0 ? kNoCell : static_cast<std::size_t>(draw.u64());
+        writer.window(id, time, reason, members, shed, cell);
+        want = ref.window(id, time, reason, members, shed, cell);
+        break;
+      }
+      case 2: {
+        const cluster::LeaseId lease = draw.u64();
+        const double time = draw.time();
+        writer.release(lease, time);
+        want = ref.release(lease, time);
+        break;
+      }
+      default: {
+        std::vector<RebalanceMove> moves(draw.small(4));
+        for (RebalanceMove& m : moves) {
+          m = RebalanceMove{draw.u64(), static_cast<std::size_t>(draw.u64()),
+                            static_cast<std::size_t>(draw.u64()),
+                            draw.small(8)};
+        }
+        const double time = draw.time();
+        writer.rebalance(time, moves);
+        want = ref.rebalance(time, moves);
+      }
+    }
+    ASSERT_EQ(out.str(), want) << "record " << i;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 4000u);
+  EXPECT_EQ(writer.records_written(), 4000u);
+}
+
+TEST(JournalBytes, EdgeRecordsParseBackThroughTheIntegrityCheck) {
+  // The spliced len/sum must be what the parser re-derives, for the records
+  // whose bytes are hardest to get right: a reason that needs escaping, an
+  // empty window and an empty rebalance.
+  std::ostringstream out;
+  JournalWriter writer(out);
+  SubmitOptions opts;
+  opts.priority = -3;
+  opts.deadline = 1e15;
+  writer.submit(1ULL << 63, Request({0, 5}, 1ULL << 60), opts, -0.0, 1);
+  writer.window(3, 0.125, "q\"\\\x02", {}, {}, 7);
+  writer.rebalance(1.5, {});
+  writer.release(2, 2.75);
+  std::istringstream in(out.str());
+  const auto records = parse_journal(in);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].seq, 1ULL << 63);
+  EXPECT_EQ(records[0].options.priority, -3);
+  EXPECT_EQ(records[0].options.deadline, 1e15);
+  EXPECT_EQ(records[1].reason, "q\"\\\x02");
+  EXPECT_EQ(records[1].cell, 7u);
+  EXPECT_TRUE(records[1].members.empty());
+  EXPECT_TRUE(records[2].moves.empty());
+  EXPECT_EQ(records[3].lease, 2u);
 }
 
 }  // namespace

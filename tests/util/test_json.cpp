@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+
+#include "util/rng.h"
+
 namespace vcopt::util {
 namespace {
 
@@ -106,6 +113,102 @@ TEST(Json, Equality) {
   EXPECT_EQ(Json::parse("[1,2]"), Json::parse("[1, 2]"));
   EXPECT_FALSE(Json::parse("[1,2]") == Json::parse("[2,1]"));
   EXPECT_FALSE(Json(1) == Json("1"));
+}
+
+// The printf forms the number formatter replaced: "%.0f" for integral
+// values below 1e15 in magnitude, "%.17g" for everything else.
+std::string printf_number(double v) {
+  char buf[64];
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+TEST(Json, NumberFormatMatchesPrintf) {
+  const double kEdges[] = {0.0,
+                           -0.0,
+                           1.0,
+                           -1.0,
+                           0.5,
+                           -2.5,
+                           0.1,
+                           1.0 / 3.0,
+                           999999999999999.0,
+                           -999999999999999.0,
+                           999999999999999.5,
+                           1e15,
+                           -1e15,
+                           1e15 + 1,
+                           0x1p53,
+                           0x1p53 + 2,
+                           0x1p63,
+                           0x1p64,
+                           1e16,
+                           1e17,
+                           1e21,
+                           1e22,
+                           1e300,
+                           1e-5,
+                           1e-4,
+                           123456.789,
+                           5e-324,
+                           2.2250738585072014e-308,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::lowest(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const double v : kEdges) {
+    EXPECT_EQ(Json(v).dump(), printf_number(v)) << "edge " << printf_number(v);
+  }
+  // Seeded random bit patterns cover every exponent, subnormals and NaNs.
+  util::Rng rng(0x5eed5eedULL);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof(v));
+    ASSERT_EQ(Json(v).dump(), printf_number(v)) << "bits " << bits;
+  }
+  // Integral values of every magnitude up to 2^60, around the 1e15 switch.
+  for (int i = 0; i < 200000; ++i) {
+    const auto n = static_cast<std::int64_t>(rng() >> (4 + rng() % 60));
+    const double v = static_cast<double>(i % 2 == 0 ? n : -n);
+    ASSERT_EQ(Json(v).dump(), printf_number(v)) << "integer " << n;
+  }
+}
+
+TEST(Json, StringEscapesMatchReference) {
+  // Every byte on its own: the two JSON metacharacters and the control
+  // characters are escaped (\u00XX where JSON has no short form), all other
+  // bytes pass through unchanged.
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    std::string want = "\"";
+    switch (ch) {
+      case '"': want += "\\\""; break;
+      case '\\': want += "\\\\"; break;
+      case '\b': want += "\\b"; break;
+      case '\f': want += "\\f"; break;
+      case '\n': want += "\\n"; break;
+      case '\r': want += "\\r"; break;
+      case '\t': want += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          want += buf;
+        } else {
+          want += ch;
+        }
+    }
+    want += '"';
+    EXPECT_EQ(Json(std::string(1, ch)).dump(), want) << "byte " << c;
+    std::string appended = "x";
+    append_json_string(appended, std::string_view(&ch, 1));
+    EXPECT_EQ(appended, "x" + want) << "byte " << c;
+  }
 }
 
 }  // namespace

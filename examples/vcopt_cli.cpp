@@ -445,7 +445,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   if (options.cell_mode()) {
     obs::MetricsRegistry::global().set_enabled(true);  // cell/* counters
   }
-  options.clock = service::ClockMode::kVirtual;
   options.recorder = &obs::Recorder::global();
   const std::string disc_name = flag(flags, "discipline", "fifo");
   if (disc_name == "priority") {

@@ -11,14 +11,12 @@ namespace {
 struct DirectoryMetrics {
   obs::Counter& sketch_updates;
   obs::Counter& sketch_rebuilds;
-  obs::Gauge& sketch_staleness;
 
   static DirectoryMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
     static DirectoryMetrics m{
         reg.counter("cell/sketch_updates"),
         reg.counter("cell/sketch_rebuilds"),
-        reg.gauge("cell/sketch_staleness"),
     };
     return m;
   }
@@ -49,12 +47,6 @@ void CellDirectory::rebuild() {
     sketches_.push_back(compute_sketch(c));
   }
   DirectoryMetrics::get().sketch_rebuilds.add();
-  DirectoryMetrics::get().sketch_staleness.set(0);
-}
-
-void CellDirectory::mark_validated() {
-  for (CellSketch& s : sketches_) s.validated_version = s.version;
-  DirectoryMetrics::get().sketch_staleness.set(0);
 }
 
 CellSketch CellDirectory::compute_sketch(std::size_t cell) const {
@@ -62,7 +54,6 @@ CellSketch CellDirectory::compute_sketch(std::size_t cell) const {
   const std::size_t m = cloud_.type_count();
   CellSketch s;
   s.free_total.assign(m, 0);
-  s.max_free.assign(m, 0);
   s.rack_free = util::IntMatrix(cl.racks.size(), m);
   for (std::size_t node : cl.nodes) {
     const std::size_t lr = partition_.local_rack(cloud_.topology().rack_of(node));
@@ -70,37 +61,9 @@ CellSketch CellDirectory::compute_sketch(std::size_t cell) const {
       const int free = node_free_(node, j);
       s.free_total[j] += free;
       s.rack_free(lr, j) += free;
-      if (free > s.max_free[j]) s.max_free[j] = free;
     }
   }
   return s;
-}
-
-const CellSketch& CellDirectory::sketch(std::size_t cell) {
-  CellSketch& s = sketches_.at(cell);
-  if (s.max_dirty) repair_max(cell);
-  return s;
-}
-
-void CellDirectory::repair_max(std::size_t cell) {
-  CellSketch& s = sketches_[cell];
-  const Cell& cl = partition_.cell(cell);
-  const std::size_t m = cloud_.type_count();
-  s.max_free.assign(m, 0);
-  for (std::size_t node : cl.nodes) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (node_free_(node, j) > s.max_free[j]) s.max_free[j] = node_free_(node, j);
-    }
-  }
-  s.max_dirty = false;
-}
-
-std::uint64_t CellDirectory::updates_since_validate() const {
-  std::uint64_t total = 0;
-  for (const CellSketch& s : sketches_) {
-    total += s.version - s.validated_version;
-  }
-  return total;
 }
 
 void CellDirectory::on_capacity_changed(const cluster::Cloud& cloud,
@@ -113,7 +76,6 @@ void CellDirectory::on_capacity_changed(const cluster::Cloud& cloud,
     const std::size_t lr =
         partition_.local_rack(cloud.topology().rack_of(node));
     bool changed = false;
-    bool shrunk = false;
     for (std::size_t j = 0; j < m; ++j) {
       const int now = cloud.remaining_at(node, j);
       const int delta = now - node_free_(node, j);
@@ -122,22 +84,9 @@ void CellDirectory::on_capacity_changed(const cluster::Cloud& cloud,
       s.free_total[j] += delta;
       s.rack_free(lr, j) += delta;
       changed = true;
-      if (delta < 0) {
-        shrunk = true;
-      } else if (now > s.max_free[j]) {
-        // A grown slot can only raise the max — exact cheap update.
-        s.max_free[j] = now;
-      }
     }
-    if (changed) {
-      // A shrunk row may have been the one holding max_free; defer the
-      // rescan to the lazy repair on next read.
-      if (shrunk) s.max_dirty = true;
-      ++s.version;
-      metrics.sketch_updates.add();
-    }
+    if (changed) metrics.sketch_updates.add();
   }
-  metrics.sketch_staleness.set(static_cast<double>(updates_since_validate()));
 }
 
 check::ValidationResult CellDirectory::validate() const {
@@ -148,7 +97,6 @@ check::ValidationResult CellDirectory::validate() const {
     const Cell& cl = partition_.cell(c);
     const CellSketch& s = sketches_[c];
     std::vector<long long> free_total(m, 0);
-    std::vector<int> max_free(m, 0);
     util::IntMatrix rack_free(cl.racks.size(), m);
     for (std::size_t node : cl.nodes) {
       const std::size_t lr =
@@ -157,7 +105,6 @@ check::ValidationResult CellDirectory::validate() const {
         const int free = cloud_.remaining_at(node, j);
         free_total[j] += free;
         rack_free(lr, j) += free;
-        if (free > max_free[j]) max_free[j] = free;
       }
     }
     for (std::size_t j = 0; j < m; ++j) {
@@ -165,13 +112,6 @@ check::ValidationResult CellDirectory::validate() const {
         std::ostringstream os;
         os << "cell " << c << " sketch free_total[" << j << "] = "
            << s.free_total[j] << ", ground truth " << free_total[j];
-        return check::invalid(os.str());
-      }
-      if (!s.max_dirty && max_free[j] != s.max_free[j]) {
-        std::ostringstream os;
-        os << "cell " << c << " sketch max_free[" << j << "] = "
-           << s.max_free[j] << ", ground truth " << max_free[j]
-           << " (not marked dirty)";
         return check::invalid(os.str());
       }
     }

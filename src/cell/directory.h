@@ -8,16 +8,13 @@
 //      migration reservations).
 //   2. On a mutation the cloud reports the touched node ids; the directory
 //      re-reads exactly those rows and applies the deltas to the owning
-//      cell's free_total / rack_free, bumps the sketch version, and marks
-//      max_free dirty when a row changed.
-//   3. max_free is repaired lazily, per cell, on first read after a change.
+//      cell's free_total / rack_free.
 //
 // Not internally synchronised: mutations arrive synchronously from the
 // cloud's mutators, so the directory inherits whatever discipline guards
 // the cloud (the service's mu_, or plain single-threaded use in sims).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,23 +39,13 @@ class CellDirectory : public cluster::CapacityListener {
   std::size_t cell_count() const { return partition_.cell_count(); }
   std::size_t node_count() const { return node_free_.rows(); }
 
-  /// The cell's sketch; repairs max_free first when dirty.
-  const CellSketch& sketch(std::size_t cell);
-  /// Read-only view without max_free repair (max_free may be stale).
-  const CellSketch& sketch_unrepaired(std::size_t cell) const {
+  /// The cell's sketch, exact for the cloud's committed state.
+  const CellSketch& sketch(std::size_t cell) const {
     return sketches_.at(cell);
   }
 
-  /// Incremental updates applied since the last full rebuild/validate —
-  /// the sketch-staleness signal exported as obs gauge cell/sketch_staleness.
-  std::uint64_t updates_since_validate() const;
-
   /// Recomputes every sketch from the ground-truth cloud (O(nodes)).
   void rebuild();
-
-  /// Resets the staleness window (validated_version = version on every
-  /// sketch); callers pair it with a successful validate().
-  void mark_validated();
 
   /// Satellite validator: recomputes each sketch from the ground-truth cloud
   /// and compares field by field.  Wired under VCOPT_VALIDATE in the routing
@@ -71,7 +58,6 @@ class CellDirectory : public cluster::CapacityListener {
 
  private:
   CellSketch compute_sketch(std::size_t cell) const;
-  void repair_max(std::size_t cell);
 
   cluster::Cloud& cloud_;
   CellPartition partition_;

@@ -60,7 +60,7 @@ int racks_needed(const CellSketch& s, const cluster::Request& request) {
 }  // namespace
 
 RouteDecision CellRouter::route(const cluster::Request& request,
-                                CellDirectory& directory) const {
+                                const CellDirectory& directory) const {
   auto& metrics = RouterMetrics::get();
   RouteDecision decision;
 

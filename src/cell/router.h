@@ -38,10 +38,9 @@ class CellRouter {
  public:
   explicit CellRouter(CellRouterOptions options = {}) : options_(options) {}
 
-  /// Scores every cell's sketch; `directory` is non-const because reading a
-  /// sketch may repair its lazily maintained max_free.
+  /// Scores every cell's sketch.
   RouteDecision route(const cluster::Request& request,
-                      CellDirectory& directory) const;
+                      const CellDirectory& directory) const;
 
  private:
   CellRouterOptions options_;

@@ -10,14 +10,11 @@
 //                    request iff the bound holds.
 //   rack_free(r,j) — the same bound per rack subtree: a rack satisfying the
 //                    whole request caps DC at total_vms * d1.
-//   max_free[j]    — largest single-node free count of type j (repaired
-//                    lazily; an upper bound on what one node can host).
 //
 // Sketches are owned and kept incrementally fresh by CellDirectory; the
 // fragmentation signal is derived on demand from rack_free.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "cluster/request.h"
@@ -31,14 +28,6 @@ struct CellSketch {
   std::vector<long long> free_total;
   /// Per-rack subtree aggregates: local rack x type, same liveness rules.
   util::IntMatrix rack_free;
-  /// Largest single-node free count per type; exact when `max_dirty` is
-  /// false, otherwise stale until the directory repairs it on next read.
-  std::vector<int> max_free;
-  bool max_dirty = false;
-  /// Bumped on every incremental update; the staleness signal is the gap
-  /// between `version` and `validated_version` (last full recompute).
-  std::uint64_t version = 0;
-  std::uint64_t validated_version = 0;
 
   /// Exact admission bound: can this cell host `request` at all?
   bool admits(const cluster::Request& request) const {

@@ -81,8 +81,6 @@ class Inventory {
   void recover_node(std::size_t node);
   bool is_failed(std::size_t node) const;
   std::size_t failed_count() const;
-  /// failed-node mask indexed by node (for the repair validators).
-  std::vector<bool> failed_mask() const { return failed_; }
 
   std::string describe() const;
 

@@ -1,12 +1,12 @@
-// Request-scoped tracing context for the placement service.
+// Request-scoped trace ids for the placement service.
 //
-// Every request admitted by vcopt::service gets a RequestContext carrying a
-// trace id that follows the request through admission -> queue -> micro-batch
-// window -> solve -> grant/journal.  The id is a *pure function* of the
-// request id and admission sequence number (splitmix64 of both), never a
-// random draw: live runs and journal replays derive the same id from the
-// same journal bytes, which is what keeps replay byte-identical while still
-// letting every grant be traced back to its admission.
+// Every request admitted by vcopt::service gets a trace id that follows the
+// request through admission -> queue -> micro-batch window -> solve ->
+// grant/journal.  The id is a *pure function* of the request id and
+// admission sequence number (splitmix64 of both), never a random draw: live
+// runs and journal replays derive the same id from the same journal bytes,
+// which is what keeps replay byte-identical while still letting every grant
+// be traced back to its admission.
 #pragma once
 
 #include <cstdint>
@@ -23,30 +23,12 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// FNV-1a over a string — used to fold the request id into the trace id so
-/// two requests with the same admission seq in different journals still get
-/// distinct ids.
-inline std::uint64_t hash_string64(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 /// Deterministic trace id for a request: mixes the admission sequence number
 /// with the request id.  Never zero (zero is reserved for "no trace").
 inline std::uint64_t derive_trace_id(std::uint64_t seq,
                                      std::uint64_t request_id) {
   const std::uint64_t id = mix64(seq ^ mix64(request_id));
   return id == 0 ? 1 : id;
-}
-
-/// String-keyed variant for callers with non-numeric request ids.
-inline std::uint64_t derive_trace_id(std::uint64_t seq,
-                                     const std::string& request_id) {
-  return derive_trace_id(seq, hash_string64(request_id));
 }
 
 /// Appends the 16-hex-digit lowercase rendering of `v`, the form journals
@@ -80,14 +62,5 @@ inline std::uint64_t parse_trace_id(const std::string& hex) {
   }
   return id;
 }
-
-/// The context a request carries through the service ladder.
-struct RequestContext {
-  std::uint64_t trace_id = 0;  ///< 0 = untraced
-  std::uint64_t seq = 0;       ///< admission sequence number
-  double admit_time = 0;       ///< service-clock time of admission
-
-  std::string trace_hex() const { return trace_id_hex(trace_id); }
-};
 
 }  // namespace vcopt::obs

@@ -74,8 +74,8 @@ void render_stage_latency(const util::Json& metrics, std::ostream& out) {
 }
 
 void render_cells(const util::Json& metrics, std::ostream& out) {
-  // cell/* counters + the sketch-staleness gauge: the route-then-place
-  // sharding layer (docs/cells.md; absent until a routed run records).
+  // cell/* counters: the route-then-place sharding layer (docs/cells.md;
+  // absent until a routed run records).
   if (!metrics.is_object() || !metrics.contains("counters")) return;
   const util::Json& counters = metrics.at("counters");
   const double routed = counters.number_or("cell/routed", 0);
@@ -96,19 +96,11 @@ void render_cells(const util::Json& metrics, std::ostream& out) {
           counters.number_or("cell/window_spills", 0)));
   out << "== Cells ==\n";
   t.print(out);
-  util::TableWriter s({"Sketch updates", "Rebuilds", "Staleness"});
-  double staleness = 0;
-  if (metrics.contains("gauges")) {
-    const util::Json& gauges = metrics.at("gauges");
-    if (gauges.is_object() && gauges.contains("cell/sketch_staleness")) {
-      staleness = gauges.at("cell/sketch_staleness").number_or("value", 0);
-    }
-  }
+  util::TableWriter s({"Sketch updates", "Rebuilds"});
   s.row()
       .cell(static_cast<std::size_t>(updates))
       .cell(static_cast<std::size_t>(
-          counters.number_or("cell/sketch_rebuilds", 0)))
-      .cell(static_cast<std::size_t>(staleness));
+          counters.number_or("cell/sketch_rebuilds", 0)));
   s.print(out);
   out << "\n";
 }

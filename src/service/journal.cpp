@@ -19,22 +19,36 @@ using util::JsonObject;
 
 namespace {
 
+// Every id, index and seq is read back through here.  Casting a double that
+// is negative, fractional, non-finite or at least 2^64 to an unsigned
+// integer is undefined, so those throw std::logic_error instead, which
+// parse_journal reports as a bad record on its line.  Ids are written as
+// doubles, so one above 2^64 - 1024 comes back as 2^64 and is refused here.
+std::uint64_t as_u64(const Json& j) {
+  const double v = j.as_number();
+  if (!(v >= 0 && v < 0x1p64) || v != std::floor(v)) {
+    std::string msg = "number ";
+    util::append_json_number(msg, v);
+    throw std::logic_error(msg + " is not an unsigned 64-bit integer");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 std::vector<std::uint64_t> from_json_array(const Json& j) {
   std::vector<std::uint64_t> out;
   out.reserve(j.as_array().size());
-  for (const Json& e : j.as_array()) {
-    out.push_back(static_cast<std::uint64_t>(e.as_number()));
-  }
+  for (const Json& e : j.as_array()) out.push_back(as_u64(e));
   return out;
 }
 
 std::uint64_t u64_at(const Json& j, const std::string& key) {
-  return static_cast<std::uint64_t>(j.at(key).as_number());
+  return as_u64(j.at(key));
 }
 
 // Per-line integrity: FNV-1a 64 over the record serialised without its
-// len/sum fields.  Json objects are key-sorted maps, so stripping the two
-// fields and re-dumping reproduces the writer's payload bytes exactly.
+// len/sum fields, from the non-standard offset basis journal.h describes.
+// Json objects are key-sorted maps, so stripping the two fields and
+// re-dumping reproduces the writer's payload bytes exactly.
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const unsigned char c : s) {
@@ -295,7 +309,7 @@ std::vector<JournalRecord> parse_journal(std::istream& in,
         rec.window_id = u64_at(j, "window");
         rec.reason = j.at("reason").as_string();
         if (j.contains("cell")) {
-          rec.cell = static_cast<std::size_t>(j.at("cell").as_number());
+          rec.cell = static_cast<std::size_t>(u64_at(j, "cell"));
         }
         rec.members = from_json_array(j.at("members"));
         rec.shed = from_json_array(j.at("shed"));
@@ -308,9 +322,9 @@ std::vector<JournalRecord> parse_journal(std::istream& in,
         for (const Json& m : j.at("moves").as_array()) {
           RebalanceMove mv;
           mv.lease = u64_at(m, "lease");
-          mv.from = static_cast<std::size_t>(m.at("from").as_number());
-          mv.to = static_cast<std::size_t>(m.at("to").as_number());
-          mv.type = static_cast<std::size_t>(m.at("vmtype").as_number());
+          mv.from = static_cast<std::size_t>(u64_at(m, "from"));
+          mv.to = static_cast<std::size_t>(u64_at(m, "to"));
+          mv.type = static_cast<std::size_t>(u64_at(m, "vmtype"));
           rec.moves.push_back(mv);
         }
       } else {
@@ -384,7 +398,7 @@ Outcome outcome_from_json(const util::Json& json) {
   }
   if (has_lease(out.kind)) {
     out.lease = u64_at(json, "lease");
-    out.central = static_cast<std::size_t>(json.at("central").as_number());
+    out.central = static_cast<std::size_t>(u64_at(json, "central"));
     out.distance = json.at("distance").as_number();
   }
   out.requested_vms = json.at("requested").as_int();

@@ -25,12 +25,16 @@
 //    reproduces the capacity evolution they caused
 //
 // Integrity: every line additionally carries "len" (byte length of the
-// record serialised WITHOUT len/sum) and "sum" (FNV-1a 64 of those bytes).
-// The parser re-derives both and rejects a mismatched line — except when
-// the damage is confined to the FINAL line, the signature of a crash mid-
-// append, which is skipped with a warning instead of failing the whole
-// replay.  Lines without len/sum (journals from older builds) parse
-// unchanged.
+// record serialised WITHOUT len/sum) and "sum" (FNV-1a 64 of those bytes,
+// as 16 hex digits).  The hash starts from offset basis 1469598103934665603,
+// which is not the FNV spec's 14695981039346656037: it lacks the spec's last
+// digit, so a verifier written from the spec rejects every line.  The basis
+// stays for byte compatibility until the journal carries a schema version
+// (ROADMAP.md item 2, step 2).  The parser re-derives both and rejects a
+// mismatched line — except when the damage is confined to the FINAL line,
+// the signature of a crash mid-append, which is skipped with a warning
+// instead of failing the whole replay.  Lines without len/sum (journals from
+// older builds) parse unchanged.
 //
 // The window record carries the decided membership (not just arrival
 // order), so replay never re-runs the window-formation policy — it re-

@@ -2,9 +2,10 @@
 // reproduces the original run's decisions exactly — same windows (the
 // journal records membership, not just arrival order), same grants, same
 // lease ids, same DC totals.  Decision logic is detail::decide_window, the
-// very function the live dispatcher runs, so live and replayed runs cannot
-// diverge by construction; the only inputs are the journal records and the
-// (deterministic) ServiceOptions the service ran with.
+// very function the live service runs at every window close, so live and
+// replayed runs cannot diverge by construction; the only inputs are the
+// journal records and the (deterministic) ServiceOptions the service ran
+// with.
 #pragma once
 
 #include <string>
@@ -32,8 +33,11 @@ struct ReplayResult {
 };
 
 /// Replays `records` against `cloud` (normally a freshly built copy of the
-/// topology the live service ran on), using the same deterministic
-/// `options` (policy, ladder, discipline; clock/journal fields are ignored).
+/// topology the live service ran on).  Of `options`, replay reads only what
+/// decides a window the journal names: `policy`, `ladder`, and `cells` /
+/// `cell_size` for the partition.  Window membership, sheds and rebalance
+/// moves come from the records, so the admission, batching, discipline,
+/// journal, telemetry and rebalance fields are ignored.
 /// Throws std::invalid_argument on an unknown options.policy spec or a
 /// corrupt journal: a window member or shed seq with no prior submit
 /// record, or a duplicate submit seq.

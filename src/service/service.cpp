@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -313,8 +314,8 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
                  lp.status ==
                      placement::PlacementStatus::kRejectedOverCapacity) {
         // Spill: the cell cannot hold this member at all — retry against the
-        // full capacity view, so routed serving never refuses a request flat
-        // serving would grant (the exactness net of docs/cells.md).
+        // full capacity view.  An in-cell kPartial is not spilled; it is
+        // granted as it is (docs/cells.md, ROADMAP.md item 1).
         static obs::Counter& window_spills =
             obs::MetricsRegistry::global().counter("cell/window_spills");
         window_spills.add();
@@ -457,22 +458,9 @@ PlacementService::PlacementService(cluster::Cloud& cloud,
     sampler_ = std::make_unique<cluster::ClusterSampler>(
         cloud_, *options_.recorder, so);
   }
-  // Epoch for kWall mode's service clock; kVirtual (the replay mode) never
-  // reads it after construction.
-  wall_epoch_ = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-  if (options_.clock == ClockMode::kWall) {
-    dispatcher_ = std::thread(&PlacementService::dispatcher_loop, this);
-  }
 }
 
 PlacementService::~PlacementService() { stop(); }
-
-double PlacementService::wall_now_locked() const {
-  // kWall mode's service clock.  Virtual-mode (deterministic replay) code
-  // paths never reach this.
-  const auto now = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
-  return std::chrono::duration<double>(now - wall_epoch_).count();
-}
 
 SubmitReceipt PlacementService::submit(const cluster::Request& r,
                                        const SubmitOptions& o) {
@@ -486,8 +474,7 @@ SubmitReceipt PlacementService::submit(const cluster::Request& r,
   // Stage metric only (service/stage/admit).
   const auto admit_start = std::chrono::steady_clock::now();  // NOLINT(vcopt-wall-clock)
   util::MutexLock lk(mu_);
-  const double now =
-      options_.clock == ClockMode::kVirtual ? virtual_now_ : wall_now_locked();
+  const double now = virtual_now_;
   if (stopping_ || pending_.size() >= options_.queue_capacity) {
     ++stats_.queue_full;
     m.queue_full.add();
@@ -538,31 +525,14 @@ SubmitReceipt PlacementService::submit(const cluster::Request& r,
   }
   m.stage_admit.observe(seconds_since(admit_start));
 
-  if (options_.clock == ClockMode::kVirtual) {
-    if (cell_depth_locked(routed_cell) >= options_.max_batch) {
-      close_window_locked(virtual_now_, "size", routed_cell);
-    }
-  } else {
-    dispatch_cv_.notify_one();
+  if (cell_depth_locked(routed_cell) >= options_.max_batch) {
+    close_window_locked(now, "size", routed_cell);
   }
   return {AdmissionStatus::kAccepted, seq};
 }
 
-std::optional<Outcome> PlacementService::submit_and_wait(
-    const cluster::Request& r, const SubmitOptions& o) {
-  const SubmitReceipt receipt = submit(r, o);
-  if (receipt.admission != AdmissionStatus::kAccepted) return std::nullopt;
-  util::MutexLock lk(mu_);
-  while (decided_.count(receipt.seq) == 0) decided_cv_.wait(mu_);
-  auto it = decided_.find(receipt.seq);
-  Outcome out = std::move(it->second);
-  decided_.erase(it);
-  return out;
-}
-
 void PlacementService::advance_to(double t) {
   util::MutexLock lk(mu_);
-  if (options_.clock != ClockMode::kVirtual) return;
   if (t <= virtual_now_) return;  // the clock is monotonic
   run_windows_until_locked(t);
   virtual_now_ = std::max(virtual_now_, t);
@@ -570,41 +540,27 @@ void PlacementService::advance_to(double t) {
 
 void PlacementService::flush() {
   util::MutexLock lk(mu_);
-  const double now =
-      options_.clock == ClockMode::kVirtual ? virtual_now_ : wall_now_locked();
   while (!pending_.empty()) {
-    close_window_locked(now, "flush", pending_.front().cell);
+    close_window_locked(virtual_now_, "flush", pending_.front().cell);
   }
 }
 
 void PlacementService::stop() {
-  {
-    util::MutexLock lk(mu_);
-    stopping_ = true;
-    dispatch_cv_.notify_all();
+  util::MutexLock lk(mu_);
+  stopping_ = true;
+  while (!pending_.empty()) {
+    close_window_locked(virtual_now_, "flush", pending_.front().cell);
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    util::MutexLock lk(mu_);
-    const double now = options_.clock == ClockMode::kVirtual
-                           ? virtual_now_
-                           : wall_now_locked();
-    while (!pending_.empty()) {
-      close_window_locked(now, "flush", pending_.front().cell);
-    }
-    VCOPT_VALIDATE(check::validate_exact_cover(accepted_seqs_, decided_seqs_,
-                                               "service accepted-vs-decided"));
-  }
+  VCOPT_VALIDATE(check::validate_exact_cover(accepted_seqs_, decided_seqs_,
+                                             "service accepted-vs-decided"));
 }
 
 void PlacementService::release(cluster::LeaseId lease) {
   util::MutexLock lk(mu_);
-  const double now =
-      options_.clock == ClockMode::kVirtual ? virtual_now_ : wall_now_locked();
-  if (journal_) journal_->release(lease, now);
+  if (journal_) journal_->release(lease, virtual_now_);
   cloud_.release(lease);
-  if (sampler_) sampler_->maybe_sample(now);
-  maybe_rebalance_locked(now);
+  if (sampler_) sampler_->maybe_sample(virtual_now_);
+  maybe_rebalance_locked(virtual_now_);
 }
 
 std::vector<Outcome> PlacementService::take_outcomes() {
@@ -618,8 +574,7 @@ std::vector<Outcome> PlacementService::take_outcomes() {
 
 double PlacementService::now() const {
   util::MutexLock lk(mu_);
-  return options_.clock == ClockMode::kVirtual ? virtual_now_
-                                               : wall_now_locked();
+  return virtual_now_;
 }
 
 std::size_t PlacementService::queue_depth() const {
@@ -632,16 +587,11 @@ ServiceStats PlacementService::stats() const {
   return stats_;
 }
 
-double PlacementService::oldest_pending_locked() const {
-  VCOPT_DCHECK(!pending_.empty());
-  // pending_ stays in admission order (window picks compact it in place), so
-  // the front entry is always the oldest.
-  return pending_.front().submit_time;
-}
-
 void PlacementService::run_windows_until_locked(double t) {
   while (!pending_.empty()) {
-    const double due = oldest_pending_locked() + options_.max_wait;
+    // pending_ stays in admission order (window picks compact it in place),
+    // so the front entry is always the oldest.
+    const double due = pending_.front().submit_time + options_.max_wait;
     if (due > t) break;
     // Close at the exact expiry instant, so journal timestamps (and deadline
     // sheds) are independent of how callers chunk their advance_to() calls.
@@ -658,18 +608,6 @@ std::size_t PlacementService::cell_depth_locked(std::size_t cell) const {
     if (e.cell == cell) ++n;
   }
   return n;
-}
-
-std::optional<std::size_t> PlacementService::full_cell_locked() const {
-  // Count per cell in admission order and report the first cell to reach
-  // max_batch, so the wall dispatcher's size trigger is deterministic given
-  // the queue contents.  Flat mode: every entry carries kNoCell, so this
-  // reduces to the legacy pending_.size() >= max_batch check.
-  std::map<std::size_t, std::size_t> depth;
-  for (const PendingEntry& e : pending_) {
-    if (++depth[e.cell] >= options_.max_batch) return e.cell;
-  }
-  return std::nullopt;
 }
 
 std::optional<detail::CellPlanContext> PlacementService::make_cell_ctx(
@@ -782,7 +720,6 @@ void PlacementService::publish_outcomes_locked(std::size_t shed_count,
   }
   m.queue_depth.set(static_cast<double>(pending_.size()));
   if (sampler_) sampler_->maybe_sample(sample_time);
-  decided_cv_.notify_all();
 }
 
 void PlacementService::maybe_rebalance_locked(double t) {
@@ -854,31 +791,6 @@ void PlacementService::maybe_rebalance_locked(double t) {
     stats_.rebalance_migrations += committed;
   }
   if (sampler_) sampler_->maybe_sample(t);
-}
-
-void PlacementService::dispatcher_loop() {
-  util::MutexLock lk(mu_);
-  while (!stopping_) {
-    if (pending_.empty()) {
-      while (!stopping_ && pending_.empty()) dispatch_cv_.wait(mu_);
-      continue;
-    }
-    if (const std::optional<std::size_t> full = full_cell_locked()) {
-      close_window_locked(wall_now_locked(), "size", *full);
-      continue;
-    }
-    const double due = oldest_pending_locked() + options_.max_wait;
-    const double now = wall_now_locked();
-    if (now >= due) {
-      close_window_locked(now, "wait", pending_.front().cell);
-      continue;
-    }
-    const auto wake =
-        wall_epoch_ +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(due));
-    dispatch_cv_.wait_until(mu_, wake);
-  }
 }
 
 }  // namespace vcopt::service

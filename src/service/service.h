@@ -1,13 +1,13 @@
-// vcopt::service — a concurrent placement service in front of the cloud.
+// vcopt::service — a placement service in front of the cloud.
 //
 // The paper's Global Shortest Distance machinery (Def. 4, Algorithm 2) only
 // pays off when several requests are decided *together*; this layer is where
 // concurrent traffic is aggregated into decision windows so the batched path
 // is reachable from a realistic serving front-end:
 //
-//   producers ──submit()──▶ admission queue ──window──▶ dispatch ──▶ grants
+//   producers ──submit()──▶ admission queue ──window──▶ decide ──▶ grants
 //                 │  (bounded, shed/queue-full)  │
-//                 └── NDJSON journal (append before dispatch) ─▶ replay
+//                 └── NDJSON journal (append before decide) ─▶ replay
 //
 // Micro-batching window: the open window closes when it holds `max_batch`
 // accepted requests OR when the oldest pending request has waited `max_wait`
@@ -17,26 +17,21 @@
 // (GlobalSubOpt::place_batch), with the ladder as the per-request fallback
 // for window members the batch step could not admit.
 //
-// Clock modes:
-//   kVirtual  deterministic simulated seconds, advanced only by advance_to()
-//             (and implicit size-triggered closes).  Same submit sequence ⇒
-//             bit-identical journal, decisions and grant records — the mode
-//             the replay guarantee and all tests run in.
-//   kWall     a background dispatcher thread closes windows on real time
-//             (steady_clock seconds since construction).  Decisions are
-//             journaled the same way; replaying such a journal in virtual
-//             mode reproduces them (the journal records window membership,
-//             not just arrival order).
+// The service clock is virtual: simulated seconds that only advance_to()
+// moves.  A window closes on size inside the submit() that fills it, on
+// expiry inside the advance_to() that crosses its due time (at the exact
+// expiry instant), and in flush()/stop().  Same submit sequence ⇒
+// bit-identical journal, decisions and grant records — the replay guarantee.
+// The service starts no thread.
 //
 // Thread-safety: every public method is safe to call from any thread; one
-// mutex serialises admission, window bookkeeping, dispatch and the journal,
+// mutex serialises admission, window bookkeeping, decisions and the journal,
 // so the journal order IS the admission order.  Determinism caveat: the
 // default LadderOptions here zero the exact-ILP wall-clock budget — a rung
 // classified by elapsed wall time would make replay time-dependent (see
 // docs/service.md).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -44,7 +39,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/cloud.h"
@@ -158,11 +152,6 @@ struct PendingEntry {
   std::size_t cell = kNoCell;
 };
 
-enum class ClockMode {
-  kVirtual,  ///< advance_to()-driven simulated seconds (deterministic)
-  kWall,     ///< background dispatcher on steady_clock seconds
-};
-
 /// Declared objectives for the per-service SloTracker.  Every threshold is
 /// on the service clock / DC units; windows and burn thresholds follow
 /// obs::SloSpec semantics.  Always on (the tracker is cheap); set
@@ -218,7 +207,6 @@ struct ServiceOptions {
   /// break the deterministic-replay guarantee.
   placement::LadderOptions ladder{.ilp_budget_ms = 0};
   std::string policy = "online-heuristic";  ///< placement::make_policy spec
-  ClockMode clock = ClockMode::kVirtual;
   std::ostream* journal = nullptr;  ///< NDJSON sink; null = no journal
   ServiceSloOptions slo;  ///< objectives for the per-service SloTracker
   /// Optional time-series recorder: when set, a cluster::ClusterSampler
@@ -234,11 +222,13 @@ struct ServiceOptions {
   /// partitions the cloud into rack-aligned cells, routes each accepted
   /// request to a cell at admission (O(cells) sketch scoring), and closes
   /// decision windows per cell — so a window's Algorithm 1/2 solve scans one
-  /// cell's rows instead of the whole cloud.  A member its cell cannot hold
-  /// spills to a flat plan over the full capacity view, so routed serving
-  /// never refuses a request flat serving would grant.  Journal window
-  /// records carry the cell id and replay re-plans inside the recorded cell,
-  /// so the replay guarantee is unchanged.  Both zero = flat serving.
+  /// cell's rows instead of the whole cloud.  A member is re-planned flat,
+  /// over the full capacity view, only when its in-cell ladder ends in
+  /// kAbandoned or kRejectedOverCapacity; an in-cell kPartial is granted as
+  /// it is, so routed serving can grant part of a request that flat serving
+  /// grants in full (ROADMAP.md item 1).  Journal window records carry the
+  /// cell id and replay re-plans inside the recorded cell, so the replay
+  /// guarantee is unchanged.  Both zero = flat serving.
   std::size_t cells = 0;      ///< target cell count (cell::CellPartitionOptions)
   std::size_t cell_size = 0;  ///< target nodes per cell (alternative knob)
   std::size_t route_shortlist = 2;  ///< cells the router keeps per request
@@ -352,31 +342,24 @@ class PlacementService {
   PlacementService& operator=(const PlacementService&) = delete;
 
   /// Admits a request (journaled, queued for the open window), sheds it, or
-  /// reports backpressure.  Thread-safe; never blocks on placement work
-  /// except when a size-triggered window closes on this call (virtual mode)
-  /// or the dispatcher holds the lock mid-decision (wall mode).
-  /// Throws std::invalid_argument on a request/catalog shape mismatch.
+  /// reports backpressure.  Thread-safe.  When the request fills its window
+  /// to max_batch, this call closes and decides that window before it
+  /// returns.  Throws std::invalid_argument on a request/catalog shape
+  /// mismatch.
   SubmitReceipt submit(const cluster::Request& r, const SubmitOptions& o = {});
 
-  /// submit() + block until the request's outcome is decided (wall mode, or
-  /// another thread advancing/flushing a virtual-mode service).  Returns
-  /// nullopt when admission did not accept the request.  The outcome is
-  /// consumed (take_outcomes will not return it again).
-  std::optional<Outcome> submit_and_wait(const cluster::Request& r,
-                                         const SubmitOptions& o = {});
-
-  /// Virtual mode: advances the clock to `t` (monotonic; lower values are
-  /// ignored), closing every window whose max_wait expires on the way, at
-  /// its exact expiry instant.  No-op for the wall clock.
+  /// Advances the clock to `t` (monotonic; lower values are ignored),
+  /// closing every window whose max_wait expires on the way, at its exact
+  /// expiry instant.
   void advance_to(double t);
 
-  /// Closes and decides windows until no pending request remains (any mode).
+  /// Closes and decides windows until no pending request remains.
   void flush();
 
   /// Graceful shutdown: rejects further submits (kQueueFull), flushes all
-  /// pending windows, joins the wall-mode dispatcher, and — with checks
-  /// enabled — validates journal/grant reconciliation (every accepted seq
-  /// has exactly one outcome).  Idempotent.
+  /// pending windows, and — with checks enabled — validates journal/grant
+  /// reconciliation (every accepted seq has exactly one outcome).
+  /// Idempotent.
   void stop();
 
   /// Releases a granted lease back to the cloud (journaled, so replay
@@ -384,7 +367,7 @@ class PlacementService {
   void release(cluster::LeaseId lease);
 
   /// Drains decided outcomes in seq order (each outcome is delivered exactly
-  /// once across take_outcomes/submit_and_wait).
+  /// once).
   std::vector<Outcome> take_outcomes();
 
   double now() const;              ///< current service-clock seconds
@@ -397,7 +380,6 @@ class PlacementService {
   const obs::SloTracker& slo() const { return slo_; }
 
  private:
-  double wall_now_locked() const VCOPT_REQUIRES(mu_);
   /// Closes one window at `close_time` (lock held): picks members by
   /// discipline among the entries routed to `cell` (flat mode: every entry
   /// carries kNoCell, so the filter is a no-op), sheds expired entries from
@@ -407,15 +389,10 @@ class PlacementService {
                            std::size_t cell) VCOPT_REQUIRES(mu_);
   /// Pending entries routed to `cell` (flat mode: the whole queue depth).
   std::size_t cell_depth_locked(std::size_t cell) const VCOPT_REQUIRES(mu_);
-  /// The first cell (in admission order) whose pending count reached
-  /// max_batch, if any — the wall dispatcher's size trigger.
-  std::optional<std::size_t> full_cell_locked() const VCOPT_REQUIRES(mu_);
   /// Cell scope for a window routed to `cell`; nullopt outside cell mode.
   std::optional<detail::CellPlanContext> make_cell_ctx(std::size_t cell) const;
-  /// Virtual mode: closes every window due at or before `t` (lock held).
+  /// Closes every window due at or before `t` (lock held).
   void run_windows_until_locked(double t) VCOPT_REQUIRES(mu_);
-  double oldest_pending_locked() const VCOPT_REQUIRES(mu_);
-  void dispatcher_loop();
   /// Stats/SLO/decided_ publication for one decided window.
   void publish_outcomes_locked(std::size_t shed_count,
                                std::size_t member_count, double sample_time,
@@ -433,8 +410,6 @@ class PlacementService {
   std::unique_ptr<cluster::ClusterSampler> sampler_ VCOPT_PT_GUARDED_BY(mu_);
 
   mutable util::Mutex mu_;
-  util::CondVar dispatch_cv_;  // wakes the wall-mode dispatcher
-  util::CondVar decided_cv_;   // wakes submit_and_wait callers
   // Sharded cell serving (options_.cell_mode(); all null/empty otherwise).
   // Set once in the ctor.  The directory's sketches mutate whenever the
   // cloud's capacity does — and every capacity mutation here happens under
@@ -461,8 +436,6 @@ class PlacementService {
   // compiled in, so a Release service does not grow it per request.
   std::vector<std::uint64_t> accepted_seqs_ VCOPT_GUARDED_BY(mu_);
   std::vector<std::uint64_t> decided_seqs_ VCOPT_GUARDED_BY(mu_);
-  std::chrono::steady_clock::time_point wall_epoch_;  // ctor-set, then const
-  std::thread dispatcher_;  // wall mode only; started in ctor, joined in stop
 };
 
 }  // namespace vcopt::service

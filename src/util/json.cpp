@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace vcopt::util {
@@ -259,6 +260,10 @@ double Json::as_number() const {
 int Json::as_int() const {
   const double v = as_number();
   if (v != std::floor(v)) throw std::logic_error("Json: number is not integral");
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max())) {
+    throw std::logic_error("Json: number is outside int's range");
+  }
   return static_cast<int>(v);
 }
 

@@ -70,7 +70,7 @@ class Json {
   /// Typed accessors; throw std::logic_error on type mismatch.
   bool as_bool() const;
   double as_number() const;
-  int as_int() const;  ///< rejects non-integral numbers
+  int as_int() const;  ///< rejects non-integral numbers and ones outside int
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;

@@ -16,7 +16,6 @@
 //   while (!ready_) cv_.wait(mu_);   // ready_ is VCOPT_GUARDED_BY(mu_)
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -53,10 +52,10 @@ class VCOPT_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Condition variable for util::Mutex.  wait()/wait_until() require the
-/// mutex to be held and hold it again on return (the release/reacquire
-/// inside the wait is invisible to the analysis, matching the capability
-/// contract of a condition wait).
+/// Condition variable for util::Mutex.  wait() requires the mutex to be
+/// held and holds it again on return (the release/reacquire inside the wait
+/// is invisible to the analysis, matching the capability contract of a
+/// condition wait).
 class CondVar {
  public:
   CondVar() = default;
@@ -71,18 +70,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
     cv_.wait(native);
     native.release();
-  }
-
-  /// Blocks until notified or `deadline`; returns std::cv_status::timeout
-  /// when the deadline passed.
-  template <class Clock, class Duration>
-  std::cv_status wait_until(
-      Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      VCOPT_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(native, deadline);
-    native.release();
-    return status;
   }
 
   void notify_one() { cv_.notify_one(); }

@@ -60,7 +60,6 @@ ServedRun serve(ServiceOptions options, obs::Recorder* recorder,
   cluster::Cloud cloud(topology, catalog,
                        workload::random_inventory(topology, catalog, rng, 0, 3));
   std::ostringstream journal;
-  options.clock = ClockMode::kVirtual;
   options.journal = &journal;
   options.max_batch = 4;
   options.max_wait = 0.01;

@@ -202,6 +202,32 @@ TEST(Journal, SchemaViolationNamesTheRecord) {
   }
 }
 
+TEST(Journal, IdThatNoUint64HoldsIsABadRecord) {
+  // Ids are written as doubles: lease 2^64 - 1 is written as 2^64, which no
+  // uint64_t holds, so parsing it back must fail on its line rather than
+  // cast it.  The hand-written lines put a negative seq in a window's
+  // members and a fractional node in a rebalance move.
+  std::ostringstream written;
+  JournalWriter writer(written);
+  writer.release(std::numeric_limits<std::uint64_t>::max(), 0.5);
+  for (const std::string& line :
+       {written.str(),
+        std::string("{\"members\":[-1],\"reason\":\"size\",\"shed\":[],"
+                    "\"time\":0,\"type\":\"window\",\"window\":1}\n"),
+        std::string("{\"moves\":[{\"from\":1.5,\"lease\":1,\"to\":2,"
+                    "\"vmtype\":0}],\"time\":0,\"type\":\"rebalance\"}\n")}) {
+    std::istringstream in(line);
+    try {
+      parse_journal(in, "j");
+      ADD_FAILURE() << "expected std::invalid_argument for " << line;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("j:1: bad journal record"), std::string::npos)
+          << msg;
+    }
+  }
+}
+
 TEST(Journal, UnknownRequestClassIsASchemaError) {
   std::istringstream in(
       "{\"type\":\"submit\",\"seq\":1,\"id\":1,\"counts\":[1],\"priority\":0,"

@@ -37,7 +37,6 @@ LiveRun run_live(const workload::SimScenario& scenario, ServiceOptions options,
                  std::uint64_t seed) {
   Cloud cloud = scenario_cloud(scenario);
   std::ostringstream journal;
-  options.clock = ClockMode::kVirtual;
   options.journal = &journal;
   PlacementService svc(cloud, options);
   util::Rng rng(seed);

@@ -42,7 +42,6 @@ RunResult run_churn(const workload::SimScenario& scenario,
                     int rounds = 3) {
   Cloud cloud = scenario_cloud(scenario);
   std::ostringstream journal;
-  options.clock = ClockMode::kVirtual;
   options.journal = &journal;
   options.queue_capacity = 4096;
   options.recorder = recorder;

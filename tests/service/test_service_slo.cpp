@@ -1,7 +1,6 @@
 // The per-service SloTracker: declared objectives, stage-latency histograms,
-// the healthy-baseline-stays-quiet / overload-trips-shed-alert contract (the
-// acceptance criterion of the telemetry PR), and the recorder/sampler wiring
-// through ServiceOptions.
+// the healthy-baseline-stays-quiet / overload-trips-shed-alert gates, and the
+// recorder/sampler wiring through ServiceOptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "cluster/cloud.h"
+#include "gate_stream.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -30,7 +30,6 @@ TEST(ServiceSlo, ObjectivesAreDeclaredAtConstruction) {
   const auto scenario = workload::paper_sim_scenario(2);
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   PlacementService svc(cloud, options);
   EXPECT_TRUE(svc.slo().declared("service/latency"));
   EXPECT_TRUE(svc.slo().declared("service/shed_rate"));
@@ -42,78 +41,110 @@ TEST(ServiceSlo, DisabledOptionSkipsDeclaration) {
   const auto scenario = workload::paper_sim_scenario(2);
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.slo.enabled = false;
   PlacementService svc(cloud, options);
   EXPECT_TRUE(svc.slo().names().empty());
   svc.stop();
 }
 
-TEST(ServiceSlo, HealthyBaselineDoesNotAlert) {
-  const auto scenario = workload::paper_sim_scenario(4);
-  Cloud cloud = scenario_cloud(scenario);
-  ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
-  options.max_batch = 4;
-  options.queue_capacity = 256;
-  PlacementService svc(cloud, options);
-  for (std::size_t i = 0; i < 24; ++i) {
-    const Request& r = scenario.requests[i % scenario.requests.size()];
-    svc.submit(Request(r.counts(), i + 1));
-    if ((i + 1) % 4 == 0) {
-      svc.flush();
-      for (const Outcome& o : svc.take_outcomes()) {
-        if (has_lease(o.kind)) svc.release(o.lease);
-      }
-    }
+/// The first `n` requests of `stream` (cyclically), renumbered 1..n.
+std::vector<Request> renumbered(const std::vector<Request>& stream,
+                                std::size_t n) {
+  std::vector<Request> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.emplace_back(stream[i % stream.size()].counts(), i + 1);
   }
-  svc.flush();
-  EXPECT_FALSE(svc.slo().any_alerting(svc.now()));
-  const auto statuses = svc.slo().evaluate(svc.now());
-  const auto shed = std::find_if(
-      statuses.begin(), statuses.end(),
-      [](const obs::SloStatus& s) { return s.spec.name == "service/shed_rate"; });
-  ASSERT_NE(shed, statuses.end());
-  EXPECT_EQ(shed->bad, 0u);
-  EXPECT_GE(shed->total, 24u);
-  svc.stop();
+  return out;
 }
 
-TEST(ServiceSlo, OverloadTripsShedRateAlert) {
-  const auto scenario = workload::paper_sim_scenario(4);
-  Cloud cloud = scenario_cloud(scenario);
-  ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
-  options.max_batch = 1000;  // the window never closes on size
-  options.max_wait = 1e9;
-  options.queue_capacity = 4;  // tiny: almost everything is refused
-  PlacementService svc(cloud, options);
-  std::size_t refused = 0;
-  for (std::size_t i = 0; i < 100; ++i) {
-    const Request& r = scenario.requests[i % scenario.requests.size()];
-    if (svc.submit(Request(r.counts(), i + 1)).admission !=
-        AdmissionStatus::kAccepted) {
-      ++refused;
+// A modest stream into an amply provisioned service: every submission
+// admits, each window is decided and its leases released before the next
+// one fills, so nothing sheds.  Inputs: 24 of seed 4's requests in windows
+// of 4, and seed 42's 144-request gate stream in windows of 8.
+TEST(ServiceSlo, HealthyBaselineDoesNotAlert) {
+  const auto seed4 = workload::paper_sim_scenario(4);
+  const auto seed42 = gate_scenario();
+  const struct {
+    const workload::SimScenario& scenario;
+    std::vector<Request> stream;
+    std::size_t window;
+  } inputs[] = {{seed4, renumbered(seed4.requests, 24), 4},
+                {seed42, renumbered(gate_stream(seed42, 144), 144), 8}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(testing::Message() << in.stream.size() << " requests, W = "
+                                    << in.window);
+    Cloud cloud = scenario_cloud(in.scenario);
+    ServiceOptions options;
+    options.max_batch = in.window;
+    options.queue_capacity = 256;
+    PlacementService svc(cloud, options);
+    for (std::size_t i = 0; i < in.stream.size(); ++i) {
+      svc.submit(in.stream[i]);
+      if ((i + 1) % in.window == 0) {
+        svc.flush();
+        for (const Outcome& o : svc.take_outcomes()) {
+          if (has_lease(o.kind)) svc.release(o.lease);
+        }
+      }
     }
+    svc.flush();
+    EXPECT_FALSE(svc.slo().any_alerting(svc.now()));
+    const auto statuses = svc.slo().evaluate(svc.now());
+    const auto shed = std::find_if(
+        statuses.begin(), statuses.end(), [](const obs::SloStatus& s) {
+          return s.spec.name == "service/shed_rate";
+        });
+    ASSERT_NE(shed, statuses.end());
+    EXPECT_EQ(shed->bad, 0u);
+    EXPECT_GE(shed->total, in.stream.size());
+    svc.stop();
   }
-  EXPECT_GE(refused, 90u);
-  EXPECT_TRUE(svc.slo().any_alerting(svc.now()));
-  const auto statuses = svc.slo().evaluate(svc.now());
-  const auto shed = std::find_if(
-      statuses.begin(), statuses.end(),
-      [](const obs::SloStatus& s) { return s.spec.name == "service/shed_rate"; });
-  ASSERT_NE(shed, statuses.end());
-  EXPECT_TRUE(shed->alerting);
-  EXPECT_GE(shed->short_burn, options.slo.burn_alert);
-  EXPECT_GE(shed->long_burn, options.slo.burn_alert);
-  svc.stop();
+}
+
+// Queue capacity 4 and a burst far beyond it in one instant: every
+// submission past the fourth is refused at admission, and the shed-rate
+// objective burns through its budget in both windows.  Inputs: 100 of seed
+// 4's requests, and 200 from seed 42's gate stream.
+TEST(ServiceSlo, OverloadTripsShedRateAlert) {
+  const auto seed4 = workload::paper_sim_scenario(4);
+  const auto seed42 = gate_scenario();
+  const struct {
+    const workload::SimScenario& scenario;
+    std::vector<Request> burst;
+  } inputs[] = {{seed4, renumbered(seed4.requests, 100)},
+                {seed42, renumbered(gate_stream(seed42, 144), 200)}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(testing::Message() << in.burst.size() << " submissions");
+    Cloud cloud = scenario_cloud(in.scenario);
+    ServiceOptions options;
+    options.max_batch = in.burst.size() + 1;  // never closes on size
+    options.max_wait = 1e9;
+    options.queue_capacity = 4;
+    PlacementService svc(cloud, options);
+    std::size_t refused = 0;
+    for (const Request& r : in.burst) {
+      if (svc.submit(r).admission != AdmissionStatus::kAccepted) ++refused;
+    }
+    EXPECT_EQ(refused, in.burst.size() - options.queue_capacity);
+    EXPECT_TRUE(svc.slo().any_alerting(svc.now()));
+    const auto statuses = svc.slo().evaluate(svc.now());
+    const auto shed = std::find_if(
+        statuses.begin(), statuses.end(), [](const obs::SloStatus& s) {
+          return s.spec.name == "service/shed_rate";
+        });
+    ASSERT_NE(shed, statuses.end());
+    EXPECT_TRUE(shed->alerting);
+    EXPECT_GE(shed->short_burn, options.slo.burn_alert);
+    EXPECT_GE(shed->long_burn, options.slo.burn_alert);
+    svc.stop();
+  }
 }
 
 TEST(ServiceSlo, SnapshotJsonListsAllThreeObjectives) {
   const auto scenario = workload::paper_sim_scenario(2);
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   PlacementService svc(cloud, options);
   svc.submit(scenario.requests[0]);
   svc.flush();
@@ -130,7 +161,6 @@ TEST(ServiceSlo, RecorderOptionWiresTheClusterSampler) {
   obs::Recorder rec;
   rec.set_enabled(true);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.max_batch = 2;
   options.recorder = &rec;
   options.sample_period = 0.0;  // sample at every decide window
@@ -151,7 +181,6 @@ TEST(ServiceSlo, StageHistogramsAreRecordedInGlobalRegistry) {
   const auto scenario = workload::paper_sim_scenario(2);
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.max_batch = 2;
   PlacementService svc(cloud, options);
   for (std::size_t i = 0; i < 4; ++i) svc.submit(scenario.requests[i]);

@@ -47,7 +47,6 @@ TEST(Tracing, OutcomesCarryDerivedTraceIds) {
   const auto scenario = workload::paper_sim_scenario(3);
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.max_batch = 4;
   PlacementService svc(cloud, options);
   std::vector<std::uint64_t> seqs;
@@ -72,7 +71,6 @@ TEST(Tracing, JournalRecordsAndGrantStreamCarryTraceIds) {
   Cloud cloud = scenario_cloud(scenario);
   std::ostringstream journal;
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.max_batch = 2;
   options.journal = &journal;
   PlacementService svc(cloud, options);
@@ -111,7 +109,6 @@ TEST(Tracing, ReplayPreservesTraceIdsByteIdentically) {
   {
     Cloud cloud = scenario_cloud(scenario);
     ServiceOptions options;
-    options.clock = ClockMode::kVirtual;
     options.max_batch = 3;
     options.journal = &journal;
     PlacementService svc(cloud, options);
@@ -127,7 +124,6 @@ TEST(Tracing, ReplayPreservesTraceIdsByteIdentically) {
   }
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.max_batch = 3;
   std::istringstream in(journal.str());
   const ReplayResult replayed =
@@ -143,7 +139,6 @@ TEST(Tracing, LegacyJournalWithoutTraceFieldDerivesTheSameIds) {
   {
     Cloud cloud = scenario_cloud(scenario);
     ServiceOptions options;
-    options.clock = ClockMode::kVirtual;
     options.max_batch = 2;
     options.journal = &journal;
     PlacementService svc(cloud, options);
@@ -190,7 +185,6 @@ TEST(Tracing, LegacyJournalWithoutTraceFieldDerivesTheSameIds) {
 
   Cloud cloud = scenario_cloud(scenario);
   ServiceOptions options;
-  options.clock = ClockMode::kVirtual;
   options.max_batch = 2;
   std::istringstream in(legacy);
   const std::vector<JournalRecord> records = parse_journal(in, "legacy");

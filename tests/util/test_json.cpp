@@ -70,6 +70,14 @@ TEST(Json, TypeErrors) {
   EXPECT_THROW(Json::parse("{}").at("missing"), std::out_of_range);
   EXPECT_THROW(Json::parse("1.5").as_int(), std::logic_error);
   EXPECT_EQ(Json::parse("7").as_int(), 7);
+  EXPECT_EQ(Json::parse("-2147483648").as_int(),
+            std::numeric_limits<int>::min());
+  EXPECT_THROW(Json::parse("2147483648").as_int(), std::logic_error);
+  EXPECT_THROW(Json::parse("-2147483649").as_int(), std::logic_error);
+  EXPECT_THROW(Json::parse("1e300").as_int(), std::logic_error);
+  EXPECT_THROW(Json(std::numeric_limits<double>::infinity()).as_int(),
+               std::logic_error);
+  EXPECT_THROW(Json(std::nan("")).as_int(), std::logic_error);
 }
 
 TEST(Json, NumberOr) {

@@ -58,7 +58,7 @@ code whose outputs must replay byte-identically; see docs/correctness.md):
   vcopt-wall-clock   no wall/monotonic clock reads (system_clock::now,
                      steady_clock::now, time(), clock(), gettimeofday):
                      replay-critical decisions must run on the virtual
-                     service/sim clock.  Metrics-only or wall-mode-only
+                     service/sim clock.  Metric and trace timestamp
                      reads get a justified NOLINT.
   vcopt-unseeded-rng no std::random_device / default-constructed standard
                      engines / default_random_engine: every random stream
@@ -299,8 +299,8 @@ class Linter:
                 raw, "vcopt-wall-clock"):
             self.report(path, lineno, "vcopt-wall-clock",
                         "wall-clock read in replay-critical code; decisions "
-                        "must run on the virtual clock — justify metrics or "
-                        "wall-mode-only reads with NOLINT(vcopt-wall-clock)")
+                        "must run on the virtual clock — justify metric or "
+                        "trace timestamp reads with NOLINT(vcopt-wall-clock)")
         if RE_UNSEEDED_RNG.search(code) and not suppressed(
                 raw, "vcopt-unseeded-rng"):
             self.report(path, lineno, "vcopt-unseeded-rng",

@@ -1,8 +1,10 @@
 // google-benchmark microbenchmarks: wall-time scaling of the placement
 // algorithms with cloud size, backing the paper's complexity claims —
-// Algorithm 1 is O(n^2 m) and stays interactive at hundreds of nodes, the
-// polynomial exact SD solver is comparable, while the per-central-node ILP
-// is orders of magnitude slower (why the heuristic matters in practice).
+// Algorithm 1 is O(n·m + n log n) (it scores every candidate central from
+// per-rack and per-cloud free sums and fills only the winner) and stays
+// interactive at hundreds of nodes, the polynomial exact SD solver is
+// comparable, while the per-central-node ILP is orders of magnitude slower
+// (why the heuristic matters in practice).
 #include <benchmark/benchmark.h>
 
 #include "placement/global_subopt.h"

@@ -152,7 +152,9 @@ std::optional<placement::Placement> place(const cluster::Request& request,
       for (std::size_t j = 0; j < remaining.cols(); ++j) {
         alloc.at(i, j) = request.count(j);
       }
-      return placement::Placement{std::move(alloc), i, 0.0};
+      return placement::Placement{
+          std::move(alloc), i,
+          static_cast<double>(request.total_vms()) * topology.distance(i, i)};
     }
   }
 
@@ -421,8 +423,8 @@ util::Json run_routed_quality(std::uint64_t seed) {
     cell::CellPartitionOptions po;
     po.target_cells = 8;
     cell::CellDirectory directory(routed_cloud, po);
-    cell::RoutedPolicyOptions ro;
-    ro.router.shortlist = 4;
+    cell::CellRouterOptions ro;
+    ro.shortlist = 4;
     cell::RoutedPolicy routed(directory, ro);
     double routed_dc = 0;
     std::size_t routed_grants = 0;

@@ -257,8 +257,8 @@ int cmd_sim(const std::map<std::string, std::string>& flags) {
       cell_dir = std::make_unique<cell::CellDirectory>(cloud, po);
       std::cerr << "cells: " << cell_dir->partition().describe() << "\n";
     }
-    cell::RoutedPolicyOptions ro;
-    ro.router.shortlist = std::stoull(flag(flags, "route-shortlist", "2"));
+    cell::CellRouterOptions ro;
+    ro.shortlist = std::stoull(flag(flags, "route-shortlist", "2"));
     return std::make_unique<cell::RoutedPolicy>(*cell_dir, ro);
   };
 

@@ -28,8 +28,8 @@ struct PolicyMetrics {
 }  // namespace
 
 RoutedPolicy::RoutedPolicy(CellDirectory& directory,
-                           RoutedPolicyOptions options)
-    : directory_(directory), options_(options), router_(options.router) {}
+                           CellRouterOptions options)
+    : directory_(directory), router_(options) {}
 
 std::optional<placement::Placement> RoutedPolicy::place(
     const cluster::Request& request, const util::IntMatrix& remaining,
@@ -81,7 +81,6 @@ std::optional<placement::Placement> RoutedPolicy::place(
         directory_.partition().cell(c).nodes[best->central], best->distance};
   }
 
-  if (!options_.flat_fallback) return std::nullopt;
   metrics.fallback_flat.add();
   return inner_.place(request, remaining, topology);
 }

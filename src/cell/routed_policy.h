@@ -6,8 +6,8 @@
 // scattered back to global node ids — intra-cell distances are preserved by
 // construction, so the reported DC needs no correction.  A cell whose fill
 // fails simply drops out (spill); when every shortlisted cell fails — or no
-// cell admits the request — the policy optionally falls back to the flat
-// scan so routing can never refuse a request flat placement would satisfy.
+// cell admits the request — the policy falls back to the flat scan, so
+// routing never refuses a request flat placement would satisfy.
 //
 // With a single-cell partition the slice is the whole matrix and the cell
 // topology is the global one, so the policy is bitwise identical to plain
@@ -23,17 +23,10 @@
 
 namespace vcopt::cell {
 
-struct RoutedPolicyOptions {
-  CellRouterOptions router;
-  /// Fall back to the flat scan when no shortlisted cell can place the
-  /// request (exactness net for oversized requests spanning cells).
-  bool flat_fallback = true;
-};
-
 class RoutedPolicy : public placement::PlacementPolicy {
  public:
   /// The directory must outlive the policy.
-  RoutedPolicy(CellDirectory& directory, RoutedPolicyOptions options = {});
+  RoutedPolicy(CellDirectory& directory, CellRouterOptions options = {});
 
   std::optional<placement::Placement> place(
       const cluster::Request& request, const util::IntMatrix& remaining,
@@ -43,7 +36,6 @@ class RoutedPolicy : public placement::PlacementPolicy {
 
  private:
   CellDirectory& directory_;
-  RoutedPolicyOptions options_;
   CellRouter router_;
   placement::OnlineHeuristic inner_;
 };

@@ -1,13 +1,13 @@
 #include "cluster/vm_type.h"
 
+#include <set>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace vcopt::cluster {
 
 VmCatalog::VmCatalog(std::vector<VmType> types) : types_(std::move(types)) {
   if (types_.empty()) throw std::invalid_argument("VmCatalog: empty");
-  std::unordered_set<std::string> seen;
+  std::set<std::string> seen;
   for (const auto& t : types_) {
     if (t.name.empty()) throw std::invalid_argument("VmCatalog: unnamed type");
     if (!seen.insert(t.name).second) {

@@ -313,7 +313,9 @@ std::optional<Placement> OnlineHeuristic::place(
     }
   }
 
-  // Lines 9-14: if one node can host everything, distance is 0 — take it.
+  // Lines 9-14: if one node can host everything, take it.  Its DC is
+  // Definition 1 of a one-node allocation, ΣR · same_node, in the bits
+  // Allocation::best_central computes.
   for (std::size_t i = 0; i < n; ++i) {
     bool whole = true;
     for (std::size_t j = 0; j < m; ++j) {
@@ -328,7 +330,9 @@ std::optional<Placement> OnlineHeuristic::place(
         alloc.at(i, j) = request.count(j);
       }
       record_place_metrics(1, 0, true);
-      return Placement{std::move(alloc), i, 0.0};
+      return Placement{
+          std::move(alloc), i,
+          static_cast<double>(request.total_vms()) * topology.distance(i, i)};
     }
   }
 

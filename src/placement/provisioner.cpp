@@ -1,14 +1,12 @@
 #include "placement/provisioner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "check/check.h"
 #include "check/validators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "solver/sd_solver.h"
 
 namespace vcopt::placement {
 
@@ -22,11 +20,9 @@ struct ProvisionerMetrics {
   obs::Counter& reject_empty;
   obs::Counter& reject_shape;
   obs::Counter& reject_over_capacity;
-  obs::Counter& ladder_exact;
   obs::Counter& ladder_heuristic;
   obs::Counter& ladder_partial;
   obs::Counter& ladder_abandoned;
-  obs::Gauge& ladder_ilp_ms;
   obs::HistogramMetric& queue_wait;
 
   static ProvisionerMetrics& get() {
@@ -39,11 +35,9 @@ struct ProvisionerMetrics {
         reg.counter("provisioner/reject_empty"),
         reg.counter("provisioner/reject_shape"),
         reg.counter("provisioner/reject_over_capacity"),
-        reg.counter("provisioner/ladder_exact"),
         reg.counter("provisioner/ladder_heuristic"),
         reg.counter("provisioner/ladder_partial"),
         reg.counter("provisioner/ladder_abandoned"),
-        reg.gauge("provisioner/ladder_ilp_ms"),
         reg.histogram("provisioner/queue_wait_time",
                       obs::MetricsRegistry::exponential_buckets(0.001, 2.0, 24)),
     };
@@ -84,40 +78,6 @@ cluster::Allocation best_effort_fill(const cluster::Request& r,
     }
   }
   return alloc;
-}
-
-/// The final ladder rung: best-effort partial fill (or kAbandoned), written
-/// into `plan`.
-LadderPlan& plan_partial(const cluster::Request& r,
-                         const LadderOptions& options,
-                         const util::IntMatrix& remaining,
-                         const cluster::Topology& topology, LadderPlan& plan) {
-  auto& m = ProvisionerMetrics::get();
-  if (options.allow_partial) {
-    cluster::Allocation partial = best_effort_fill(r, remaining, topology);
-    if (partial.total_vms() > 0) {
-      Placement placed = evaluate(std::move(partial), topology);
-      // Grant exactly what was placed: the lease's request is the clipped
-      // vector, so Def. 2 feasibility holds for the partial grant too.
-      std::vector<int> placed_counts(placed.allocation.type_count());
-      for (std::size_t j = 0; j < placed_counts.size(); ++j) {
-        placed_counts[j] = placed.allocation.vms_of_type(j);
-      }
-      cluster::Request effective(std::move(placed_counts), r.id(),
-                                 r.priority());
-      VCOPT_VALIDATE(check::validate_allocation(
-          placed.allocation.counts(), effective.counts(), remaining));
-      plan.granted_vms = placed.allocation.total_vms();
-      plan.placement = std::move(placed);
-      plan.effective = std::move(effective);
-      plan.status = PlacementStatus::kPartial;
-      m.ladder_partial.add();
-      return plan;
-    }
-  }
-  plan.status = PlacementStatus::kAbandoned;
-  m.ladder_abandoned.add();
-  return plan;
 }
 
 }  // namespace
@@ -264,8 +224,7 @@ LadderPlan plan_laddered(const cluster::Request& r,
                          const util::IntMatrix& remaining,
                          const cluster::Topology& topology,
                          const std::vector<int>& capacity_col_sums,
-                         PlacementPolicy& policy,
-                         const LadderOptions& options) {
+                         PlacementPolicy& policy) {
   auto& m = ProvisionerMetrics::get();
   LadderPlan plan;
   plan.requested_vms = r.total_vms();
@@ -290,79 +249,36 @@ LadderPlan plan_laddered(const cluster::Request& r,
     }
   }
 
-  auto take = [&](Placement placed, PlacementStatus status,
-                  cluster::Request effective) {
-    VCOPT_VALIDATE(check::validate_allocation(placed.allocation.counts(),
-                                              effective.counts(), remaining));
-    plan.granted_vms = placed.allocation.total_vms();
-    plan.placement = std::move(placed);
-    plan.effective = std::move(effective);
-    plan.status = status;
-  };
-
-  // Rung 1: the exact ILP, under a wall-clock budget.  The search itself is
-  // bounded by the B&B node budget (there is no mid-search deadline), so the
-  // wall clock decides how the result is *classified*: a proven optimum
-  // within budget is kGranted; a truncated or over-budget incumbent falls
-  // through to the heuristic rung below.
-  const std::size_t variables = topology.node_count() * r.type_count();
-  if (options.ilp_budget_ms > 0 && variables <= options.ilp_max_variables) {
-    solver::IlpOptions ilp;
-    ilp.max_nodes = options.ilp_max_nodes;
-    // The ILP takes an arbitrary metric, so it gets a dense D, built once
-    // per call (and never by the service, which leaves this rung off).
-    const util::DoubleMatrix dist =
-        topology.distance_matrix();  // NOLINT(vcopt-dense-distance)
-    const auto t0 = std::chrono::steady_clock::now();
-    const solver::SdResult exact = solver::solve_sd_ilp(r, remaining, dist, ilp);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    m.ladder_ilp_ms.set(ms);
-    if (exact.feasible && ms <= options.ilp_budget_ms) {
-      m.ladder_exact.add();
-      take(Placement{exact.allocation, exact.central, exact.distance},
-           PlacementStatus::kGranted, r);
+  // The caller's policy places the whole request, or the best-effort fill
+  // places what availability allows.
+  if (auto placed = policy.place(r, remaining, topology)) {
+    plan.status = PlacementStatus::kDegraded;
+    plan.placement = std::move(*placed);
+    plan.effective = r;
+    m.ladder_heuristic.add();
+  } else {
+    cluster::Allocation partial = best_effort_fill(r, remaining, topology);
+    if (partial.total_vms() == 0) {
+      plan.status = PlacementStatus::kAbandoned;
+      m.ladder_abandoned.add();
       return plan;
     }
-    if (!exact.feasible) {
-      // The exact solver is complete: no full allocation exists right now,
-      // so skip the heuristic rung and go straight to best-effort partial.
-      return plan_partial(r, options, remaining, topology, plan);
+    // Grant exactly what was placed: the lease's request is the clipped
+    // vector, so Def. 2 feasibility holds for the partial grant too.
+    std::vector<int> placed_counts(partial.type_count());
+    for (std::size_t j = 0; j < placed_counts.size(); ++j) {
+      placed_counts[j] = partial.vms_of_type(j);
     }
+    plan.status = PlacementStatus::kPartial;
+    plan.placement = evaluate(std::move(partial), topology);
+    plan.effective = cluster::Request(std::move(placed_counts), r.id(),
+                                      r.priority());
+    m.ladder_partial.add();
   }
-
-  // Rung 2: the caller's (heuristic) policy — a full allocation of unproven
-  // optimality.
-  if (auto placed = policy.place(r, remaining, topology)) {
-    m.ladder_heuristic.add();
-    take(std::move(*placed), PlacementStatus::kDegraded, r);
-    return plan;
-  }
-  return plan_partial(r, options, remaining, topology, plan);
-}
-
-ProvisionResult Provisioner::submit_laddered(const cluster::Request& r,
-                                             const LadderOptions& options) {
-  VCOPT_TRACE_SPAN("provisioner/submit_laddered");
-  const util::IntMatrix& max = cloud_.inventory().max_capacity();
-  std::vector<int> capacity_col_sums(cloud_.type_count());
-  for (std::size_t j = 0; j < capacity_col_sums.size(); ++j) {
-    capacity_col_sums[j] = max.col_sum(j);
-  }
-  LadderPlan plan = plan_laddered(r, cloud_.remaining(), cloud_.topology(),
-                                  capacity_col_sums, *policy_, options);
-  ProvisionResult res;
-  res.status = plan.status;
-  res.requested_vms = plan.requested_vms;
-  res.granted_vms = plan.granted_vms;
-  if (plan.placement) {
-    const cluster::LeaseId lease =
-        cloud_.grant(*plan.effective, plan.placement->allocation);
-    res.grant = Grant{lease, r.id(), std::move(*plan.placement)};
-    ProvisionerMetrics::get().grants.add();
-  }
-  return res;
+  VCOPT_VALIDATE(check::validate_allocation(
+      plan.placement->allocation.counts(), plan.effective->counts(), remaining));
+  plan.granted_vms = plan.placement->allocation.total_vms();
+  return plan;
 }
 
 std::vector<Grant> Provisioner::release(cluster::LeaseId lease) {

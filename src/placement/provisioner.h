@@ -27,13 +27,17 @@ struct Grant {
 /// one of these — never an assert, a silent empty allocation, or a dropped
 /// request.
 enum class PlacementStatus {
-  kGranted,              ///< full allocation, optimal for the rung that made it
+  kGranted,              ///< full allocation: submit()'s grant, or (in the
+                         ///< service) admitted by Algorithm 2's batch step
   kQueued,               ///< admissible later; waiting in the queue
   kRejectedEmpty,        ///< zero-VM request: nothing to place
   kRejectedShape,        ///< request/catalog type-count mismatch
   kRejectedOverCapacity, ///< exceeds total capacity; can never be served
   kRepaired,             ///< failure repair replaced every lost VM
-  kDegraded,             ///< full allocation from a fallback rung (suboptimal)
+  kDegraded,             ///< full allocation made by the ladder, for a
+                         ///< singleton window or a member the batch step
+                         ///< left behind (the name stays: outcome records
+                         ///< carry it); in repair, survivors only
   kPartial,              ///< best-effort allocation: fewer VMs than requested
   kAbandoned,            ///< nothing could be placed / repair gave up
 };
@@ -42,28 +46,18 @@ const char* to_string(PlacementStatus s);
 /// True for statuses that conclude an attempt (everything but kQueued).
 bool is_terminal(PlacementStatus s);
 
-/// Typed outcome of Provisioner::submit / submit_laddered.
+/// Typed outcome of Provisioner::submit.
 struct ProvisionResult {
   PlacementStatus status = PlacementStatus::kAbandoned;
-  std::optional<Grant> grant;  ///< set for kGranted/kDegraded/kPartial
+  std::optional<Grant> grant;  ///< set for kGranted
   int requested_vms = 0;
   int granted_vms = 0;
 };
 
-/// Tuning for the graceful-degradation ladder (submit_laddered): exact ILP
-/// under a wall-clock budget, then the online heuristic, then an explicit
-/// best-effort partial allocation.
-struct LadderOptions {
-  double ilp_budget_ms = 50;        ///< wall-clock budget for the exact rung
-  std::size_t ilp_max_nodes = 20000;  ///< B&B node budget within that time
-  std::size_t ilp_max_variables = 4096;  ///< skip the exact rung above this
-  bool allow_partial = true;        ///< false: failed full fits -> kAbandoned
-};
-
 /// A fully planned — but not yet granted — ladder outcome: the pure result
 /// of plan_laddered.  `placement` and `effective` are set for the granting
-/// statuses (kGranted / kDegraded / kPartial); actually applying the grant
-/// (and obtaining a lease id) is the caller's job.
+/// statuses (kDegraded / kPartial); actually applying the grant (and
+/// obtaining a lease id) is the caller's job.
 struct LadderPlan {
   PlacementStatus status = PlacementStatus::kAbandoned;
   std::optional<Placement> placement;
@@ -74,21 +68,18 @@ struct LadderPlan {
   int granted_vms = 0;
 };
 
-/// The graceful-degradation ladder as a pure function of a capacity view:
-/// identical rung sequence to Provisioner::submit_laddered (shape -> empty
-/// -> over-capacity -> budgeted exact ILP -> heuristic -> best-effort
-/// partial) but reads only the arguments and mutates nothing, so the
-/// snapshot-isolated serving path can evaluate it against an immutable
-/// CloudSnapshot and commit the plan later.  `capacity_col_sums[j]` must be
+/// The graceful-degradation ladder as a pure function of a capacity view.
+/// Rungs: shape -> empty -> over capacity -> `policy` (a full allocation,
+/// kDegraded) -> best-effort partial allocation of min(R_j, available_j)
+/// VMs per type (kPartial) -> kAbandoned.  Reads only the arguments and
+/// mutates nothing, so the serving path evaluates it against an immutable
+/// CloudSnapshot and commits the plan later.  `capacity_col_sums[j]` must be
 /// sum_i M_ij (including drained/failed nodes) — the admit() kReject test.
-/// Provisioner::submit_laddered routes through this function, so the two
-/// can never diverge.
 LadderPlan plan_laddered(const cluster::Request& r,
                          const util::IntMatrix& remaining,
                          const cluster::Topology& topology,
                          const std::vector<int>& capacity_col_sums,
-                         PlacementPolicy& policy,
-                         const LadderOptions& options = {});
+                         PlacementPolicy& policy);
 
 /// Wait-queue service order (§III.C mentions FIFO and priority-based).
 enum class QueueDiscipline {
@@ -116,17 +107,6 @@ class Provisioner {
   /// typed rejections recorded in metrics instead of an assert or a silent
   /// empty allocation).
   ProvisionResult submit(const cluster::Request& r);
-
-  /// Graceful-degradation ladder: serve `r` NOW, degrading instead of
-  /// queueing or failing silently.  Rungs: (1) exact SD ILP under
-  /// `options.ilp_budget_ms` of wall clock -> kGranted (kDegraded if the
-  /// node/time budget truncated the search and the incumbent is unproven);
-  /// (2) the provisioner's online policy -> kDegraded; (3) best-effort
-  /// partial allocation of min(R_j, available_j) VMs per type -> kPartial;
-  /// otherwise kAbandoned.  Typed rejections as in submit().  The wait queue
-  /// is bypassed by design — callers that want queueing use submit().
-  ProvisionResult submit_laddered(const cluster::Request& r,
-                                  const LadderOptions& options = {});
 
   /// Releases a lease and drains the wait queue in discipline order,
   /// stopping at the first unservable candidate (head-of-line blocking

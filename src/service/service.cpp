@@ -71,6 +71,9 @@ struct ServiceMetrics {
   }
 };
 
+// Queue occupancy at which kBestEffort submissions are shed.
+constexpr double kShedWatermark = 0.75;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   // Stage-latency metric helper: measured wall durations feed histograms
   // only, never the journal or a placement decision.
@@ -95,7 +98,6 @@ Outcome shed_outcome(const PendingEntry& e, std::uint64_t window_id,
 OutcomeKind kind_from_status(placement::PlacementStatus s) {
   using placement::PlacementStatus;
   switch (s) {
-    case PlacementStatus::kGranted: return OutcomeKind::kGranted;
     case PlacementStatus::kDegraded: return OutcomeKind::kDegraded;
     case PlacementStatus::kPartial: return OutcomeKind::kPartial;
     case PlacementStatus::kRejectedEmpty: return OutcomeKind::kRejectedEmpty;
@@ -103,8 +105,9 @@ OutcomeKind kind_from_status(placement::PlacementStatus s) {
       return OutcomeKind::kRejectedOverCapacity;
     case PlacementStatus::kAbandoned: return OutcomeKind::kAbandoned;
     default:
-      // kQueued/kRepaired/kRejectedShape cannot come out of submit_laddered
-      // on a shape-checked request; treat defensively as abandoned.
+      // kGranted/kQueued/kRepaired/kRejectedShape cannot come out of
+      // plan_laddered on a shape-checked request; treat defensively as
+      // abandoned.
       VCOPT_DCHECK(false) << "unexpected ladder status "
                           << placement::to_string(s);
       return OutcomeKind::kAbandoned;
@@ -307,7 +310,7 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
       const util::IntMatrix local = slice_cell(avail);
       lp = placement::plan_laddered(
           members[i].request, local, part->cell_topology(cell_id),
-          cell_ctx->capacity_col_sums->at(cell_id), *policy, options.ladder);
+          cell_ctx->capacity_col_sums->at(cell_id), *policy);
       if (lp.placement) {
         to_global(*lp.placement);
       } else if (lp.status == placement::PlacementStatus::kAbandoned ||
@@ -320,13 +323,11 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
             obs::MetricsRegistry::global().counter("cell/window_spills");
         window_spills.add();
         lp = placement::plan_laddered(members[i].request, avail, topology,
-                                      snap.capacity_col_sums, *policy,
-                                      options.ladder);
+                                      snap.capacity_col_sums, *policy);
       }
     } else {
       lp = placement::plan_laddered(members[i].request, avail, topology,
-                                    snap.capacity_col_sums, *policy,
-                                    options.ladder);
+                                    snap.capacity_col_sums, *policy);
     }
     Outcome o;
     o.seq = members[i].seq;
@@ -427,31 +428,25 @@ PlacementService::PlacementService(cluster::Cloud& cloud,
     router_ = std::make_unique<cell::CellRouter>(ro);
     cell_cap_sums_ = detail::cell_capacity_sums(directory_->partition(), cloud_);
   }
-  if (options_.slo.enabled) {
-    const ServiceSloOptions& s = options_.slo;
-    obs::SloSpec base;
-    base.short_window = s.short_window;
-    base.long_window = s.long_window;
-    base.burn_alert = s.burn_alert;
-    base.min_events = s.min_events;
-    obs::SloSpec latency = base;
-    latency.name = "service/latency";
-    latency.description = "placement latency (decide - submit) within bound";
-    latency.objective = s.latency_objective;
-    latency.threshold = s.latency_threshold;
-    slo_.declare(latency);
-    obs::SloSpec shed = base;
-    shed.name = "service/shed_rate";
-    shed.description = "submissions refused at admission (shed/queue-full)";
-    shed.objective = s.shed_objective;
-    slo_.declare(shed);
-    obs::SloSpec dc = base;
-    dc.name = "service/dc_per_vm";
-    dc.description = "granted cluster distance per VM within bound";
-    dc.objective = s.dc_objective;
-    dc.threshold = s.dc_threshold;
-    slo_.declare(dc);
-  }
+  // Three objectives on obs::SloSpec's default windows (60 s and 600 s),
+  // burn alert (2) and minimum event count (10); docs/observability.md.
+  obs::SloSpec latency;
+  latency.name = "service/latency";
+  latency.description = "placement latency (decide - submit) within bound";
+  latency.objective = 0.01;
+  latency.threshold = 1.0;
+  slo_.declare(latency);
+  obs::SloSpec shed;
+  shed.name = "service/shed_rate";
+  shed.description = "submissions refused at admission (shed/queue-full)";
+  shed.objective = 0.05;
+  slo_.declare(shed);
+  obs::SloSpec dc;
+  dc.name = "service/dc_per_vm";
+  dc.description = "granted cluster distance per VM within bound";
+  dc.objective = 0.25;
+  dc.threshold = 4.0;
+  slo_.declare(dc);
   if (options_.recorder != nullptr) {
     cluster::ClusterSamplerOptions so;
     so.period = options_.sample_period;
@@ -478,22 +473,18 @@ SubmitReceipt PlacementService::submit(const cluster::Request& r,
   if (stopping_ || pending_.size() >= options_.queue_capacity) {
     ++stats_.queue_full;
     m.queue_full.add();
-    if (options_.slo.enabled) {
-      slo_.record_event("service/shed_rate", now, /*good=*/false);
-    }
+    slo_.record_event("service/shed_rate", now, /*good=*/false);
     return {AdmissionStatus::kQueueFull, 0};
   }
   const bool dead_on_arrival = o.deadline <= now;
   const bool watermark_shed =
       o.klass == RequestClass::kBestEffort &&
       static_cast<double>(pending_.size()) >=
-          options_.shed_watermark * static_cast<double>(options_.queue_capacity);
+          kShedWatermark * static_cast<double>(options_.queue_capacity);
   if (dead_on_arrival || watermark_shed) {
     ++stats_.shed;
     m.shed.add();
-    if (options_.slo.enabled) {
-      slo_.record_event("service/shed_rate", now, /*good=*/false);
-    }
+    slo_.record_event("service/shed_rate", now, /*good=*/false);
     return {AdmissionStatus::kShed, 0};
   }
 
@@ -520,9 +511,7 @@ SubmitReceipt PlacementService::submit(const cluster::Request& r,
   ++stats_.accepted;
   m.accepted.add();
   m.queue_depth.set(static_cast<double>(pending_.size()));
-  if (options_.slo.enabled) {
-    slo_.record_event("service/shed_rate", now, /*good=*/true);
-  }
+  slo_.record_event("service/shed_rate", now, /*good=*/true);
   m.stage_admit.observe(seconds_since(admit_start));
 
   if (cell_depth_locked(routed_cell) >= options_.max_batch) {
@@ -704,12 +693,10 @@ void PlacementService::publish_outcomes_locked(std::size_t shed_count,
     const double latency = o.decide_time - o.submit_time;
     m.latency.observe(latency);
     m.stage_queue.observe(latency);
-    if (options_.slo.enabled) {
-      slo_.record_value("service/latency", o.decide_time, latency);
-      if (has_lease(o.kind) && o.granted_vms > 0) {
-        slo_.record_value("service/dc_per_vm", o.decide_time,
-                          o.distance / static_cast<double>(o.granted_vms));
-      }
+    slo_.record_value("service/latency", o.decide_time, latency);
+    if (has_lease(o.kind) && o.granted_vms > 0) {
+      slo_.record_value("service/dc_per_vm", o.decide_time,
+                        o.distance / static_cast<double>(o.granted_vms));
     }
 #if VCOPT_ENABLE_CHECKS
     decided_seqs_.push_back(o.seq);
@@ -731,7 +718,6 @@ void PlacementService::maybe_rebalance_locked(double t) {
   rebalance::RebalancePolicy rp;
   rp.max_moves_per_round = ro.max_moves;
   rp.drift_ratio = ro.drift_ratio;
-  rp.min_net_gain = ro.min_net_gain;
   rp.lease_cooldown = ro.lease_cooldown;
   rp.cost.cost_per_gb = ro.cost_per_gb;
   rp.cost.shuffle_cost_factor = ro.shuffle_cost_factor;

@@ -26,10 +26,7 @@
 //
 // Thread-safety: every public method is safe to call from any thread; one
 // mutex serialises admission, window bookkeeping, decisions and the journal,
-// so the journal order IS the admission order.  Determinism caveat: the
-// default LadderOptions here zero the exact-ILP wall-clock budget — a rung
-// classified by elapsed wall time would make replay time-dependent (see
-// docs/service.md).
+// so the journal order IS the admission order.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +72,7 @@ inline constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
 enum class RequestClass {
   kInteractive,  ///< latency-sensitive; never watermark-shed
   kBatch,        ///< default; never watermark-shed
-  kBestEffort,   ///< shed once the queue passes the shed watermark
+  kBestEffort,   ///< shed once the queue is 3/4 full
 };
 
 const char* to_string(RequestClass c);
@@ -93,7 +90,7 @@ struct SubmitOptions {
 enum class AdmissionStatus {
   kAccepted,   ///< journaled and pending; an Outcome will follow
   kShed,       ///< dropped by policy (dead-on-arrival deadline, or
-               ///< best-effort class above the shed watermark)
+               ///< best-effort class with the queue 3/4 full)
   kQueueFull,  ///< bounded queue at capacity — explicit backpressure
 };
 
@@ -106,10 +103,12 @@ struct SubmitReceipt {
   std::uint64_t seq = 0;
 };
 
-/// Terminal fate of an accepted request.
+/// Terminal fate of an accepted request.  The names are what outcome and
+/// journal records carry, so they stay as they are.
 enum class OutcomeKind {
-  kGranted,        ///< full allocation from the batch step or exact rung
-  kDegraded,       ///< full allocation from a fallback ladder rung
+  kGranted,        ///< full allocation admitted by Algorithm 2's batch step
+  kDegraded,       ///< full allocation made by the ladder, for a singleton
+                   ///< window or a member the batch step left behind
   kPartial,        ///< best-effort allocation, fewer VMs than requested
   kAbandoned,      ///< nothing could be placed
   kShedDeadline,   ///< deadline passed before its window was decided
@@ -152,30 +151,6 @@ struct PendingEntry {
   std::size_t cell = kNoCell;
 };
 
-/// Declared objectives for the per-service SloTracker.  Every threshold is
-/// on the service clock / DC units; windows and burn thresholds follow
-/// obs::SloSpec semantics.  Always on (the tracker is cheap); set
-/// `enabled = false` to skip declaration entirely.
-struct ServiceSloOptions {
-  bool enabled = true;
-  /// service/latency: placement latency (decide - submit) above this many
-  /// seconds is an SLO violation...
-  double latency_threshold = 1.0;
-  /// ... and at most this fraction of decisions may violate it.
-  double latency_objective = 0.01;
-  /// service/shed_rate: at most this fraction of submissions may be refused
-  /// (shed or queue-full) at admission.
-  double shed_objective = 0.05;
-  /// service/dc_per_vm: granted DC per VM above this is a violation...
-  double dc_threshold = 4.0;
-  /// ... allowed for at most this fraction of grants.
-  double dc_objective = 0.25;
-  double short_window = 60;
-  double long_window = 600;
-  double burn_alert = 2.0;
-  std::size_t min_events = 10;
-};
-
 /// Opt-in drift-repair pass (docs/robustness.md): between decide windows
 /// the service runs a budgeted rebalance — collect drifted leases from the
 /// DC record the cloud keeps on every lease (Cloud::lease_dc), plan
@@ -189,7 +164,6 @@ struct ServiceRebalanceOptions {
   double period = 5.0;        ///< min service-clock seconds between passes
   std::size_t max_moves = 2;  ///< migration budget per pass
   double drift_ratio = 1.10;  ///< lease drifted when last > ratio * min DC
-  double min_net_gain = 1e-6;
   double lease_cooldown = 10.0;  ///< seconds a migrated lease is left alone
   double cost_per_gb = 0.005;
   double shuffle_cost_factor = 0.02;
@@ -198,17 +172,12 @@ struct ServiceRebalanceOptions {
 struct ServiceOptions {
   std::size_t max_batch = 8;   ///< window closes at this many pending
   double max_wait = 0.010;     ///< ... or when the oldest waited this long (s)
-  std::size_t queue_capacity = 256;  ///< pending bound; beyond => kQueueFull
-  double shed_watermark = 0.75;  ///< occupancy fraction above which
-                                 ///< kBestEffort submissions are shed
+  /// Pending bound; beyond => kQueueFull.  kBestEffort submissions are shed
+  /// once 3/4 of it is pending.
+  std::size_t queue_capacity = 256;
   placement::QueueDiscipline discipline = placement::QueueDiscipline::kFifo;
-  /// Ladder for size-1 windows and batch-step fallbacks.  The exact-ILP rung
-  /// is disabled by default (budget 0): its wall-clock classification would
-  /// break the deterministic-replay guarantee.
-  placement::LadderOptions ladder{.ilp_budget_ms = 0};
   std::string policy = "online-heuristic";  ///< placement::make_policy spec
   std::ostream* journal = nullptr;  ///< NDJSON sink; null = no journal
-  ServiceSloOptions slo;  ///< objectives for the per-service SloTracker
   /// Optional time-series recorder: when set, a cluster::ClusterSampler
   /// records per-node load/free, utilization, lease count and fragmentation
   /// on every window close and release (at most once per `sample_period`
@@ -231,7 +200,9 @@ struct ServiceOptions {
   /// guarantee is unchanged.  Both zero = flat serving.
   std::size_t cells = 0;      ///< target cell count (cell::CellPartitionOptions)
   std::size_t cell_size = 0;  ///< target nodes per cell (alternative knob)
-  std::size_t route_shortlist = 2;  ///< cells the router keeps per request
+  /// Cells the router keeps per request.  Serving plans only the first
+  /// (RoutedPolicy, outside the service, solves the whole shortlist).
+  std::size_t route_shortlist = 2;
   bool cell_mode() const { return cells > 0 || cell_size > 0; }
 };
 
@@ -375,8 +346,8 @@ class PlacementService {
   ServiceStats stats() const;
   const ServiceOptions& options() const { return options_; }
   const cluster::Cloud& cloud() const { return cloud_; }
-  /// Per-service SLO state (service/latency, service/shed_rate,
-  /// service/dc_per_vm — empty when options.slo.enabled is false).
+  /// Per-service SLO state: service/latency, service/shed_rate and
+  /// service/dc_per_vm (docs/observability.md gives their fixed values).
   const obs::SloTracker& slo() const { return slo_; }
 
  private:

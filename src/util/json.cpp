@@ -1,7 +1,9 @@
 #include "util/json.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -197,7 +199,16 @@ class Parser {
         ++pos_;
       }
     }
-    return Json(std::stod(text_.substr(start, pos_ - start)));
+    errno = 0;
+    const double v =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    // Overflow is an error at the number; an underflow keeps strtod's
+    // rounded value.
+    if (errno == ERANGE && std::isinf(v)) {
+      pos_ = start;
+      fail("number out of range");
+    }
+    return Json(v);
   }
 
   const std::string& text_;

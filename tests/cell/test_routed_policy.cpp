@@ -14,6 +14,7 @@
 
 #include "cell/directory.h"
 #include "cluster/cloud.h"
+#include "obs/metrics.h"
 #include "placement/online_heuristic.h"
 #include "util/rng.h"
 #include "workload/scenario.h"
@@ -129,12 +130,21 @@ TEST(RoutedPolicy, MultiCellGrantStaysInsideOneCellUnlessSpilled) {
   po.cell_size = 10;
   CellDirectory dir(cloud, po);
   ASSERT_GT(dir.cell_count(), 1u);
-  RoutedPolicyOptions opts;
-  opts.flat_fallback = false;  // isolate the routed path
-  RoutedPolicy routed(dir, opts);
+  RoutedPolicy routed(dir);
+  // The flat fallback is always on; the cell/fallback_flat counter says
+  // which grants it made, and only the others must stay inside one cell.
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const obs::Counter& fallback = reg.counter("cell/fallback_flat");
+  std::size_t routed_grants = 0;
   for (const Request& r : scenario.requests) {
+    const std::uint64_t fallbacks = fallback.value();
     auto g = routed.place(r, cloud.remaining(), cloud.topology());
     if (!g) continue;
+    cloud.grant(r, g->allocation);
+    if (fallback.value() != fallbacks) continue;
+    ++routed_grants;
     // All VMs of a routed (non-fallback) grant land in one cell.
     std::size_t owner = dir.cell_count();
     for (std::size_t n = 0; n < g->allocation.node_count(); ++n) {
@@ -144,8 +154,9 @@ TEST(RoutedPolicy, MultiCellGrantStaysInsideOneCellUnlessSpilled) {
       EXPECT_EQ(c, owner) << "grant straddles cells without fallback";
     }
     EXPECT_EQ(dir.partition().cell_of_node(g->central), owner);
-    cloud.grant(r, g->allocation);
   }
+  reg.set_enabled(was_enabled);
+  EXPECT_GT(routed_grants, 0u);
 }
 
 }  // namespace

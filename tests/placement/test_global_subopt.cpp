@@ -83,6 +83,31 @@ TEST(GlobalSubOpt, BatchAdmitsFifoUntilCapacity) {
   EXPECT_EQ(out.admitted[1], 1u);
 }
 
+// Requests one node can hold take Algorithm 1's whole-node shortcut.  With a
+// nonzero same-node tier each must still report Definition 1 of its
+// allocation, which checked builds re-verify after the transfer step.
+TEST(GlobalSubOpt, WholeNodePlacementsReportDefinitionOneDistance) {
+  cluster::DistanceConfig tiers;
+  tiers.same_node = 0.1;
+  tiers.same_rack = 0.7;
+  tiers.cross_rack = 1.3;
+  tiers.cross_cloud = 2.9;
+  const Topology topo = Topology::multi_cloud(2, 2, 2, tiers);
+  const IntMatrix remaining(8, 2, 3);
+  const std::vector<Request> batch = {Request({3, 2}, 0), Request({2, 3}, 1),
+                                      Request({1, 1}, 2), Request({3, 3}, 3)};
+  GlobalSubOpt g;
+  const BatchPlacement out = g.place_batch(batch, remaining, topo);
+  ASSERT_EQ(out.admitted.size(), batch.size());
+  for (const Placement& p : out.placements) {
+    EXPECT_EQ(p.allocation.used_nodes().size(), 1u);
+    const cluster::CentralNode best = p.allocation.best_central(topo);
+    EXPECT_EQ(p.central, best.node);
+    EXPECT_EQ(p.distance, best.distance);
+    EXPECT_GT(p.distance, 0.0);
+  }
+}
+
 TEST(GlobalSubOpt, BatchRespectsSharedCapacity) {
   util::Rng rng(11);
   const Topology topo = Topology::uniform(3, 10);

@@ -26,6 +26,26 @@ TEST(OnlineHeuristic, SingleNodeWholeRequestIsZeroDistance) {
   EXPECT_EQ(placed->allocation.used_nodes().size(), 1u);
 }
 
+// Lines 9-14's whole-node shortcut reports Definition 1 of its one-node
+// allocation, ΣR · same_node, whatever the same-node tier.
+TEST(OnlineHeuristic, WholeNodeShortcutReportsDefinitionOneDistance) {
+  cluster::DistanceConfig tiers;
+  tiers.same_node = 0.1;
+  tiers.same_rack = 0.7;
+  tiers.cross_rack = 1.3;
+  tiers.cross_cloud = 2.9;
+  const Topology topo = Topology::multi_cloud(2, 2, 1, tiers);
+  IntMatrix remaining{{1, 1}, {5, 5}, {9, 9}, {0, 0}};
+  const auto placed = OnlineHeuristic().place(Request({3, 2}), remaining, topo);
+  ASSERT_TRUE(placed.has_value());
+  ASSERT_EQ(placed->allocation.used_nodes().size(), 1u);
+  const cluster::CentralNode best = placed->allocation.best_central(topo);
+  EXPECT_EQ(placed->central, 1u);
+  EXPECT_EQ(placed->central, best.node);
+  EXPECT_EQ(placed->distance, best.distance);  // bit for bit
+  EXPECT_DOUBLE_EQ(placed->distance, 5 * 0.1);
+}
+
 TEST(OnlineHeuristic, RejectsWhenAvailabilityShort) {
   const Topology topo = Topology::uniform(1, 2);
   IntMatrix remaining{{1, 0}, {1, 0}};

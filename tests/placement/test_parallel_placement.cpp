@@ -42,10 +42,10 @@ void expect_identical(const std::optional<Placement>& a,
 }
 
 // Reference semantics of Mode::kBestOfAllStarts: the first node that can
-// host the whole request, reported at distance 0 (lines 9-14 of Algorithm
-// 1, whatever the same-node tier), else the argmin of (distance, central
-// index) over every candidate central with free capacity, each filled by
-// the public fill_from_central.
+// host the whole request (lines 9-14 of Algorithm 1), at the Definition-1
+// distance of that one-node allocation, else the argmin of (distance,
+// central index) over every candidate central with free capacity, each
+// filled by the public fill_from_central.
 std::optional<Placement> reference_best(const Request& r,
                                         const IntMatrix& remaining,
                                         const Topology& topo) {
@@ -59,7 +59,8 @@ std::optional<Placement> reference_best(const Request& r,
     for (std::size_t j = 0; j < remaining.cols(); ++j) {
       alloc.at(x, j) = r.count(j);
     }
-    return Placement{std::move(alloc), x, 0.0};
+    const double d = alloc.distance_from(x, topo);
+    return Placement{std::move(alloc), x, d};
   }
   std::optional<Placement> best;
   for (std::size_t x = 0; x < remaining.rows(); ++x) {

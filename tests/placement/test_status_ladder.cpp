@@ -1,9 +1,10 @@
 // Typed provisioning outcomes: submit()'s explicit rejection statuses (with
-// reasons recorded in metrics) and submit_laddered()'s graceful-degradation
-// rungs kGranted -> kDegraded -> kPartial -> kAbandoned.
+// reasons recorded in metrics) and plan_laddered()'s graceful-degradation
+// rungs kDegraded -> kPartial -> kAbandoned, with its typed rejections.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cluster/cloud.h"
 #include "obs/metrics.h"
@@ -93,28 +94,33 @@ TEST(ProvisionStatus, ToStringCoversEveryStatus) {
   }
 }
 
-TEST(Ladder, ExactRungGrantsAtOptimalDistance) {
-  Cloud cloud = make_cloud();
-  Provisioner prov = make_prov(cloud);
-  LadderOptions opts;
-  opts.ilp_budget_ms = 10000;  // generous: the rung must not lose to CI noise
-  const ProvisionResult res = prov.submit_laddered(Request({2, 2, 0}), opts);
-  ASSERT_EQ(res.status, PlacementStatus::kGranted);
-  ASSERT_TRUE(res.grant.has_value());
-  EXPECT_EQ(res.granted_vms, 4);
-  // 2 slots/type/node: 4 VMs of 2 types fit in one rack -> DC 2 x same_rack.
-  EXPECT_LE(res.grant->placement.distance, 2.0);
+/// plan_laddered over the cloud's live capacity, with Algorithm 1 as the
+/// policy rung.
+LadderPlan ladder(const Cloud& cloud, const Request& r) {
+  const util::IntMatrix& max = cloud.inventory().max_capacity();
+  std::vector<int> capacity_col_sums(max.cols());
+  for (std::size_t j = 0; j < max.cols(); ++j) {
+    capacity_col_sums[j] = max.col_sum(j);
+  }
+  OnlineHeuristic policy;
+  return plan_laddered(r, cloud.remaining(), cloud.topology(),
+                       capacity_col_sums, policy);
 }
 
 TEST(Ladder, HeuristicRungReportsDegraded) {
   Cloud cloud = make_cloud();
-  Provisioner prov = make_prov(cloud);
-  LadderOptions opts;
-  opts.ilp_budget_ms = 0;  // disable the exact rung
-  const ProvisionResult res = prov.submit_laddered(Request({2, 1, 1}), opts);
-  EXPECT_EQ(res.status, PlacementStatus::kDegraded);
-  ASSERT_TRUE(res.grant.has_value());
-  EXPECT_EQ(res.granted_vms, 4);  // still a FULL allocation
+  const Request r({2, 1, 1}, 7);
+  const LadderPlan plan = ladder(cloud, r);
+  EXPECT_EQ(plan.status, PlacementStatus::kDegraded);
+  ASSERT_TRUE(plan.placement.has_value());
+  ASSERT_TRUE(plan.effective.has_value());
+  EXPECT_EQ(plan.requested_vms, 4);
+  EXPECT_EQ(plan.granted_vms, 4);  // still a FULL allocation
+  EXPECT_TRUE(plan.placement->allocation.satisfies(r));
+  EXPECT_EQ(plan.effective->counts(), r.counts());
+  EXPECT_EQ(plan.effective->id(), 7u);
+  // Planning is pure: nothing was granted.
+  EXPECT_EQ(cloud.lease_count(), 0u);
 }
 
 TEST(Ladder, UnfittableRequestDegradesToPartial) {
@@ -124,26 +130,23 @@ TEST(Ladder, UnfittableRequestDegradesToPartial) {
   // fit of 8 is impossible right now, partial clips to the 6 available.
   ASSERT_EQ(prov.submit(Request({2, 0, 0}, 1)).status,
             PlacementStatus::kGranted);
-  const ProvisionResult res = prov.submit_laddered(Request({8, 0, 0}, 2));
-  EXPECT_EQ(res.status, PlacementStatus::kPartial);
-  ASSERT_TRUE(res.grant.has_value());
-  EXPECT_EQ(res.requested_vms, 8);
-  EXPECT_EQ(res.granted_vms, 6);
-  // The partial grant is a real lease that satisfies its clipped request.
-  EXPECT_TRUE(cloud.has_lease(res.grant->lease));
-}
-
-TEST(Ladder, AllowPartialFalseAbandonsInstead) {
-  Cloud cloud = make_cloud();
-  Provisioner prov = make_prov(cloud);
-  ASSERT_EQ(prov.submit(Request({2, 0, 0}, 1)).status,
-            PlacementStatus::kGranted);
-  LadderOptions opts;
-  opts.allow_partial = false;
-  const ProvisionResult res = prov.submit_laddered(Request({8, 0, 0}, 2), opts);
-  EXPECT_EQ(res.status, PlacementStatus::kAbandoned);
-  EXPECT_FALSE(res.grant.has_value());
-  EXPECT_EQ(res.granted_vms, 0);
+  const LadderPlan plan = ladder(cloud, Request({8, 0, 0}, 2, /*priority=*/3));
+  EXPECT_EQ(plan.status, PlacementStatus::kPartial);
+  ASSERT_TRUE(plan.placement.has_value());
+  ASSERT_TRUE(plan.effective.has_value());
+  EXPECT_EQ(plan.requested_vms, 8);
+  EXPECT_EQ(plan.granted_vms, 6);
+  // The grant is recorded under the clipped request, which keeps the
+  // original id and priority.
+  EXPECT_EQ(plan.effective->counts(), (std::vector<int>{6, 0, 0}));
+  EXPECT_EQ(plan.effective->id(), 2u);
+  EXPECT_EQ(plan.effective->priority(), 3);
+  EXPECT_TRUE(plan.placement->allocation.satisfies(*plan.effective));
+  EXPECT_TRUE(plan.placement->allocation.fits(cloud.remaining()));
+  // The partial plan is a real lease once granted.
+  const cluster::LeaseId lease =
+      cloud.grant(*plan.effective, plan.placement->allocation);
+  EXPECT_TRUE(cloud.has_lease(lease));
 }
 
 TEST(Ladder, NothingPlaceableIsAbandoned) {
@@ -152,9 +155,25 @@ TEST(Ladder, NothingPlaceableIsAbandoned) {
   // Fill type 0 completely, then ask for more of it.
   ASSERT_EQ(prov.submit(Request({8, 0, 0}, 1)).status,
             PlacementStatus::kGranted);
-  const ProvisionResult res = prov.submit_laddered(Request({2, 0, 0}, 2));
-  EXPECT_EQ(res.status, PlacementStatus::kAbandoned);
-  EXPECT_FALSE(res.grant.has_value());
+  const LadderPlan plan = ladder(cloud, Request({2, 0, 0}, 2));
+  EXPECT_EQ(plan.status, PlacementStatus::kAbandoned);
+  EXPECT_FALSE(plan.placement.has_value());
+  EXPECT_FALSE(plan.effective.has_value());
+  EXPECT_EQ(plan.requested_vms, 2);
+  EXPECT_EQ(plan.granted_vms, 0);
+}
+
+TEST(Ladder, TypedRejections) {
+  // One VM type, 8 VMs in total.
+  const Cloud cloud(cluster::Topology::uniform(2, 2),
+                    cluster::VmCatalog({{"m", 4, 2, 100, 64}}),
+                    util::IntMatrix(4, 1, 2));
+  EXPECT_EQ(ladder(cloud, Request({0})).status,
+            PlacementStatus::kRejectedEmpty);
+  EXPECT_EQ(ladder(cloud, Request({9})).status,
+            PlacementStatus::kRejectedOverCapacity);
+  EXPECT_EQ(ladder(cloud, Request({1, 1})).status,
+            PlacementStatus::kRejectedShape);
 }
 
 }  // namespace

@@ -228,6 +228,35 @@ TEST(Journal, IdThatNoUint64HoldsIsABadRecord) {
   }
 }
 
+// A number outside double's range is a JSON parse error on its line: mid-file
+// it fails with the line's position, on the final line it is a torn tail.
+TEST(Journal, OutOfRangeNumberIsAParseErrorOnItsLine) {
+  std::ostringstream first, last;
+  JournalWriter(first).release(1, 0.25);
+  JournalWriter(last).release(2, 0.5);
+  const std::string bad = "{\"lease\":1e999,\"time\":0.4,\"type\":\"release\"}\n";
+
+  std::istringstream middle(first.str() + bad + last.str());
+  try {
+    parse_journal(middle, "j");
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("j:2:", 0), 0u) << msg;
+    EXPECT_NE(msg.find("number out of range"), std::string::npos) << msg;
+  }
+
+  std::istringstream tail(first.str() + last.str() + bad);
+  ::testing::internal::CaptureStderr();
+  const auto records = parse_journal(tail, "j");
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].lease, 2u);
+  EXPECT_NE(warning.find("j:3: ignoring torn final journal line"),
+            std::string::npos)
+      << warning;
+}
+
 TEST(Journal, UnknownRequestClassIsASchemaError) {
   std::istringstream in(
       "{\"type\":\"submit\",\"seq\":1,\"id\":1,\"counts\":[1],\"priority\":0,"

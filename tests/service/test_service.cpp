@@ -132,8 +132,7 @@ TEST(Service, DeadlineExpiredInQueueIsShedAtWindowClose) {
 TEST(Service, QueueFullAppliesBackpressure) {
   Cloud cloud = small_cloud();
   ServiceOptions o = virtual_options(/*max_batch=*/64);
-  o.queue_capacity = 2;
-  o.shed_watermark = 1.0;  // watermark out of the way
+  o.queue_capacity = 2;  // batch-class submissions: never watermark-shed
   PlacementService svc(cloud, o);
   EXPECT_EQ(svc.submit(Request({1}, 1)).admission, AdmissionStatus::kAccepted);
   EXPECT_EQ(svc.submit(Request({1}, 2)).admission, AdmissionStatus::kAccepted);
@@ -148,18 +147,21 @@ TEST(Service, QueueFullAppliesBackpressure) {
 TEST(Service, BestEffortShedAboveWatermark) {
   Cloud cloud = small_cloud();
   ServiceOptions o = virtual_options(/*max_batch=*/64);
-  o.queue_capacity = 4;
-  o.shed_watermark = 0.5;  // shed best-effort at depth >= 2
+  o.queue_capacity = 4;  // the 0.75 watermark sheds best-effort at depth 3
   PlacementService svc(cloud, o);
   SubmitOptions best_effort;
   best_effort.klass = RequestClass::kBestEffort;
   EXPECT_EQ(svc.submit(Request({1}, 1), best_effort).admission,
             AdmissionStatus::kAccepted);
   EXPECT_EQ(svc.submit(Request({1}, 2)).admission, AdmissionStatus::kAccepted);
-  // Depth 2 = watermark: best-effort is shed, batch class still accepted.
+  // Depth 2, below the watermark: best-effort still admitted.
   EXPECT_EQ(svc.submit(Request({1}, 3), best_effort).admission,
+            AdmissionStatus::kAccepted);
+  // Depth 3 = watermark: best-effort is shed, batch class still accepted.
+  EXPECT_EQ(svc.submit(Request({1}, 4), best_effort).admission,
             AdmissionStatus::kShed);
-  EXPECT_EQ(svc.submit(Request({1}, 4)).admission, AdmissionStatus::kAccepted);
+  EXPECT_EQ(svc.submit(Request({1}, 5)).admission, AdmissionStatus::kAccepted);
+  EXPECT_EQ(svc.stats().shed, 1u);
 }
 
 TEST(Service, BatchWindowConservesCapacityAndGrantsAll) {

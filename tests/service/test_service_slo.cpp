@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,24 +27,37 @@ Cloud scenario_cloud(const workload::SimScenario& scenario) {
   return Cloud(scenario.topology, scenario.catalog, scenario.capacity);
 }
 
+// The objectives are constants; this pins every value of each to what
+// docs/observability.md states.
 TEST(ServiceSlo, ObjectivesAreDeclaredAtConstruction) {
   const auto scenario = workload::paper_sim_scenario(2);
   Cloud cloud = scenario_cloud(scenario);
-  ServiceOptions options;
-  PlacementService svc(cloud, options);
-  EXPECT_TRUE(svc.slo().declared("service/latency"));
-  EXPECT_TRUE(svc.slo().declared("service/shed_rate"));
-  EXPECT_TRUE(svc.slo().declared("service/dc_per_vm"));
-  svc.stop();
-}
-
-TEST(ServiceSlo, DisabledOptionSkipsDeclaration) {
-  const auto scenario = workload::paper_sim_scenario(2);
-  Cloud cloud = scenario_cloud(scenario);
-  ServiceOptions options;
-  options.slo.enabled = false;
-  PlacementService svc(cloud, options);
-  EXPECT_TRUE(svc.slo().names().empty());
+  PlacementService svc(cloud, ServiceOptions{});
+  EXPECT_EQ(svc.slo().names(),
+            (std::vector<std::string>{"service/dc_per_vm", "service/latency",
+                                      "service/shed_rate"}));
+  const struct {
+    const char* name;
+    double threshold;
+    double objective;
+  } want[] = {{"service/dc_per_vm", 4.0, 0.25},
+              {"service/latency", 1.0, 0.01},
+              {"service/shed_rate", 0.0, 0.05}};
+  const auto statuses = svc.slo().evaluate(svc.now());
+  ASSERT_EQ(statuses.size(), std::size(want));
+  for (const auto& w : want) {
+    SCOPED_TRACE(w.name);
+    const auto it = std::find_if(
+        statuses.begin(), statuses.end(),
+        [&](const obs::SloStatus& s) { return s.spec.name == w.name; });
+    ASSERT_NE(it, statuses.end());
+    EXPECT_EQ(it->spec.threshold, w.threshold);
+    EXPECT_EQ(it->spec.objective, w.objective);
+    EXPECT_EQ(it->spec.short_window, 60.0);
+    EXPECT_EQ(it->spec.long_window, 600.0);
+    EXPECT_EQ(it->spec.burn_alert, 2.0);
+    EXPECT_EQ(it->spec.min_events, 10u);
+  }
   svc.stop();
 }
 
@@ -135,8 +149,8 @@ TEST(ServiceSlo, OverloadTripsShedRateAlert) {
         });
     ASSERT_NE(shed, statuses.end());
     EXPECT_TRUE(shed->alerting);
-    EXPECT_GE(shed->short_burn, options.slo.burn_alert);
-    EXPECT_GE(shed->long_burn, options.slo.burn_alert);
+    EXPECT_GE(shed->short_burn, shed->spec.burn_alert);
+    EXPECT_GE(shed->long_burn, shed->spec.burn_alert);
     svc.stop();
   }
 }

@@ -61,6 +61,27 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"\\u12g4\""), std::invalid_argument);
 }
 
+// A number outside double's range is a parse error at the number, not a
+// std::out_of_range from the conversion; an underflow rounds.
+TEST(Json, NumberOutOfRangeIsAParseError) {
+  for (const char* text : {"1e999", "-1e999", "[1, 2e400]"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(Json::parse(text), JsonParseError);
+  }
+  try {
+    Json::parse("{\"a\": 1e999}");
+    ADD_FAILURE() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_EQ(e.offset(), 6u);
+    EXPECT_NE(std::string(e.what()).find("number out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(Json::parse("1e-400").as_number(), 0.0);
+  EXPECT_EQ(Json::parse("1.7976931348623157e308").as_number(),
+            std::numeric_limits<double>::max());
+}
+
 TEST(Json, TypeErrors) {
   const Json v = Json::parse("[1]");
   EXPECT_THROW(v.as_object(), std::logic_error);

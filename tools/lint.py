@@ -46,8 +46,10 @@ Lock-discipline rule (src/ outside src/util/):
                      wrappers (src/util/mutex.h) so Clang's thread-safety
                      analysis sees every lock.
 
-Replay-determinism rules (src/service/, src/fault/, src/sim/ only — the
-code whose outputs must replay byte-identically; see docs/correctness.md):
+Replay-determinism rules (src/service/, src/fault/, src/sim/,
+src/rebalance/, src/cell/, src/placement/ and src/cluster/ only — the code
+whose outputs must replay byte-identically, the planner that decides every
+grant included; see docs/correctness.md):
 
   vcopt-unordered-in-replay
                      no std::unordered_map / std::unordered_set: hash-bucket
@@ -98,7 +100,7 @@ FIXTURE_DIRS = ("tests/lint/fixtures", "tests/check/compile_fail")
 # Replay-critical code: everything here must be deterministic given the
 # journal / seed (docs/service.md, docs/correctness.md).
 REPLAY_DIRS = ("src/service/", "src/fault/", "src/sim/", "src/rebalance/",
-               "src/cell/")
+               "src/cell/", "src/placement/", "src/cluster/")
 
 # Files allowed to talk to the terminal directly: the logging backend is
 # the single choke point all other src/ code must route through.
@@ -127,11 +129,11 @@ RULES: dict[str, str] = {
     "vcopt-dense-distance":
         "src/ outside solver/ uses Topology::distance, not a dense D",
     "vcopt-unordered-in-replay":
-        "no unordered containers in replay-critical code (service/fault/sim)",
+        "no unordered containers in replay-critical code",
     "vcopt-wall-clock":
-        "no wall-clock reads in replay-critical code (service/fault/sim)",
+        "no wall-clock reads in replay-critical code",
     "vcopt-unseeded-rng":
-        "no unseeded randomness in replay-critical code (service/fault/sim)",
+        "no unseeded randomness in replay-critical code",
     "vcopt-std-hash":
         "no std::hash-derived ordering in replay-critical code",
 }

@@ -28,10 +28,11 @@ FIXTURES = REPO / "tests" / "lint" / "fixtures"
 
 BAD_FILES = [
     FIXTURES / "src" / "service" / "bad_determinism.cpp",
-    FIXTURES / "src" / "placement" / "bad_general.cpp",
+    FIXTURES / "src" / "solver" / "bad_general.cpp",
     FIXTURES / "src" / "placement" / "bad_header.h",
     FIXTURES / "src" / "placement" / "bad_simd.cpp",
     FIXTURES / "src" / "placement" / "bad_dense_distance.cpp",
+    FIXTURES / "src" / "placement" / "bad_replay_scope.cpp",
 ]
 GOOD_FILES = [
     FIXTURES / "src" / "service" / "good_determinism.cpp",
@@ -43,16 +44,18 @@ GOOD_FILES = [
 EXPECTED = [
     ("src/placement/bad_dense_distance.cpp", 9, "vcopt-dense-distance"),
     ("src/placement/bad_dense_distance.cpp", 10, "vcopt-dense-distance"),
-    ("src/placement/bad_general.cpp", 16, "vcopt-raw-mutex"),
-    ("src/placement/bad_general.cpp", 17, "vcopt-raw-mutex"),
-    ("src/placement/bad_general.cpp", 18, "vcopt-raw-mutex"),
-    ("src/placement/bad_general.cpp", 19, "vcopt-raw-mutex"),
-    ("src/placement/bad_general.cpp", 20, "vcopt-raw-new"),
-    ("src/placement/bad_general.cpp", 21, "vcopt-raw-new"),
-    ("src/placement/bad_general.cpp", 22, "raw-rand"),
-    ("src/placement/bad_general.cpp", 23, "iostream-logging"),
-    ("src/placement/bad_general.cpp", 24, "iostream-logging"),
+    ("src/solver/bad_general.cpp", 16, "vcopt-raw-mutex"),
+    ("src/solver/bad_general.cpp", 17, "vcopt-raw-mutex"),
+    ("src/solver/bad_general.cpp", 18, "vcopt-raw-mutex"),
+    ("src/solver/bad_general.cpp", 19, "vcopt-raw-mutex"),
+    ("src/solver/bad_general.cpp", 20, "vcopt-raw-new"),
+    ("src/solver/bad_general.cpp", 21, "vcopt-raw-new"),
+    ("src/solver/bad_general.cpp", 22, "raw-rand"),
+    ("src/solver/bad_general.cpp", 23, "iostream-logging"),
+    ("src/solver/bad_general.cpp", 24, "iostream-logging"),
     ("src/placement/bad_header.h", 1, "pragma-once"),
+    ("src/placement/bad_replay_scope.cpp", 11, "vcopt-wall-clock"),
+    ("src/placement/bad_replay_scope.cpp", 12, "vcopt-unordered-in-replay"),
     ("src/placement/bad_header.h", 5, "using-in-header"),
     ("src/placement/bad_simd.cpp", 8, "vcopt-raw-simd"),
     ("src/placement/bad_simd.cpp", 9, "vcopt-raw-simd"),

@@ -70,7 +70,7 @@ int main() {
     for (const cluster::Request& r : sc.requests) {
       const auto placed = h.place(r, remaining, sc.topology);
       if (!placed) continue;
-      remaining -= placed->allocation.counts();
+      remaining -= placed->allocation.to_matrix();
       best_sum += placed->distance;
       const auto k = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(sc.topology.node_count()) - 1));

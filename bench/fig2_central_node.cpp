@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       t.row().cell(r.describe()).cell(r.total_vms()).cell("queued").cell("-").cell("-");
       continue;
     }
-    remaining -= placed->allocation.counts();
+    remaining -= placed->allocation.to_matrix();
     const std::size_t random_central = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(sc.topology.node_count()) - 1));
     const double random_distance =

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       t.row().cell(r.describe()).cell(r.total_vms()).cell("queued").cell("-").cell("-");
       continue;
     }
-    remaining -= placed->allocation.counts();
+    remaining -= placed->allocation.to_matrix();
     distinct.insert(placed->central);
     ++served;
     t.row()

@@ -100,20 +100,19 @@ std::vector<int> CellPartition::cell_capacity_col_sums(
   return sums;
 }
 
-util::IntMatrix CellPartition::to_global(std::size_t c,
-                                         const util::IntMatrix& local,
-                                         std::size_t global_nodes) const {
+cluster::Allocation CellPartition::to_global(std::size_t c,
+                                             const cluster::Allocation& local,
+                                             std::size_t global_nodes) const {
   const Cell& cl = cell(c);
-  if (local.rows() != cl.nodes.size()) {
+  if (local.node_count() != cl.nodes.size()) {
     throw std::invalid_argument("CellPartition::to_global: row mismatch");
   }
-  util::IntMatrix global(global_nodes, local.cols());
-  for (std::size_t i = 0; i < local.rows(); ++i) {
-    for (std::size_t j = 0; j < local.cols(); ++j) {
-      if (local(i, j) != 0) global(cl.nodes[i], j) = local(i, j);
-    }
+  std::vector<cluster::Allocation::Entry> global = local.entries();
+  for (cluster::Allocation::Entry& e : global) {
+    e.node = static_cast<std::uint32_t>(cl.nodes[e.node]);
   }
-  return global;
+  return cluster::Allocation::from_entries(global_nodes, local.type_count(),
+                                           std::move(global));
 }
 
 std::string CellPartition::describe() const {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/allocation.h"
 #include "cluster/topology.h"
 #include "util/matrix.h"
 
@@ -82,10 +83,11 @@ class CellPartition {
   std::vector<int> cell_capacity_col_sums(std::size_t c,
                                           const util::IntMatrix& capacity) const;
 
-  /// Scatters a cell-local allocation matrix (rows = cell nodes) into a
-  /// global-shaped matrix.
-  util::IntMatrix to_global(std::size_t c, const util::IntMatrix& local,
-                            std::size_t global_nodes) const;
+  /// Relabels a cell-local allocation (nodes = cell nodes) to global node
+  /// ids in a global shape: O(k).  Cell nodes ascend, so the relabelled
+  /// entries stay sorted.
+  cluster::Allocation to_global(std::size_t c, const cluster::Allocation& local,
+                                std::size_t global_nodes) const;
 
   std::string describe() const;
 

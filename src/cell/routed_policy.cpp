@@ -71,13 +71,11 @@ std::optional<placement::Placement> RoutedPolicy::place(
     best_k = k;
   }
   if (best) {
-    // Scattered to global ids once, for the winning cell only: a dense
-    // n x m matrix per improving cell costs more than routing at 10k nodes.
+    // Relabelled to global ids once, for the winning cell only.
     (best_k == 0 ? metrics.placed_in_winner : metrics.spilled).add();
     const std::size_t c = decision.shortlist[best_k];
     return placement::Placement{
-        cluster::Allocation(directory_.partition().to_global(
-            c, best->allocation.counts(), remaining.rows())),
+        directory_.partition().to_global(c, best->allocation, remaining.rows()),
         directory_.partition().cell(c).nodes[best->central], best->distance};
   }
 

@@ -38,7 +38,13 @@ void Cloud::notify_pair(std::size_t a, std::size_t b) {
 
 void Cloud::notify_alloc(const Allocation& alloc) {
   if (listener_ == nullptr) return;
-  listener_->on_capacity_changed(*this, alloc.used_nodes());
+  changed_.clear();
+  for (const Allocation::Entry& e : alloc.entries()) {
+    if (changed_.empty() || changed_.back() != e.node) {
+      changed_.push_back(e.node);
+    }
+  }
+  listener_->on_capacity_changed(*this, changed_);
 }
 
 util::IntMatrix Cloud::remaining() const {
@@ -54,11 +60,22 @@ util::IntMatrix Cloud::remaining() const {
   return rem;
 }
 
+bool Cloud::fits_reservations(const Allocation& alloc) const {
+  if (reserved_total_ == 0) return true;
+  if (alloc.node_count() != node_count() || alloc.type_count() != type_count()) {
+    return false;
+  }
+  for (const Allocation::Entry& e : alloc.entries()) {
+    if (e.count > remaining_at(e.node, e.type)) return false;
+  }
+  return true;
+}
+
 LeaseId Cloud::grant(const Request& request, const Allocation& alloc) {
   if (!alloc.satisfies(request)) {
     throw std::invalid_argument("Cloud::grant: allocation does not satisfy request");
   }
-  if (reserved_total_ > 0 && !alloc.fits(remaining())) {
+  if (!fits_reservations(alloc)) {
     // The inventory alone would admit this, but part of that capacity is
     // reserved by an in-flight migration.
     throw std::invalid_argument(
@@ -68,7 +85,9 @@ LeaseId Cloud::grant(const Request& request, const Allocation& alloc) {
   inventory_.allocate(alloc);  // throws if it does not fit
   const LeaseId id = next_lease_++;
   const CentralNode c = alloc.best_central(topology_);
-  leases_.emplace(id, Lease{alloc, LeaseDc{c.node, c.distance, c.distance}});
+  // Ids only grow, so the new lease goes last: an O(1) hinted insert.
+  leases_.emplace_hint(leases_.end(), id,
+                       Lease{alloc, LeaseDc{c.node, c.distance, c.distance}});
   notify_alloc(alloc);
   return id;
 }
@@ -105,12 +124,7 @@ std::vector<LeaseId> Cloud::fail_node(std::size_t node) {
   notify_one(node);
   std::vector<LeaseId> affected;
   for (const auto& [id, lease] : leases_) {
-    for (std::size_t j = 0; j < lease.alloc.type_count(); ++j) {
-      if (lease.alloc.at(node, j) > 0) {
-        affected.push_back(id);
-        break;
-      }
-    }
+    if (lease.alloc.vms_on_node(node) > 0) affected.push_back(id);
   }
   return affected;
 }
@@ -120,11 +134,12 @@ Allocation Cloud::lease_part_on_node(LeaseId id, std::size_t node) const {
   if (node >= alloc.node_count()) {
     throw std::out_of_range("Cloud::lease_part_on_node");
   }
-  Allocation part(alloc.node_count(), alloc.type_count());
-  for (std::size_t j = 0; j < alloc.type_count(); ++j) {
-    part.add(node, j, alloc.at(node, j));
+  std::vector<Allocation::Entry> part;
+  for (const Allocation::Entry& e : alloc.entries()) {
+    if (e.node == node) part.push_back(e);
   }
-  return part;
+  return Allocation::from_entries(alloc.node_count(), alloc.type_count(),
+                                  std::move(part));
 }
 
 void Cloud::shrink_lease(LeaseId id, const Allocation& lost) {
@@ -135,15 +150,16 @@ void Cloud::shrink_lease(LeaseId id, const Allocation& lost) {
   if (lost.node_count() != node_count() || lost.type_count() != type_count()) {
     throw std::invalid_argument("Cloud::shrink_lease: shape mismatch");
   }
-  if (!lost.valid() || !it->second.alloc.counts().dominates(lost.counts())) {
-    throw std::invalid_argument(
-        "Cloud::shrink_lease: lease does not hold the VMs being removed");
+  Allocation& alloc = it->second.alloc;
+  for (const Allocation::Entry& e : lost.entries()) {
+    if (e.count > alloc.at(e.node, e.type)) {
+      throw std::invalid_argument(
+          "Cloud::shrink_lease: lease does not hold the VMs being removed");
+    }
   }
   inventory_.release(lost);
-  for (std::size_t i = 0; i < lost.node_count(); ++i) {
-    for (std::size_t j = 0; j < lost.type_count(); ++j) {
-      if (lost.at(i, j) != 0) it->second.alloc.add(i, j, -lost.at(i, j));
-    }
+  for (const Allocation::Entry& e : lost.entries()) {
+    alloc.add(e.node, e.type, -e.count);
   }
   refresh_dc(it->second);
   notify_alloc(lost);
@@ -154,16 +170,14 @@ void Cloud::grow_lease(LeaseId id, const Allocation& extra) {
   if (it == leases_.end()) {
     throw std::invalid_argument("Cloud::grow_lease: unknown lease");
   }
-  if (reserved_total_ > 0 && !extra.fits(remaining())) {
+  if (!fits_reservations(extra)) {
     throw std::invalid_argument(
         "Cloud::grow_lease: allocation does not fit (capacity reserved by "
         "in-flight migrations)");
   }
   inventory_.allocate(extra);  // validates shape and fit
-  for (std::size_t i = 0; i < extra.node_count(); ++i) {
-    for (std::size_t j = 0; j < extra.type_count(); ++j) {
-      if (extra.at(i, j) != 0) it->second.alloc.add(i, j, extra.at(i, j));
-    }
+  for (const Allocation::Entry& e : extra.entries()) {
+    it->second.alloc.add(e.node, e.type, e.count);
   }
   refresh_dc(it->second);
   notify_alloc(extra);
@@ -216,7 +230,11 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
     return false;
   }
   Allocation& alloc = lease_it->second.alloc;
-  const util::IntMatrix before = alloc.counts();
+#if VCOPT_ENABLE_CHECKS
+  // The conservation validator compares dense before/after matrices.
+  const util::IntMatrix before =
+      alloc.to_matrix();  // NOLINT(vcopt-dense-allocation)
+#endif
   // Free the reservation first so the inventory move lands in the slot it
   // held (the reservation guaranteed remaining_at(to, type) >= 1).
   reserved_(m.to, m.type) -= 1;
@@ -230,8 +248,11 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
   inventory_.release(freed);
   alloc.add(m.from, m.type, -1);
   alloc.add(m.to, m.type, 1);
+#if VCOPT_ENABLE_CHECKS
   VCOPT_VALIDATE(check::validate_migration_conservation(
-      before, alloc.counts(), m.from, m.to, m.type));
+      before, alloc.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+      m.from, m.to, m.type));
+#endif
   refresh_dc(lease_it->second);
   notify_pair(m.from, m.to);
   return true;

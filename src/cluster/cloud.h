@@ -165,6 +165,9 @@ class Cloud {
   void notify_one(std::size_t node);
   void notify_pair(std::size_t a, std::size_t b);
   void notify_alloc(const Allocation& alloc);
+  /// True if `alloc` fits remaining() net of in-flight migration
+  /// reservations, checked on its entries: O(k).
+  bool fits_reservations(const Allocation& alloc) const;
 
   struct Lease {
     Allocation alloc;
@@ -192,6 +195,8 @@ class Cloud {
   std::map<std::uint64_t, PendingMigration> migrations_;
   std::uint64_t next_migration_ = 1;
   CapacityListener* listener_ = nullptr;
+  /// notify_alloc's node list, reused so a grant or release allocates none.
+  std::vector<std::size_t> changed_;
 };
 
 }  // namespace vcopt::cluster

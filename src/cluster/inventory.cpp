@@ -124,19 +124,17 @@ void Inventory::allocate(const Allocation& alloc) {
   if (alloc.node_count() != node_count() || alloc.type_count() != type_count()) {
     throw std::invalid_argument("Inventory::allocate: shape mismatch");
   }
-  // Fit test in place, without building remaining(): a zero entry always
-  // fits, so only the allocation's nonzero entries look at L.
-  const util::IntMatrix& add = alloc.counts();
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    for (std::size_t j = 0; j < type_count(); ++j) {
-      const int v = add(i, j);
-      if (v != 0 && (v < 0 || v > remaining_at(i, j))) {
-        throw std::invalid_argument(
-            "Inventory::allocate: does not fit remaining capacity");
-      }
+  // Fit test and debit over the allocation's entries: O(k).  A cell the
+  // allocation leaves empty always fits.
+  for (const Allocation::Entry& e : alloc.entries()) {
+    if (e.count > remaining_at(e.node, e.type)) {
+      throw std::invalid_argument(
+          "Inventory::allocate: does not fit remaining capacity");
     }
   }
-  alloc_ += add;
+  for (const Allocation::Entry& e : alloc.entries()) {
+    alloc_.add_at(e.node, e.type, e.count);
+  }
   // C + L == M with 0 <= C <= M must hold after every mutation (drains only
   // mask remaining(), so conservation is checked on the unmasked matrices).
   VCOPT_VALIDATE(
@@ -147,10 +145,15 @@ void Inventory::release(const Allocation& alloc) {
   if (alloc.node_count() != node_count() || alloc.type_count() != type_count()) {
     throw std::invalid_argument("Inventory::release: shape mismatch");
   }
-  if (!alloc.valid() || !alloc_.dominates(alloc.counts())) {
-    throw std::invalid_argument("Inventory::release: releasing unallocated VMs");
+  for (const Allocation::Entry& e : alloc.entries()) {
+    if (e.count > alloc_(e.node, e.type)) {
+      throw std::invalid_argument(
+          "Inventory::release: releasing unallocated VMs");
+    }
   }
-  alloc_ -= alloc.counts();
+  for (const Allocation::Entry& e : alloc.entries()) {
+    alloc_.add_at(e.node, e.type, -e.count);
+  }
   VCOPT_VALIDATE(
       check::validate_capacity_conservation(alloc_, max_ - alloc_, max_));
 }

@@ -49,13 +49,15 @@ class Inventory {
   /// §II admission rule for a request.
   Admission admit(const Request& request) const;
 
-  /// Applies an allocation (C += alloc).  Throws std::invalid_argument if the
-  /// allocation does not fit the remaining capacity; the inventory is left
-  /// unchanged in that case (strong exception guarantee).
+  /// Applies an allocation (C += alloc), O(k) in its entries.  Throws
+  /// std::invalid_argument if the allocation does not fit the remaining
+  /// capacity; the inventory is left unchanged in that case (strong
+  /// exception guarantee).
   void allocate(const Allocation& alloc);
 
-  /// Releases an allocation (C -= alloc).  Throws if more VMs would be
-  /// released than are allocated on some node/type.
+  /// Releases an allocation (C -= alloc), O(k).  Throws, leaving the
+  /// inventory unchanged, if more VMs would be released than are allocated
+  /// on some node/type.
   void release(const Allocation& alloc);
 
   /// Fraction of total capacity currently allocated, in [0,1].

@@ -114,7 +114,7 @@ void RecoveryManager::on_node_failed(std::size_t node) {
       Pending p;
       p.lease = id;
       p.failed_at = queue_.now();
-      p.original = cloud_.lease_allocation(id).counts();
+      p.original = cloud_.lease_allocation(id).to_matrix();
       p.lost = util::IntMatrix(p.original.rows(), p.original.cols());
       p.missing.assign(p.original.cols(), 0);
       p.failed_nodes.assign(p.original.rows(), false);
@@ -134,13 +134,9 @@ void RecoveryManager::on_node_failed(std::size_t node) {
       m.leases_hit.add();
     }
     Pending& p = it->second;
-    for (std::size_t i = 0; i < slice.node_count(); ++i) {
-      for (std::size_t j = 0; j < slice.type_count(); ++j) {
-        p.lost.at(i, j) += slice.at(i, j);
-      }
-    }
-    for (std::size_t j = 0; j < slice.type_count(); ++j) {
-      p.missing[j] += slice.vms_of_type(j);
+    for (const cluster::Allocation::Entry& e : slice.entries()) {
+      p.lost.add_at(e.node, e.type, e.count);
+      p.missing[e.type] += e.count;
     }
     p.failed_nodes[node] = true;
     m.vms_lost.add(static_cast<std::uint64_t>(slice.total_vms()));
@@ -244,7 +240,7 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   std::optional<cluster::Allocation> fill = place_missing(p, restricted);
   if (fill) {
     VCOPT_VALIDATE(check::validate_repair_conservation(
-        p.original, p.lost, fill->counts(), p.failed_nodes,
+        p.original, p.lost, fill->to_matrix(), p.failed_nodes,
         /*full_repair=*/true));
     cloud_.grow_lease(lease, *fill);
     const cluster::LeaseDc dc = cloud_.lease_dc(lease);
@@ -293,7 +289,7 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
     }
     if (partial.total_vms() > 0) {
       VCOPT_VALIDATE(check::validate_repair_conservation(
-          p.original, p.lost, partial.counts(), p.failed_nodes,
+          p.original, p.lost, partial.to_matrix(), p.failed_nodes,
           /*full_repair=*/false));
       cloud_.grow_lease(lease, partial);
       const int replaced = partial.total_vms();

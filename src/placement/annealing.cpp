@@ -37,7 +37,7 @@ BatchPlacement anneal_batch(const std::vector<cluster::Request>& batch,
 
   // Free capacity = remaining minus everything the batch holds.
   util::IntMatrix free = remaining;
-  for (const Placement& p : state.placements) free -= p.allocation.counts();
+  for (const Placement& p : state.placements) p.allocation.debit_from(free);
 
   std::vector<Placement> best = state.placements;
   double best_total = total_distance(best);

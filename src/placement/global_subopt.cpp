@@ -15,6 +15,15 @@ namespace vcopt::placement {
 namespace {
 constexpr double kEps = 1e-9;
 
+#if VCOPT_ENABLE_CHECKS
+// The pair's per-node, per-type totals, which a transfer conserves.  Checked
+// builds only: the invariant compares dense matrices.
+util::IntMatrix pair_totals(const Placement& a, const Placement& b) {
+  return a.allocation.to_matrix() +  // NOLINT(vcopt-dense-allocation)
+         b.allocation.to_matrix();   // NOLINT(vcopt-dense-allocation)
+}
+#endif
+
 // Per-swap distance improvement distribution (seconds of DC, really metres
 // of the paper's distance metric) plus attempt/apply counters.
 void record_transfer_metrics(std::size_t attempts, std::size_t applied,
@@ -40,8 +49,7 @@ std::size_t transfer_directed(Placement& a, Placement& b,
   const std::size_t x = a.central;
   const std::size_t y = b.central;
   if (x == y) return 0;
-  // Const views for all reads: the non-const accessors hand out raw
-  // references and would invalidate the allocations' row/col sum caches.
+  // Const views for all reads: the non-const at() is a write proxy.
   const cluster::Allocation& ca = a.allocation;
   const cluster::Allocation& cb = b.allocation;
   const std::size_t n = ca.node_count();
@@ -52,16 +60,18 @@ std::size_t transfer_directed(Placement& a, Placement& b,
   for (std::size_t r = 0; r < m; ++r) {
     if (ca.at(y, r) == 0) continue;  // a parked nothing of type r on y
     // Skip type rows where b holds no VM outside y: the inner scan could
-    // never find a swap partner.  O(1) via the cached column sums, which
-    // Allocation::add keeps consistent across swaps.
+    // never find a swap partner.
     if (cb.vms_of_type(r) - cb.at(y, r) == 0) continue;
     while (ca.at(y, r) > 0) {
       // Find b's VM of type r on the node q (!= y) farthest from y: that is
-      // the swap with the largest gain D(x,y) + D(y,q) - D(x,q).
+      // the swap with the largest gain D(x,y) + D(y,q) - D(x,q).  b's
+      // entries of type r are its nodes holding one, ascending, as the
+      // dense scan over all n nodes visited them.
       std::size_t best_q = n;
       double best_gain = kEps;
-      for (std::size_t q = 0; q < n; ++q) {
-        if (q == y || cb.at(q, r) == 0) continue;
+      for (const cluster::Allocation::Entry& e : cb.entries()) {
+        const std::size_t q = e.node;
+        if (e.type != r || q == y) continue;
         const double gain =
             dxy + topology.distance(y, q) - topology.distance(x, q);
         if (gain > best_gain) {
@@ -93,8 +103,7 @@ std::size_t GlobalSubOpt::transfer(Placement& a, Placement& b,
   // conserves per-node/per-type totals across the pair; capture the state
   // the promise is checked against.
   const double distance_before = a.distance + b.distance;
-  const util::IntMatrix combined_before =
-      a.allocation.counts() + b.allocation.counts();
+  const util::IntMatrix combined_before = pair_totals(a, b);
 #endif
   double gain_sum = 0;
   std::size_t swaps = transfer_directed(a, b, topology, gain_sum);
@@ -115,18 +124,20 @@ std::size_t GlobalSubOpt::transfer(Placement& a, Placement& b,
   VCOPT_INVARIANT(a.distance + b.distance <= distance_before + 1e-6)
       << " Theorem-2 transfer increased the summed distance: "
       << distance_before << " -> " << a.distance + b.distance;
-  VCOPT_INVARIANT((a.allocation.counts() + b.allocation.counts()) ==
-                  combined_before)
+  VCOPT_INVARIANT(pair_totals(a, b) == combined_before)
       << " Theorem-2 transfer did not conserve per-node/per-type totals:\n"
       << "before:\n" << combined_before << "\nafter:\n"
-      << a.allocation.counts() + b.allocation.counts();
+      << pair_totals(a, b);
   const auto dist = [&topology](std::size_t p, std::size_t q) {
     return topology.distance(p, q);
   };
-  VCOPT_VALIDATE(check::validate_reported_distance(a.allocation.counts(), dist,
-                                                   a.central, a.distance));
-  VCOPT_VALIDATE(check::validate_reported_distance(b.allocation.counts(), dist,
-                                                   b.central, b.distance));
+  // The validators take the dense matrix.
+  VCOPT_VALIDATE(check::validate_reported_distance(
+      a.allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+      dist, a.central, a.distance));
+  VCOPT_VALIDATE(check::validate_reported_distance(
+      b.allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+      dist, b.central, b.distance));
 #endif
   return swaps;
 }
@@ -144,8 +155,8 @@ BatchPlacement GlobalSubOpt::place_batch(
   for (std::size_t idx = 0; idx < batch.size(); ++idx) {
     auto placed = online.place(batch[idx], avail, topology);
     if (!placed) continue;  // not enough capacity left: stays queued
-    avail -= placed->allocation.counts();
-    if (!avail.all_nonnegative()) {
+    // O(k) debit; add_at keeps avail's sum cache warm for the next place().
+    if (!placed->allocation.debit_from(avail)) {
       throw std::logic_error("GlobalSubOpt: policy oversubscribed capacity");
     }
     out.placements.push_back(std::move(*placed));

@@ -22,26 +22,25 @@ bool best_move_for_central(const cluster::Allocation& alloc,
                            double min_net, Migration& move, double& gain,
                            double& cost) {
   const std::size_t n = alloc.node_count();
-  const std::size_t m = alloc.type_count();
   bool found = false;
   double best_net = 0;
-  for (std::size_t donor = 0; donor < n; ++donor) {
-    if (alloc.vms_on_node(donor) == 0) continue;
+  // The donors are the allocation's entries, in the (node, type) order the
+  // dense scan visited its nonzero cells.
+  for (const cluster::Allocation::Entry& e : alloc.entries()) {
+    const std::size_t donor = e.node;
+    const std::size_t j = e.type;
     const double from_donor = topology.distance(donor, x);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (alloc.at(donor, j) == 0) continue;
-      const double c = j < move_cost.size() ? move_cost[j] : 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        if (r == donor || remaining(r, j) <= 0) continue;
-        const double g = from_donor - topology.distance(r, x);
-        const double net = g - c;
-        if (g > kEps && net > min_net + kEps && (!found || net > best_net)) {
-          found = true;
-          best_net = net;
-          gain = g;
-          cost = c;
-          move = Migration{donor, r, j};
-        }
+    const double c = j < move_cost.size() ? move_cost[j] : 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (r == donor || remaining(r, j) <= 0) continue;
+      const double g = from_donor - topology.distance(r, x);
+      const double net = g - c;
+      if (g > kEps && net > min_net + kEps && (!found || net > best_net)) {
+        found = true;
+        best_net = net;
+        gain = g;
+        cost = c;
+        move = Migration{donor, r, j};
       }
     }
   }

@@ -18,11 +18,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+using Entry = cluster::Allocation::Entry;
+
 // Per-thread scratch for Algorithm 1.  All buffers are sized once per
 // (n, m) shape and reused across place() calls, so the scan and the fill
-// perform no heap allocation in steady state.  `alloc` holds the last
-// filled candidate's allocation; the invariant is that every entry outside
-// `touched`'s rows is zero (fills clear only the rows they wrote).
+// perform no heap allocation in steady state.  `taken` holds the last
+// filled candidate's allocation entries.
 struct Workspace {
   std::size_t n = 0;
   std::size_t m = 0;
@@ -31,12 +32,10 @@ struct Workspace {
   std::vector<std::int32_t> key;    // per-node com(L[x], L[i]) overlap sums
   std::vector<std::size_t> tier;    // candidate ordering within one tier
   std::vector<std::size_t> far;     // off-rack, other-cloud candidates
-  std::vector<int> node_vms;        // VMs taken per node, current candidate
-  std::vector<std::size_t> touched; // nodes written by the current candidate
+  std::vector<Entry> taken;         // current candidate's (node, type, count)
   std::vector<int> rack_free;       // per-rack free sums, racks x m
   std::vector<int> cloud_free;      // per-cloud free sums, clouds x m
   std::vector<double> score;        // tier score per candidate central
-  util::IntMatrix alloc;            // current candidate's allocation
 
   void prepare(std::size_t n_, std::size_t m_) {
     if (n == n_ && m == m_) return;
@@ -45,11 +44,8 @@ struct Workspace {
     need.assign(m, 0);
     lx.assign(m, 0);
     key.assign(n, 0);
-    node_vms.assign(n, 0);
-    touched.clear();
     tier.reserve(n);
     far.reserve(n);
-    alloc = util::IntMatrix(n, m, 0);
   }
 };
 
@@ -59,10 +55,10 @@ Workspace& local_workspace() {
 }
 
 // The greedy fill of Algorithm 1 for one fixed central node, evaluated into
-// ws.alloc.  Visits the central node, then rack-mates in descending
-// com(L[x], L[i]) overlap (the paper's getList ordering), then off-rack
-// nodes nearest-tier-first (same cloud, then other clouds) with the same
-// overlap ordering inside each tier.
+// ws.taken, sorted by (node, type) on success.  Visits the central node,
+// then rack-mates in descending com(L[x], L[i]) overlap (the paper's
+// getList ordering), then off-rack nodes nearest-tier-first (same cloud,
+// then other clouds) with the same overlap ordering inside each tier.
 //
 // On success, `final_distance` receives the exact distance from `central`,
 // summed in ascending node order — the same FP evaluation order as
@@ -72,12 +68,7 @@ bool fill_candidate(const cluster::Request& request,
                     const util::IntMatrix& remaining,
                     const cluster::Topology& topology, std::size_t central,
                     Workspace& ws, double& final_distance) {
-  // O(touched) reset of the previous candidate's writes.
-  for (std::size_t i : ws.touched) {
-    ws.node_vms[i] = 0;
-    for (std::size_t j = 0; j < ws.m; ++j) ws.alloc(i, j) = 0;
-  }
-  ws.touched.clear();
+  ws.taken.clear();
 
   const std::vector<int>& req = request.counts();
   ws.need.assign(req.begin(), req.end());
@@ -86,19 +77,14 @@ bool fill_candidate(const cluster::Request& request,
 
   // Takes min(remaining[node], need) of each type.
   auto take = [&](std::size_t node) {
-    int took = 0;
     for (std::size_t j = 0; j < ws.m; ++j) {
       const int t = std::min(ws.need[j], remaining(node, j));
       if (t > 0) {
-        ws.alloc(node, j) = t;
+        ws.taken.push_back({static_cast<std::uint32_t>(node),
+                            static_cast<std::uint32_t>(j), t});
         ws.need[j] -= t;
-        took += t;
+        outstanding -= t;
       }
-    }
-    if (took > 0) {
-      ws.node_vms[node] = took;
-      ws.touched.push_back(node);
-      outstanding -= took;
     }
   };
 
@@ -157,11 +143,18 @@ bool fill_candidate(const cluster::Request& request,
 
   if (outstanding > 0) return false;  // infeasible from this central
 
-  // Exact distance in ascending node order (matches distance_from).
-  std::sort(ws.touched.begin(), ws.touched.end());
+  // Each node is taken at most once, its types ascending: sorting by
+  // (node, type) gives the allocation's entries, and the exact distance
+  // sums their nodes in ascending order (matches distance_from).
+  std::sort(ws.taken.begin(), ws.taken.end(), cluster::Allocation::cell_less);
   double d = 0;
-  for (std::size_t i : ws.touched) {
-    d += static_cast<double>(ws.node_vms[i]) * topology.distance(i, central);
+  for (std::size_t e = 0; e < ws.taken.size();) {
+    const std::uint32_t node = ws.taken[e].node;
+    int vms = 0;
+    for (; e < ws.taken.size() && ws.taken[e].node == node; ++e) {
+      vms += ws.taken[e].count;
+    }
+    d += static_cast<double>(vms) * topology.distance(node, central);
   }
   final_distance = d;
   return true;
@@ -276,7 +269,7 @@ std::optional<cluster::Allocation> OnlineHeuristic::fill_from_central(
   if (!fill_candidate(request, remaining, topology, central, ws, d)) {
     return std::nullopt;
   }
-  return cluster::Allocation(std::move(ws.alloc));
+  return cluster::Allocation::from_entries(ws.n, ws.m, std::move(ws.taken));
 }
 
 double OnlineHeuristic::score_from_central(const cluster::Request& request,
@@ -325,13 +318,16 @@ std::optional<Placement> OnlineHeuristic::place(
       }
     }
     if (whole) {
-      cluster::Allocation alloc(n, m);
+      std::vector<Entry> on_node;
       for (std::size_t j = 0; j < m; ++j) {
-        alloc.at(i, j) = request.count(j);
+        if (request.count(j) > 0) {
+          on_node.push_back({static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(j), request.count(j)});
+        }
       }
       record_place_metrics(1, 0, true);
       return Placement{
-          std::move(alloc), i,
+          cluster::Allocation::from_entries(n, m, std::move(on_node)), i,
           static_cast<double>(request.total_vms()) * topology.distance(i, i)};
     }
   }
@@ -355,7 +351,8 @@ std::optional<Placement> OnlineHeuristic::place(
       ++evaluated;
       double d = 0;
       if (fill_candidate(request, remaining, topology, x, ws, d)) {
-        best = Placement{cluster::Allocation(ws.alloc), x, d};
+        best = Placement{cluster::Allocation::from_entries(n, m, ws.taken), x,
+                         d};
         break;
       }
     }
@@ -385,7 +382,8 @@ std::optional<Placement> OnlineHeuristic::place(
       fill_candidate(request, remaining, topology, x, ws, d);
       ++filled;
       if (!best || d < best->distance) {
-        best = Placement{cluster::Allocation(ws.alloc), x, d};
+        best = Placement{cluster::Allocation::from_entries(n, m, ws.taken), x,
+                         d};
       }
       if (slack == 0) break;
     }
@@ -417,11 +415,13 @@ std::optional<Placement> OnlineHeuristic::place(
   if (best) {
     // Algorithm-1 exit contract: Def. 2 feasibility against the remaining
     // capacity we were given, and a reported distance that matches an
-    // independent recomputation for the chosen central node.
-    VCOPT_VALIDATE(check::validate_allocation(best->allocation.counts(),
-                                              request.counts(), remaining));
+    // independent recomputation for the chosen central node.  Checked
+    // builds only: the validators take the dense matrix.
+    VCOPT_VALIDATE(check::validate_allocation(
+        best->allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+        request.counts(), remaining));
     VCOPT_VALIDATE(check::validate_reported_distance(
-        best->allocation.counts(),
+        best->allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
         [&topology](std::size_t a, std::size_t b) {
           return topology.distance(a, b);
         },

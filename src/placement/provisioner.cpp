@@ -65,19 +65,22 @@ cluster::Allocation best_effort_fill(const cluster::Request& r,
     }
   }
   const std::vector<std::size_t> order = topology.nodes_by_distance(anchor);
-  cluster::Allocation alloc(n, m);
+  std::vector<cluster::Allocation::Entry> taken;
   for (std::size_t j = 0; j < m; ++j) {
     int want = r.count(j);
     for (std::size_t i : order) {
       if (want == 0) break;
       const int take = std::min(want, remaining(i, j));
       if (take > 0) {
-        alloc.add(i, j, take);
+        taken.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j), take});
         want -= take;
       }
     }
   }
-  return alloc;
+  // Each (node, type) is taken at most once: sorted, they are the entries.
+  std::sort(taken.begin(), taken.end(), cluster::Allocation::cell_less);
+  return cluster::Allocation::from_entries(n, m, std::move(taken));
 }
 
 }  // namespace
@@ -143,8 +146,10 @@ std::optional<Grant> Provisioner::try_place_and_grant(const cluster::Request& r)
   if (!placed) return std::nullopt;
   // Catch a misbehaving policy with a contextual dump BEFORE the grant
   // mutates the inventory (which would only throw a bare invalid_argument).
-  VCOPT_VALIDATE(check::validate_allocation(placed->allocation.counts(),
-                                            r.counts(), cloud_.remaining()));
+  // Checked builds only: the validators take the dense matrix.
+  VCOPT_VALIDATE(check::validate_allocation(
+      placed->allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+      r.counts(), cloud_.remaining()));
   const cluster::LeaseId lease = cloud_.grant(r, placed->allocation);
   ProvisionerMetrics::get().grants.add();
   return Grant{lease, r.id(), std::move(*placed)};
@@ -236,6 +241,7 @@ LadderPlan plan_laddered(const cluster::Request& r,
   if (r.empty()) {
     plan.status = PlacementStatus::kRejectedEmpty;
     m.reject_empty.add();
+    m.rejections.add();
     return plan;
   }
   // Inventory::admit's kReject rung verbatim: some type exceeds total
@@ -245,6 +251,7 @@ LadderPlan plan_laddered(const cluster::Request& r,
     if (r.count(j) > capacity_col_sums[j]) {
       plan.status = PlacementStatus::kRejectedOverCapacity;
       m.reject_over_capacity.add();
+      m.rejections.add();
       return plan;
     }
   }
@@ -275,8 +282,10 @@ LadderPlan plan_laddered(const cluster::Request& r,
                                       r.priority());
     m.ladder_partial.add();
   }
+  // Checked builds only: the validators take the dense matrix.
   VCOPT_VALIDATE(check::validate_allocation(
-      plan.placement->allocation.counts(), plan.effective->counts(), remaining));
+      plan.placement->allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+      plan.effective->counts(), remaining));
   plan.granted_vms = plan.placement->allocation.total_vms();
   return plan;
 }
@@ -317,9 +326,10 @@ std::vector<Grant> Provisioner::drain_batch_global() {
   std::vector<bool> served(batch.size(), false);
   for (std::size_t t = 0; t < placed.admitted.size(); ++t) {
     const std::size_t idx = placed.admitted[t];
+    // Checked builds only: the validators take the dense matrix.
     VCOPT_VALIDATE(check::validate_allocation(
-        placed.placements[t].allocation.counts(), batch[idx].counts(),
-        cloud_.remaining()));
+        placed.placements[t].allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+        batch[idx].counts(), cloud_.remaining()));
     const cluster::LeaseId lease =
         cloud_.grant(batch[idx], placed.placements[t].allocation);
     m.queue_wait.observe(now_ - queue_[idx].enqueued_at);

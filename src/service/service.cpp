@@ -244,9 +244,15 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     return local;
   };
   const auto to_global = [&](placement::Placement& pl) {
-    pl.allocation = cluster::Allocation(
-        part->to_global(cell_id, pl.allocation.counts(), avail.rows()));
+    pl.allocation = part->to_global(cell_id, pl.allocation, avail.rows());
     pl.central = part->cell(cell_id).nodes[pl.central];
+  };
+  // Debits a planned grant from the working view over its entries: O(k),
+  // and add_at keeps avail's sum cache warm for the next placement.
+  const auto debit = [&](const cluster::Allocation& alloc) {
+    if (!alloc.debit_from(avail)) {
+      throw std::logic_error("plan_window: a plan oversubscribed capacity");
+    }
   };
 
   // Batch step (Algorithm 2) for windows of size > 1: every non-empty member
@@ -277,9 +283,11 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     for (std::size_t k = 0; k < placed.admitted.size(); ++k) {
       const std::size_t i = batch_pos[placed.admitted[k]];
       const placement::Placement& pl = placed.placements[k];
+      // Checked builds only: the validators take the dense matrix.
       VCOPT_VALIDATE(check::validate_allocation(
-          pl.allocation.counts(), members[i].request.counts(), avail));
-      avail -= pl.allocation.counts();
+          pl.allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
+          members[i].request.counts(), avail));
+      debit(pl.allocation);
       Outcome o;
       o.seq = members[i].seq;
       o.request_id = members[i].request.id();
@@ -338,7 +346,7 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     if (lp.placement) {
       o.central = lp.placement->central;
       o.distance = lp.placement->distance;
-      avail -= lp.placement->allocation.counts();
+      debit(lp.placement->allocation);
       plan.grants.push_back(PlannedGrant{shed.size() + i,
                                          std::move(*lp.effective),
                                          std::move(lp.placement->allocation)});
@@ -365,16 +373,24 @@ void commit_window(cluster::Cloud& cloud, WindowPlan& plan) {
 #if VCOPT_ENABLE_CHECKS
   const util::IntMatrix before = cloud.remaining();
 #endif
+  // Served grants count where a Provisioner counts its own.
+  static obs::Counter& granted_leases =
+      obs::MetricsRegistry::global().counter("provisioner/grants");
   for (PlannedGrant& g : plan.grants) {
     const cluster::LeaseId lease = cloud.grant(g.effective, g.allocation);
     plan.outcomes[g.outcome_index].lease = lease;
+    granted_leases.add();
   }
 #if VCOPT_ENABLE_CHECKS
   // Batch capacity conservation: what this window debited from the cloud is
   // exactly the sum of the allocations it granted.
   util::IntMatrix granted(before.rows(), before.cols());
   for (const Outcome& o : plan.outcomes) {
-    if (has_lease(o.kind)) granted += cloud.lease_allocation(o.lease).counts();
+    if (!has_lease(o.kind)) continue;
+    for (const cluster::Allocation::Entry& e :
+         cloud.lease_allocation(o.lease).entries()) {
+      granted.add_at(e.node, e.type, e.count);
+    }
   }
   VCOPT_VALIDATE(check::validate_fits(granted, before));
   util::IntMatrix expected = before;

@@ -108,10 +108,10 @@ SdResult solve_sd_exact(const cluster::Request& request,
     // Def. 2 feasibility + Def. 1 cross-check: the reported distance must be
     // DC(C) under an independent recomputation (Theorem 1 guarantees the
     // scan's minimum is also the allocation's optimal central).
-    VCOPT_VALIDATE(check::validate_allocation(best.allocation.counts(),
+    VCOPT_VALIDATE(check::validate_allocation(best.allocation.to_matrix(),
                                               request.counts(), remaining));
     VCOPT_VALIDATE(
-        check::validate_dc_optimal(best.allocation.counts(), dist,
+        check::validate_dc_optimal(best.allocation.to_matrix(), dist,
                                    best.distance));
   }
   return best;
@@ -139,7 +139,7 @@ SdResult solve_sd_exact_weighted(const cluster::Request& request,
     }
   }
   if (best.feasible) {
-    VCOPT_VALIDATE(check::validate_allocation(best.allocation.counts(),
+    VCOPT_VALIDATE(check::validate_allocation(best.allocation.to_matrix(),
                                               request.counts(), remaining));
   }
   return best;
@@ -204,10 +204,10 @@ SdResult solve_sd_ilp(const cluster::Request& request,
     // Budget-truncated incumbents may not be DC-optimal, so only the forced-
     // central distance is cross-checked here (it must match the ILP
     // objective exactly).
-    VCOPT_VALIDATE(check::validate_allocation(best.allocation.counts(),
+    VCOPT_VALIDATE(check::validate_allocation(best.allocation.to_matrix(),
                                               request.counts(), remaining));
     VCOPT_VALIDATE(check::validate_reported_distance(
-        best.allocation.counts(), dist, best.central, best.distance, 1e-6));
+        best.allocation.to_matrix(), dist, best.central, best.distance, 1e-6));
   }
   return best;
 }
@@ -324,10 +324,10 @@ GsdResult solve_gsd_exact(const std::vector<cluster::Request>& requests,
     // respects the shared capacity (per-request fit alone is not enough).
     util::IntMatrix combined(n, m);
     for (std::size_t k = 0; k < p; ++k) {
-      VCOPT_VALIDATE(check::validate_allocation(best.allocations[k].counts(),
+      VCOPT_VALIDATE(check::validate_allocation(best.allocations[k].to_matrix(),
                                                 requests[k].counts(),
                                                 remaining));
-      combined += best.allocations[k].counts();
+      combined += best.allocations[k].to_matrix();
     }
     VCOPT_VALIDATE(check::validate_fits(combined, remaining));
   }

@@ -1,9 +1,10 @@
-// Dense row-major matrix used for the paper's M/C/L capacity and C
-// allocation matrices, and for the dense distance matrix D the exact
-// solvers take (an arbitrary or measured metric; the topology's own
-// distances are computed per pair, not stored).  Header-only so it can hold
-// any numeric cell type without dragging in template instantiation
-// boilerplate.
+// Dense row-major matrix used for the paper's M/C/L capacity matrices, for
+// the dense view of an allocation the exact solvers and validators take (a
+// lease itself is sparse, cluster::Allocation), and for the dense distance
+// matrix D the exact solvers take (an arbitrary or measured metric; the
+// topology's own distances are computed per pair, not stored).
+// Header-only so it can hold any numeric cell type without dragging in
+// template instantiation boilerplate.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +26,11 @@ namespace vcopt::util {
 /// pass, and subsequent calls are O(1).  Mutation through a non-const
 /// accessor (the caller gets a raw reference we cannot observe) invalidates
 /// the cache wholesale; add_at() instead maintains it incrementally, which
-/// is what the placement hot paths use.  The lazy rebuild mutates mutable
-/// state under const, so before sharing a matrix read-only across threads,
-/// call warm_sums() (or any row_sum/col_sum) from a single thread first.
+/// is how the window debits (Allocation::debit_from) keep the working
+/// capacity view's sums warm between placements.  The lazy rebuild mutates
+/// mutable state under const, so before sharing a matrix read-only across
+/// threads, call warm_sums() (or any row_sum/col_sum) from a single thread
+/// first.
 template <typename T>
 class Matrix {
  public:

@@ -119,21 +119,57 @@ TEST(CellPartition, ToGlobalScattersLocalRowsBack) {
   po.target_cells = 2;
   const CellPartition part(topo, po);
   const Cell& c = part.cell(part.cell_count() - 1);
-  util::IntMatrix local(c.nodes.size(), 2);
-  for (std::size_t i = 0; i < local.rows(); ++i) {
-    local(i, 0) = static_cast<int>(i + 1);
-    local(i, 1) = 7;
+  cluster::Allocation local(c.nodes.size(), 2);
+  for (std::size_t i = 0; i < local.node_count(); ++i) {
+    local.at(i, 0) = static_cast<int>(i + 1);
+    local.at(i, 1) = 7;
   }
-  const util::IntMatrix global = part.to_global(c.id, local, topo.node_count());
-  ASSERT_EQ(global.rows(), topo.node_count());
+  const cluster::Allocation global =
+      part.to_global(c.id, local, topo.node_count());
+  ASSERT_EQ(global.node_count(), topo.node_count());
   for (std::size_t n = 0; n < topo.node_count(); ++n) {
     if (part.cell_of_node(n) == c.id) {
-      EXPECT_EQ(global(n, 0), static_cast<int>(part.local_index(n) + 1));
-      EXPECT_EQ(global(n, 1), 7);
+      EXPECT_EQ(global.at(n, 0), static_cast<int>(part.local_index(n) + 1));
+      EXPECT_EQ(global.at(n, 1), 7);
     } else {
-      EXPECT_EQ(global(n, 0), 0);
-      EXPECT_EQ(global(n, 1), 0);
+      EXPECT_EQ(global.at(n, 0), 0);
+      EXPECT_EQ(global.at(n, 1), 0);
     }
+  }
+}
+
+TEST(CellPartition, ToGlobalKeepsEntriesSorted) {
+  // Racks of a hand-built topology interleave their node ids, so a cell's
+  // nodes are not one contiguous id range; relabelling must still leave the
+  // entries sorted by (node, type), as Allocation requires.
+  const Topology topo({0, 1, 0, 1, 2, 2, 0, 1}, {0, 0, 0},
+                      cluster::DistanceConfig{});
+  CellPartitionOptions po;
+  po.cell_size = 2;
+  const CellPartition part(topo, po);
+  ASSERT_GT(part.cell_count(), 1u);
+  for (const Cell& c : part.cells()) {
+    cluster::Allocation local(c.nodes.size(), 3);
+    for (std::size_t i = 0; i < local.node_count(); ++i) {
+      local.at(i, (i * 2) % 3) = static_cast<int>(i + 1);
+      local.at(i, 1) += 2;
+    }
+    const cluster::Allocation global =
+        part.to_global(c.id, local, topo.node_count());
+    ASSERT_EQ(global.entries().size(), local.entries().size());
+    for (std::size_t e = 0; e < global.entries().size(); ++e) {
+      const cluster::Allocation::Entry& g = global.entries()[e];
+      const cluster::Allocation::Entry& l = local.entries()[e];
+      EXPECT_EQ(g.node, c.nodes[l.node]);
+      EXPECT_EQ(g.type, l.type);
+      EXPECT_EQ(g.count, l.count);
+      if (e > 0) {
+        const cluster::Allocation::Entry& p = global.entries()[e - 1];
+        EXPECT_TRUE(p.node < g.node || (p.node == g.node && p.type < g.type))
+            << "cell " << c.id << " entry " << e;
+      }
+    }
+    EXPECT_EQ(global.total_vms(), local.total_vms());
   }
 }
 

@@ -55,7 +55,7 @@ TEST(RoutedPolicy, SingleCellIsBitwiseFlatAcross25Seeds) {
           << "seed " << seed << " request " << r.describe();
       if (f) {
         // Bitwise: same allocation matrix, same central, same DC.
-        EXPECT_EQ(f->allocation.counts(), g->allocation.counts())
+        EXPECT_EQ(f->allocation.to_matrix(), g->allocation.to_matrix())
             << "seed " << seed << " request " << r.describe();
         EXPECT_EQ(f->central, g->central) << "seed " << seed;
         EXPECT_DOUBLE_EQ(f->distance, g->distance) << "seed " << seed;

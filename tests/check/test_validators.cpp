@@ -113,11 +113,11 @@ TEST(ValidateDcOptimal, AcceptsExactSolverOutput) {
   const auto res =
       vcopt::solver::solve_sd_exact(req, remaining, topo.distance_matrix());
   ASSERT_TRUE(res.feasible);
-  EXPECT_TRUE(vc::validate_dc_optimal(res.allocation.counts(),
+  EXPECT_TRUE(vc::validate_dc_optimal(res.allocation.to_matrix(),
                                       topo.distance_matrix(), res.distance)
                   .ok);
   // A deliberately inflated objective must be rejected.
-  EXPECT_FALSE(vc::validate_dc_optimal(res.allocation.counts(),
+  EXPECT_FALSE(vc::validate_dc_optimal(res.allocation.to_matrix(),
                                        topo.distance_matrix(),
                                        res.distance + 1.0)
                    .ok);

@@ -38,9 +38,10 @@ TEST(Inventory, AllocateOverCapacityThrowsAndLeavesStateIntact) {
   Allocation too_big({{3, 0}, {0, 0}, {0, 0}});
   EXPECT_THROW(inv.allocate(too_big), std::invalid_argument);
   EXPECT_EQ(inv.allocated().total(), 0);  // strong guarantee
-  // A negative entry would hand back capacity nobody holds.
-  Allocation negative({{1, 0}, {-1, 0}, {0, 0}});
-  EXPECT_THROW(inv.allocate(negative), std::invalid_argument);
+  // A negative entry would hand back capacity nobody holds; an allocation
+  // cannot hold one, so it never reaches the inventory.
+  EXPECT_THROW(Allocation(util::IntMatrix{{1, 0}, {-1, 0}, {0, 0}}),
+               std::invalid_argument);
   EXPECT_EQ(inv.remaining(), inv.max_capacity());
 }
 

@@ -29,7 +29,7 @@ LeaseId spread_lease(Cloud& cloud) {
 TEST(Migration, CommitMovesVmAndConservesTotals) {
   Cloud cloud = make_cloud();
   const LeaseId id = spread_lease(cloud);
-  const util::IntMatrix before = cloud.lease_allocation(id).counts();
+  const util::IntMatrix before = cloud.lease_allocation(id).to_matrix();
 
   const std::uint64_t ticket = cloud.begin_migration(id, 2, 1, 0);
   ASSERT_GT(ticket, 0u);
@@ -37,7 +37,7 @@ TEST(Migration, CommitMovesVmAndConservesTotals) {
   ASSERT_TRUE(cloud.commit_migration(ticket));
   EXPECT_EQ(cloud.pending_migration_count(), 0u);
 
-  const util::IntMatrix after = cloud.lease_allocation(id).counts();
+  const util::IntMatrix after = cloud.lease_allocation(id).to_matrix();
   EXPECT_EQ(after(2, 0), 0);
   EXPECT_EQ(after(1, 0), 1);
   EXPECT_TRUE(
@@ -57,7 +57,7 @@ TEST(Migration, ReservationHidesDestinationSlotFromRemaining) {
   cloud.rollback_migration(ticket);
   // Rollback returns the reservation untouched.
   EXPECT_EQ(cloud.remaining()(1, 0), 2);
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(2, 0), 1);
+  EXPECT_EQ(cloud.lease_allocation(id).at(2, 0), 1);
 }
 
 TEST(Migration, BeginRefusesTransientConditionsWithZeroTicket) {
@@ -119,8 +119,8 @@ TEST(Migration, CommitRollsBackWhenDestinationFailedMidCopy) {
   cloud.fail_node(1);
   EXPECT_FALSE(cloud.commit_migration(ticket));
   // The VM never moved: books unchanged, conservation trivially holds.
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(2, 0), 1);
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(1, 0), 0);
+  EXPECT_EQ(cloud.lease_allocation(id).at(2, 0), 1);
+  EXPECT_EQ(cloud.lease_allocation(id).at(1, 0), 0);
   EXPECT_EQ(cloud.pending_migration_count(), 0u);
 }
 
@@ -167,7 +167,7 @@ TEST(Migration, ReservationBlocksCompetingGrant) {
   ASSERT_TRUE(cloud.commit_migration(t1));
   ASSERT_TRUE(cloud.commit_migration(t2));
   // Both VMs now live on node 1; the lease is whole.
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(1, 0), 2);
+  EXPECT_EQ(cloud.lease_allocation(id).at(1, 0), 2);
   EXPECT_EQ(cloud.lease_allocation(id).total_vms(), 2);
 }
 

@@ -39,7 +39,7 @@ TEST_P(AnnealSweep, NeverWorseThanAlgorithmTwoAndAlwaysFeasible) {
   for (std::size_t t = 0; t < annealed.placements.size(); ++t) {
     EXPECT_TRUE(annealed.placements[t].allocation.satisfies(
         batch[annealed.admitted[t]]));
-    used += annealed.placements[t].allocation.counts();
+    used += annealed.placements[t].allocation.to_matrix();
   }
   EXPECT_TRUE(remaining.dominates(used));
   EXPECT_TRUE(used.all_nonnegative());

@@ -119,7 +119,7 @@ TEST(GlobalSubOpt, BatchRespectsSharedCapacity) {
   const BatchPlacement out = g.place_batch(batch, remaining, topo);
   IntMatrix used(remaining.rows(), remaining.cols(), 0);
   for (std::size_t t = 0; t < out.placements.size(); ++t) {
-    used += out.placements[t].allocation.counts();
+    used += out.placements[t].allocation.to_matrix();
     EXPECT_TRUE(out.placements[t].allocation.satisfies(batch[out.admitted[t]]));
   }
   EXPECT_TRUE(remaining.dominates(used));
@@ -152,7 +152,7 @@ TEST_P(GlobalNeverWorse, TransfersOnlyImprove) {
   IntMatrix used(remaining.rows(), remaining.cols(), 0);
   for (std::size_t t = 0; t < a.placements.size(); ++t) {
     EXPECT_TRUE(a.placements[t].allocation.satisfies(batch[a.admitted[t]]));
-    used += a.placements[t].allocation.counts();
+    used += a.placements[t].allocation.to_matrix();
   }
   EXPECT_TRUE(remaining.dominates(used));
 }
@@ -182,7 +182,7 @@ TEST_P(WorklistEquivalence, MatchesFullSweepBitwise) {
   for (const Request& r : batch) {
     auto placed = online.place(r, avail, topo);
     if (!placed) continue;
-    avail -= placed->allocation.counts();
+    avail -= placed->allocation.to_matrix();
     ref.push_back(std::move(*placed));
   }
   std::size_t ref_transfers = 0;

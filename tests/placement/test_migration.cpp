@@ -122,7 +122,7 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
   auto placed = random.place(r, capacity, topo);
   if (!placed) return;
   IntMatrix remaining = capacity;
-  remaining -= placed->allocation.counts();
+  remaining -= placed->allocation.to_matrix();
   Placement p = *placed;
   const Request req_copy = r;
 
@@ -134,7 +134,7 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
   EXPECT_TRUE(p.allocation.satisfies(req_copy));
   EXPECT_TRUE(remaining.all_nonnegative());
   // Combined conservation: allocation + remaining == original capacity.
-  EXPECT_EQ(p.allocation.counts() + remaining, capacity);
+  EXPECT_EQ(p.allocation.to_matrix() + remaining, capacity);
 
   // Local optimality at the final central: no single VM has a strictly
   // nearer free slot (otherwise consolidate would have kept going).
@@ -268,7 +268,7 @@ TEST_P(BudgetedSweep, InvariantsAndEconomy) {
   auto placed = random.place(r, capacity, topo);
   if (!placed) return;
   IntMatrix remaining = capacity;
-  remaining -= placed->allocation.counts();
+  remaining -= placed->allocation.to_matrix();
   Placement p = *placed;
   const Request req_copy = r;
 
@@ -285,7 +285,7 @@ TEST_P(BudgetedSweep, InvariantsAndEconomy) {
   EXPECT_LE(p.distance, before + 1e-9);
   EXPECT_TRUE(p.allocation.satisfies(req_copy));
   EXPECT_TRUE(remaining.all_nonnegative());
-  EXPECT_EQ(p.allocation.counts() + remaining, capacity);
+  EXPECT_EQ(p.allocation.to_matrix() + remaining, capacity);
   double net_sum = 0, gain_sum = 0;
   for (const BudgetedMove& m : res.moves) {
     EXPECT_GT(m.net(), 0.0) << "seed=" << GetParam();

@@ -143,7 +143,7 @@ IntMatrix churned_inventory(const Topology& topo,
   for (std::uint64_t id = 0; id < 4; ++id) {
     const Request r = workload::random_request(catalog, rng, 0, 3, id);
     if (auto p = heuristic.place(r, remaining, topo)) {
-      remaining -= p->allocation.counts();
+      remaining -= p->allocation.to_matrix();
     }
   }
   return remaining;

@@ -30,7 +30,7 @@ TEST_P(ProvisionerFuzz, ConservationUnderRandomOps) {
   auto verify = [&] {
     // Sum of shadow allocations == cloud's allocated matrix.
     util::IntMatrix sum(sc.capacity.rows(), sc.capacity.cols(), 0);
-    for (const auto& [id, alloc] : shadow) sum += alloc.counts();
+    for (const auto& [id, alloc] : shadow) sum += alloc.to_matrix();
     EXPECT_EQ(cloud.inventory().allocated(), sum);
     EXPECT_TRUE(cloud.remaining().all_nonnegative());
     EXPECT_EQ(cloud.lease_count(), shadow.size());

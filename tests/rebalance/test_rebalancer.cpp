@@ -82,8 +82,8 @@ TEST(Rebalancer, MigratesDriftedLeaseBackTogether) {
   EXPECT_GT(m.gain, m.cost);
   EXPECT_EQ(m.attempts, 1);
   // The VM actually moved.
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(1, 0), 1);
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(2, 0), 0);
+  EXPECT_EQ(cloud.lease_allocation(id).at(1, 0), 1);
+  EXPECT_EQ(cloud.lease_allocation(id).at(2, 0), 0);
   EXPECT_DOUBLE_EQ(cloud.lease_dc(id).last, 1.0);
 
   ASSERT_EQ(reb.rounds().size(), 1u);
@@ -245,7 +245,7 @@ TEST(Rebalancer, MidCopyNodeFailureRollsBackThenRetriesToExhaustion) {
   EXPECT_EQ(m.attempts, policy.max_retries + 1);
   EXPECT_EQ(cloud.pending_migration_count(), 0u);
   // Books intact: the VM never left node 2, nothing was duplicated.
-  EXPECT_EQ(cloud.lease_allocation(id).counts()(2, 0), 1);
+  EXPECT_EQ(cloud.lease_allocation(id).at(2, 0), 1);
   EXPECT_EQ(cloud.lease_allocation(id).total_vms(), 3);
   ASSERT_EQ(reb.rounds().size(), 1u);
   EXPECT_EQ(reb.rounds()[0].status, RoundStatus::kDeferred);

@@ -13,6 +13,7 @@
 
 #include "cluster/cloud.h"
 #include "gate_stream.h"
+#include "obs/metrics.h"
 #include "service/journal.h"
 
 namespace vcopt::service {
@@ -301,6 +302,61 @@ TEST(Service, StatsCountEveryPath) {
   EXPECT_EQ(s.queue_full, 2u);  // capacity check precedes the deadline check
   EXPECT_EQ(s.decided, 2u);
   EXPECT_GE(s.windows, 1u);
+}
+
+// The provisioner/* counters on the served path (docs/observability.md):
+// `grants` counts every lease commit_window grants, batch and ladder alike;
+// `rejections` counts the typed rejections, empty and over capacity, that
+// `reject_empty` and `reject_over_capacity` split.
+TEST(Service, ProvisionerCountersMatchServedOutcomes) {
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  obs::Counter& grants = reg.counter("provisioner/grants");
+  obs::Counter& rejections = reg.counter("provisioner/rejections");
+  obs::Counter& reject_empty = reg.counter("provisioner/reject_empty");
+  obs::Counter& reject_over = reg.counter("provisioner/reject_over_capacity");
+  const std::uint64_t grants0 = grants.value();
+  const std::uint64_t rejections0 = rejections.value();
+  const std::uint64_t empty0 = reject_empty.value();
+  const std::uint64_t over0 = reject_over.value();
+
+  Cloud cloud = small_cloud();  // 8 VMs
+  PlacementService svc(cloud, virtual_options(/*max_batch=*/3));
+  // Window 1: two batch grants and an empty request.
+  svc.submit(Request({2}, 1));
+  svc.submit(Request({2}, 2));
+  svc.submit(Request({0}, 3));
+  // Window 2: one batch grant; the oversized member falls to the ladder.
+  svc.submit(Request({9}, 4));
+  svc.submit(Request({1}, 5));
+  svc.flush();
+  // Window 3: a singleton, granted by the ladder.
+  svc.submit(Request({3}, 6));
+  svc.flush();
+  reg.set_enabled(was_enabled);
+
+  std::uint64_t leased = 0;
+  std::uint64_t empty = 0;
+  std::uint64_t over = 0;
+  std::uint64_t batch = 0;
+  std::uint64_t ladder = 0;
+  for (const Outcome& o : svc.take_outcomes()) {
+    leased += has_lease(o.kind);
+    empty += o.kind == OutcomeKind::kRejectedEmpty;
+    over += o.kind == OutcomeKind::kRejectedOverCapacity;
+    batch += o.kind == OutcomeKind::kGranted;
+    ladder += o.kind == OutcomeKind::kDegraded;
+  }
+  EXPECT_EQ(batch, 3u);
+  EXPECT_EQ(ladder, 1u);
+  EXPECT_EQ(leased, 4u);
+  EXPECT_EQ(empty, 1u);
+  EXPECT_EQ(over, 1u);
+  EXPECT_EQ(grants.value() - grants0, leased);
+  EXPECT_EQ(rejections.value() - rejections0, empty + over);
+  EXPECT_EQ(reject_empty.value() - empty0, empty);
+  EXPECT_EQ(reject_over.value() - over0, over);
 }
 
 struct BatchingResult {

@@ -140,7 +140,7 @@ TEST(SolveGsdExact, CoupledCapacityRespected) {
   ASSERT_TRUE(res.feasible);
   ASSERT_EQ(res.allocations.size(), 2u);
   // Combined usage must fit the shared capacity.
-  IntMatrix used = res.allocations[0].counts() + res.allocations[1].counts();
+  IntMatrix used = res.allocations[0].to_matrix() + res.allocations[1].to_matrix();
   EXPECT_TRUE(remaining.dominates(used));
   EXPECT_TRUE(res.allocations[0].satisfies(reqs[0]));
   EXPECT_TRUE(res.allocations[1].satisfies(reqs[1]));
@@ -162,7 +162,7 @@ TEST(SolveGsdExact, GlobalOptimumNoWorseThanGreedySequence) {
     // Greedy: solve first exactly, debit, solve second exactly.
     const SdResult a = solve_sd_exact(reqs[0], remaining, topo.distance_matrix());
     if (!a.feasible) continue;
-    IntMatrix left = remaining - a.allocation.counts();
+    IntMatrix left = remaining - a.allocation.to_matrix();
     const SdResult b = solve_sd_exact(reqs[1], left, topo.distance_matrix());
     if (!b.feasible) continue;
     EXPECT_LE(global.total_distance, a.distance + b.distance + 1e-6);

@@ -38,6 +38,19 @@ Distance rule (src/ outside src/solver/ and src/cluster/topology.*):
                      feed the exact solvers.  Such a feed carries
                      `// NOLINT(vcopt-dense-distance)` and says why.
 
+Allocation rule (src/service/, src/cell/, src/cluster/ and src/placement/,
+the served path):
+
+  vcopt-dense-allocation
+                     no `.to_matrix(` / `->to_matrix(`: an Allocation is
+                     its sorted (node, type, count) entries, and grant,
+                     release and window debits cost O(k) in them; the dense
+                     n x m view costs O(n·m) — 1.2 MB per lease at 100k
+                     nodes.  The checked-build validators, which take
+                     matrices, are the expected exception: such a line
+                     carries `// NOLINT(vcopt-dense-allocation)` and says
+                     why.
+
 Lock-discipline rule (src/ outside src/util/):
 
   vcopt-raw-mutex    no raw std::mutex / std::lock_guard / std::unique_lock
@@ -117,6 +130,10 @@ RAW_MUTEX_ALLOWLIST_PREFIX = "src/util/"
 # arbitrary metric, and the topology that defines it.
 DENSE_DISTANCE_ALLOWLIST_PREFIXES = ("src/solver/", "src/cluster/topology.")
 
+# The served path, where an allocation stays sparse.
+SPARSE_ALLOCATION_DIRS = ("src/service/", "src/cell/", "src/cluster/",
+                          "src/placement/")
+
 RULES: dict[str, str] = {
     "pragma-once": "headers must start with #pragma once",
     "using-in-header": "no `using namespace` at namespace scope in headers",
@@ -128,6 +145,8 @@ RULES: dict[str, str] = {
     "vcopt-raw-simd": "no raw SIMD intrinsics; placement kernels are scalar",
     "vcopt-dense-distance":
         "src/ outside solver/ uses Topology::distance, not a dense D",
+    "vcopt-dense-allocation":
+        "the served path reads Allocation::entries(), not to_matrix()",
     "vcopt-unordered-in-replay":
         "no unordered containers in replay-critical code",
     "vcopt-wall-clock":
@@ -161,6 +180,7 @@ RE_SIMD = re.compile(
     # The headers that provide them.
     r"|#\s*include\s*<(?:[a-z]*mmintrin|arm_neon|arm_sve|arm_acle)\.h>")
 RE_DENSE_DISTANCE = re.compile(r"(?:\.|->)\s*distance_matrix\s*\(")
+RE_DENSE_ALLOCATION = re.compile(r"(?:\.|->)\s*to_matrix\s*\(")
 RE_UNORDERED = re.compile(r"std\s*::\s*unordered_(map|set|multimap|multiset)\b")
 RE_WALL_CLOCK = re.compile(
     r"\b(system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b"
@@ -227,6 +247,7 @@ class Linter:
             RAW_MUTEX_ALLOWLIST_PREFIX)
         dense_scoped = in_src and not rel.startswith(
             DENSE_DISTANCE_ALLOWLIST_PREFIXES)
+        sparse_scoped = rel.startswith(SPARSE_ALLOCATION_DIRS)
         exempt_io = (rel in IOSTREAM_ALLOWLIST or not in_src
                      or rel.startswith("src/exp/"))
 
@@ -280,6 +301,13 @@ class Linter:
                             "dense n x n distance matrix outside src/solver/; "
                             "use Topology::distance (a solver feed gets "
                             "NOLINT(vcopt-dense-distance) with its reason)")
+            if sparse_scoped and RE_DENSE_ALLOCATION.search(
+                    code) and not suppressed(raw, "vcopt-dense-allocation"):
+                self.report(path, lineno, "vcopt-dense-allocation",
+                            "dense n x m allocation on the served path; "
+                            "iterate Allocation::entries() (a checked-build "
+                            "validator gets NOLINT(vcopt-dense-allocation) "
+                            "with its reason)")
             if RE_SIMD.search(code) and not suppressed(raw, "vcopt-raw-simd"):
                 self.report(path, lineno, "vcopt-raw-simd",
                             "raw SIMD intrinsic; write the scalar loop (a "

@@ -3,8 +3,8 @@
 
 Drives the linter over the fixture corpus in tests/lint/fixtures/ — a
 miniature repo layout (src/service/, src/placement/, src/solver/,
-src/util/) fed through --fixture-root so the path-scoped rules classify the
-files exactly like real code — and asserts:
+src/fault/, src/util/) fed through --fixture-root so the path-scoped rules
+classify the files exactly like real code — and asserts:
 
   * every rule fires on its bad-fixture line, and nowhere else;
   * NOLINT-annotated lines and out-of-scope patterns stay silent;
@@ -33,11 +33,13 @@ BAD_FILES = [
     FIXTURES / "src" / "placement" / "bad_simd.cpp",
     FIXTURES / "src" / "placement" / "bad_dense_distance.cpp",
     FIXTURES / "src" / "placement" / "bad_replay_scope.cpp",
+    FIXTURES / "src" / "service" / "bad_dense_allocation.cpp",
 ]
 GOOD_FILES = [
     FIXTURES / "src" / "service" / "good_determinism.cpp",
     FIXTURES / "src" / "util" / "ok_raw_mutex.cpp",
     FIXTURES / "src" / "solver" / "ok_dense_distance.cpp",
+    FIXTURES / "src" / "fault" / "ok_dense_allocation.cpp",
 ]
 
 # (relative path, line, rule) for every finding the corpus must produce.
@@ -70,6 +72,8 @@ EXPECTED = [
     ("src/service/bad_determinism.cpp", 20, "vcopt-unseeded-rng"),
     ("src/service/bad_determinism.cpp", 21, "vcopt-unseeded-rng"),
     ("src/service/bad_determinism.cpp", 22, "vcopt-std-hash"),
+    ("src/service/bad_dense_allocation.cpp", 9, "vcopt-dense-allocation"),
+    ("src/service/bad_dense_allocation.cpp", 10, "vcopt-dense-allocation"),
 ]
 
 FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<rule>[^\]]+)\]")

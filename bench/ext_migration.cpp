@@ -9,7 +9,6 @@
 #include "bench_common.h"
 #include "placement/migration.h"
 #include "placement/provisioner.h"
-#include "sim/cluster_sim.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -51,11 +50,11 @@ int main(int argc, char** argv) {
   std::size_t improved = 0;
   for (placement::Grant& g : survivors) {
     placement::Placement p = g.placement;
-    const placement::ConsolidationResult res =
-        placement::consolidate(p, remaining, sc.topology);
+    const placement::BudgetedConsolidation res =
+        placement::consolidate_budgeted(p, remaining, sc.topology);
     before.add(res.distance_before);
     after.add(res.distance_after);
-    migrations += res.migrations.size();
+    migrations += res.moves.size();
     if (res.improvement() > 0) ++improved;
   }
 

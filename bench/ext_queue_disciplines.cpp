@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "sim/cluster_sim.h"
+#include "fault/fault_sim.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
         placement::QueueDiscipline::kPriority,
         placement::QueueDiscipline::kSmallestFirst}) {
     cluster::Cloud cloud(sc.topology, sc.catalog, sc.capacity);
-    sim::ClusterSimOptions opt;
+    fault::FaultSimOptions opt;
     opt.discipline = d;
-    const sim::ClusterSimResult res = sim::run_cluster_sim(
-        cloud, placement::make_policy("online-heuristic"), trace, opt);
+    const fault::FaultSimResult res = fault::run_fault_sim(
+        cloud, placement::make_policy("online-heuristic"), trace, {}, opt);
     util::Samples waits, urgent_waits;
     for (const sim::GrantRecord& g : res.grants) {
       waits.add(g.wait());

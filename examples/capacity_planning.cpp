@@ -8,7 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "sim/cluster_sim.h"
+#include "fault/fault_sim.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       }
     }
     cluster::Cloud cloud(sc.topology, sc.catalog, capacity);
-    const sim::ClusterSimResult res = sim::run_cluster_sim(
+    const fault::FaultSimResult res = fault::run_fault_sim(
         cloud, placement::make_policy("online-heuristic"), trace);
     util::Samples waits;
     double dc_sum = 0;

@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "sim/cluster_sim.h"
+#include "fault/fault_sim.h"
 #include "util/table.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
                              "spread", "random:7"}) {
     // A fresh cloud per policy: identical capacity, no residue.
     cluster::Cloud cloud(sc.topology, sc.catalog, sc.capacity);
-    const sim::ClusterSimResult res =
-        sim::run_cluster_sim(cloud, placement::make_policy(policy), trace);
+    const fault::FaultSimResult res =
+        fault::run_fault_sim(cloud, placement::make_policy(policy), trace);
     const double mean_dc =
         res.grants.empty() ? 0
                            : res.total_distance / double(res.grants.size());

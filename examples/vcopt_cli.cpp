@@ -83,7 +83,6 @@
 #include "service/journal.h"
 #include "service/replay.h"
 #include "service/service.h"
-#include "sim/cluster_sim.h"
 #include "sim/timeline_writer.h"
 #include "solver/sd_solver.h"
 #include "util/json.h"
@@ -200,7 +199,7 @@ int cmd_sim(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   const std::string disc_name = flag(flags, "discipline", "fifo");
-  sim::ClusterSimOptions opt;
+  fault::FaultSimOptions opt;
   if (disc_name == "priority") {
     opt.discipline = placement::QueueDiscipline::kPriority;
   } else if (disc_name == "smallest-first") {
@@ -262,95 +261,38 @@ int cmd_sim(const std::map<std::string, std::string>& flags) {
     return std::make_unique<cell::RoutedPolicy>(*cell_dir, ro);
   };
 
-  if (flags.count("fault-profile") || flags.count("rebalance")) {
-    const fault::FaultProfile profile =
-        fault::FaultProfile::parse(flag(flags, "fault-profile", "none"));
-    fault::FaultSimOptions fopt;
-    fopt.discipline = opt.discipline;
-    fopt.recorder = &obs::Recorder::global();
-    obs::SloTracker slo;
-    fopt.slo = &slo;
-    // --rebalance attaches the budgeted self-healing rebalancer to the
-    // same event queue; its round/migration story prints after the fault
-    // summary, and --rebalance-transcript dumps the deterministic
-    // one-line-per-event transcript CI diffs across runs.
-    std::optional<rebalance::RebalanceSimResult> reb;
-    fault::FaultSimResult res;
-    if (flags.count("rebalance")) {
-      rebalance::RebalanceSimOptions ropt;
-      ropt.fault = fopt;
-      ropt.policy.tick_period =
-          std::stod(flag(flags, "rebalance-period", "10"));
-      ropt.policy.max_moves_per_round =
-          std::stoull(flag(flags, "rebalance-budget", "4"));
-      ropt.policy.drift_ratio =
-          std::stod(flag(flags, "rebalance-drift-ratio", "1.10"));
-      ropt.policy.lease_cooldown =
-          std::stod(flag(flags, "rebalance-cooldown", "20"));
-      ropt.seed = seed;
-      reb = rebalance::run_rebalance_sim(cloud, make_sim_policy(), trace,
-                                         profile, ropt);
-      res = std::move(reb->fault);
-    } else {
-      res = fault::run_fault_sim(cloud, make_sim_policy(), trace, profile,
-                                 fopt);
-    }
-    if (!write_telemetry_flag(flags, &slo, res.makespan)) return 1;
-    if (flags.count("timeline")) {
-      sim::TimelineWriter(res.timeline,
-                          cloud.inventory().max_capacity().total())
-          .write_csv(std::cout);
-      return 0;
-    }
-    if (flags.count("timeline-out")) {
-      sim::TimelineWriter writer(res.timeline,
-                                 cloud.inventory().max_capacity().total());
-      if (!writer.write_csv_file(flags.at("timeline-out"))) {
-        std::cerr << "could not write " << flags.at("timeline-out") << "\n";
-        return 1;
-      }
-    }
-    if (cell_dir) {
-      auto& reg = obs::MetricsRegistry::global();
-      std::cout << "cells:         routed " << reg.counter("cell/routed").value()
-                << ", pruned " << reg.counter("cell/pruned").value()
-                << ", spilled " << reg.counter("cell/spilled").value()
-                << ", flat fallback "
-                << reg.counter("cell/fallback_flat").value() << "\n";
-    }
-    std::cout << "fault profile: " << profile.describe() << "\n"
-              << "served:        " << res.grants.size() << "/" << trace.size()
-              << " (rejected " << res.rejected << ", unserved " << res.unserved
-              << ")\n"
-              << "faults:        " << res.node_crashes << " node crashes, "
-              << res.rack_outages << " rack outages, " << res.transients
-              << " transients (" << res.node_recoveries << " recoveries)\n"
-              << "repairs:       " << res.leases_hit << " leases hit, "
-              << res.vms_lost << " VMs lost, " << res.vms_replaced
-              << " replaced (" << res.repaired << " full, " << res.partial
-              << " partial, " << res.degraded << " degraded, "
-              << res.abandoned << " abandoned)\n"
-              << "DC penalty:    " << res.repair_distance_penalty << "\n"
-              << "total DC:      " << res.total_distance << "\n"
-              << "mean wait:     " << res.mean_wait << " s\n"
-              << "utilisation:   " << res.mean_utilization * 100 << " %\n"
-              << "makespan:      " << res.makespan << " s\n";
-    if (reb) {
-      std::cout << "rebalance:     " << reb->rounds.size() << " rounds ("
-                << reb->rounds_deferred << " deferred), "
-                << reb->migrations_committed << " migrations committed, "
-                << reb->migrations_failed << " failed, net gain "
-                << reb->net_gain << (reb->disabled ? ", DISABLED" : "")
-                << "\n";
-      if (flags.count("rebalance-transcript")) std::cout << reb->transcript;
-    }
-    return 0;
-  }
-
+  // One simulation call: plain churn is the quiet profile.  --fault-profile
+  // or --rebalance switch the summary to the fault/repair story.
+  const bool faulted = flags.count("fault-profile") || flags.count("rebalance");
+  const fault::FaultProfile profile =
+      fault::FaultProfile::parse(flag(flags, "fault-profile", "none"));
   opt.recorder = &obs::Recorder::global();
-  const sim::ClusterSimResult res =
-      sim::run_cluster_sim(cloud, make_sim_policy(), trace, opt);
-  if (!write_telemetry_flag(flags, nullptr, res.makespan)) return 1;
+  obs::SloTracker slo;
+  opt.slo = &slo;
+  // --rebalance attaches the budgeted self-healing rebalancer to the same
+  // event queue; its round/migration story prints after the fault summary,
+  // and --rebalance-transcript dumps the deterministic one-line-per-event
+  // transcript CI diffs across runs.
+  std::optional<rebalance::RebalanceSimResult> reb;
+  fault::FaultSimResult res;
+  if (flags.count("rebalance")) {
+    rebalance::RebalanceSimOptions ropt;
+    ropt.fault = opt;
+    ropt.policy.tick_period = std::stod(flag(flags, "rebalance-period", "10"));
+    ropt.policy.max_moves_per_round =
+        std::stoull(flag(flags, "rebalance-budget", "4"));
+    ropt.policy.drift_ratio =
+        std::stod(flag(flags, "rebalance-drift-ratio", "1.10"));
+    ropt.policy.lease_cooldown =
+        std::stod(flag(flags, "rebalance-cooldown", "20"));
+    ropt.seed = seed;
+    reb = rebalance::run_rebalance_sim(cloud, make_sim_policy(), trace,
+                                       profile, ropt);
+    res = std::move(reb->fault);
+  } else {
+    res = fault::run_fault_sim(cloud, make_sim_policy(), trace, profile, opt);
+  }
+  if (!write_telemetry_flag(flags, &slo, res.makespan)) return 1;
 
   if (flags.count("timeline")) {
     sim::TimelineWriter(res.timeline,
@@ -393,18 +335,46 @@ int cmd_sim(const std::map<std::string, std::string>& flags) {
               << ", flat fallback " << reg.counter("cell/fallback_flat").value()
               << "\n";
   }
-  std::cout << "served:        " << res.grants.size() << "/" << trace.size()
+  if (!faulted) {
+    std::cout << "served:        " << res.grants.size() << "/" << trace.size()
+              << " (rejected " << res.rejected << ", unserved " << res.unserved
+              << ")\n"
+              << "total DC:      " << res.total_distance << "\n"
+              << "mean DC:       "
+              << (res.grants.empty()
+                      ? 0
+                      : res.total_distance / double(res.grants.size()))
+              << "\n"
+              << "mean wait:     " << res.mean_wait << " s\n"
+              << "utilisation:   " << res.mean_utilization * 100 << " %\n"
+              << "makespan:      " << res.makespan << " s\n";
+    return 0;
+  }
+  std::cout << "fault profile: " << profile.describe() << "\n"
+            << "served:        " << res.grants.size() << "/" << trace.size()
             << " (rejected " << res.rejected << ", unserved " << res.unserved
             << ")\n"
+            << "faults:        " << res.node_crashes << " node crashes, "
+            << res.rack_outages << " rack outages, " << res.transients
+            << " transients (" << res.node_recoveries << " recoveries)\n"
+            << "repairs:       " << res.leases_hit << " leases hit, "
+            << res.vms_lost << " VMs lost, " << res.vms_replaced
+            << " replaced (" << res.repaired << " full, " << res.partial
+            << " partial, " << res.degraded << " degraded, " << res.abandoned
+            << " abandoned)\n"
+            << "DC penalty:    " << res.repair_distance_penalty << "\n"
             << "total DC:      " << res.total_distance << "\n"
-            << "mean DC:       "
-            << (res.grants.empty()
-                    ? 0
-                    : res.total_distance / double(res.grants.size()))
-            << "\n"
             << "mean wait:     " << res.mean_wait << " s\n"
             << "utilisation:   " << res.mean_utilization * 100 << " %\n"
             << "makespan:      " << res.makespan << " s\n";
+  if (reb) {
+    std::cout << "rebalance:     " << reb->rounds.size() << " rounds ("
+              << reb->rounds_deferred << " deferred), "
+              << reb->migrations_committed << " migrations committed, "
+              << reb->migrations_failed << " failed, net gain "
+              << reb->net_gain << (reb->disabled ? ", DISABLED" : "") << "\n";
+    if (flags.count("rebalance-transcript")) std::cout << reb->transcript;
+  }
   return 0;
 }
 
@@ -692,7 +662,7 @@ int cmd_quickstart(const std::map<std::string, std::string>& flags) {
   const auto requests = workload::random_requests(sc.catalog, rng, 40, 0, 2);
   const auto trace = workload::poisson_trace(requests, rng, 3.0, 30.0);
   cluster::Cloud sim_cloud(sc.topology, sc.catalog, sc.capacity);
-  const sim::ClusterSimResult res = sim::run_cluster_sim(
+  const fault::FaultSimResult res = fault::run_fault_sim(
       sim_cloud, std::make_unique<placement::OnlineHeuristic>(), trace);
   std::cout << "sim: served " << res.grants.size() << "/" << trace.size()
             << ", mean wait " << util::format_double(res.mean_wait, 2)

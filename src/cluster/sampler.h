@@ -1,7 +1,7 @@
 // Periodic cluster sampler: records per-node VM load and free capacity,
 // free-capacity fragmentation, utilization and lease count into an
 // obs::Recorder as time series over simulated (or service-clock) time.
-// Wired into sim::ClusterSim and vcopt::service via their options.  A
+// Wired into fault::run_fault_sim and vcopt::service via their options.  A
 // lease's own DC is not a series: the cloud keeps it on the lease record
 // (cluster::Cloud::lease_dc), where the rebalancer reads it.
 //
@@ -20,8 +20,8 @@
 // map lookups; when the recorder is disabled a tick is one atomic load.
 //
 // Thread-compatibility: the sampler itself holds no lock — each owner
-// (sim::ClusterSim single-threaded; vcopt::service under its service mutex,
-// see the VCOPT_PT_GUARDED_BY on PlacementService::sampler_) serialises
+// (fault::run_fault_sim single-threaded; vcopt::service under its service
+// mutex, see the VCOPT_PT_GUARDED_BY on PlacementService::sampler_) serialises
 // sample()/maybe_sample() externally.  The TimeSeries it writes through are
 // internally synchronised (util::Mutex), so concurrent readers exporting the
 // recorder are safe.

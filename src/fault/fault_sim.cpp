@@ -1,6 +1,7 @@
 #include "fault/fault_sim.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <stdexcept>
@@ -13,6 +14,30 @@
 
 namespace vcopt::fault {
 
+namespace {
+
+// Distributions are over SIMULATED seconds (the trace clock, not wall time).
+void record_sim_metrics(const FaultSimResult& res) {
+  auto& reg = obs::MetricsRegistry::global();
+  if (!reg.enabled()) return;
+  static obs::Counter& runs = reg.counter("sim/runs");
+  static obs::HistogramMetric& wait = reg.histogram(
+      "sim/wait_seconds",
+      obs::MetricsRegistry::exponential_buckets(0.5, 2.0, 14));
+  static obs::HistogramMetric& hold = reg.histogram(
+      "sim/hold_seconds",
+      obs::MetricsRegistry::exponential_buckets(0.5, 2.0, 14));
+  static obs::Gauge& utilization = reg.gauge("sim/mean_utilization");
+  runs.add();
+  for (const sim::GrantRecord& g : res.grants) {
+    wait.observe(g.wait());
+    hold.observe(g.released - g.granted);
+  }
+  utilization.set(res.mean_utilization);
+}
+
+}  // namespace
+
 FaultSimResult run_fault_sim(cluster::Cloud& cloud,
                              std::unique_ptr<placement::PlacementPolicy> policy,
                              const std::vector<cluster::TimedRequest>& trace,
@@ -21,7 +46,7 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
   VCOPT_TRACE_SPAN("fault/fault_sim");
   placement::Provisioner prov(cloud, std::move(policy), options.discipline);
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, options.repair, profile.seed);
+  RecoveryManager recovery(cloud, queue, {}, profile.seed);
 
   std::map<std::uint64_t, double> hold_time;
   std::map<std::uint64_t, double> arrival;
@@ -30,8 +55,10 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
   FaultSimResult out;
 
   for (const cluster::TimedRequest& tr : trace) {
-    if (tr.arrival_time < 0 || tr.hold_time < 0) {
-      throw std::invalid_argument("run_fault_sim: negative time in trace");
+    if (!std::isfinite(tr.arrival_time) || !std::isfinite(tr.hold_time) ||
+        tr.arrival_time < 0 || tr.hold_time < 0) {
+      throw std::invalid_argument(
+          "run_fault_sim: negative or non-finite time in trace");
     }
     if (!hold_time.emplace(tr.request.id(), tr.hold_time).second) {
       throw std::invalid_argument("run_fault_sim: duplicate request id");
@@ -235,6 +262,7 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
   VCOPT_INVARIANT(recovery.pending_count() == 0)
       << " fault sim drained with " << recovery.pending_count()
       << " repairs still pending";
+  record_sim_metrics(out);
   return out;
 }
 

@@ -1,5 +1,9 @@
 #include "fault/profile.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -43,19 +47,49 @@ double parse_number(const std::string& key, const std::string& value) {
 }
 
 int parse_count(const std::string& key, const std::string& value) {
+  // Range-check the double before converting: casting a value outside int's
+  // range is undefined behaviour.
   const double d = parse_number(key, value);
-  const int i = static_cast<int>(d);
-  if (d != static_cast<double>(i) || i < 0) {
+  if (!(d >= 0 && d <= std::numeric_limits<int>::max()) || d != std::floor(d)) {
     throw std::invalid_argument("FaultProfile: key '" + key +
-                                "' wants a non-negative integer, got '" +
-                                value + "'");
+                                "' wants an integer in [0, " +
+                                std::to_string(std::numeric_limits<int>::max()) +
+                                "], got '" + value + "'");
   }
-  return i;
+  return static_cast<int>(d);
+}
+
+std::uint64_t parse_seed(const std::string& key, const std::string& value) {
+  // Digits only: stoull would accept a sign and wrap "-1" around.
+  const bool digits =
+      !value.empty() && std::all_of(value.begin(), value.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      });
+  if (digits) {
+    try {
+      return std::stoull(value);
+    } catch (const std::out_of_range&) {
+    }
+  }
+  throw std::invalid_argument("FaultProfile: key '" + key +
+                              "' wants an unsigned 64-bit integer, got '" +
+                              value + "'");
+}
+
+void require_finite(const char* field, double value) {
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument(std::string("FaultProfile: ") + field +
+                                " must be finite");
+  }
 }
 
 }  // namespace
 
 void FaultProfile::validate() const {
+  require_finite("horizon", horizon);
+  require_finite("mean_downtime", mean_downtime);
+  require_finite("transient_duration", transient_duration);
+  require_finite("degrade_factor", degrade_factor);
   if (node_crashes < 0 || rack_outages < 0 || transients < 0) {
     throw std::invalid_argument("FaultProfile: negative event count");
   }
@@ -96,7 +130,7 @@ FaultProfile FaultProfile::parse(const std::string& spec) {
     const std::string key = t.substr(0, eq);
     const std::string value = t.substr(eq + 1);
     if (key == "seed") {
-      p.seed = static_cast<std::uint64_t>(parse_count(key, value));
+      p.seed = parse_seed(key, value);
     } else if (key == "horizon") {
       p.horizon = parse_number(key, value);
     } else if (key == "crashes") {

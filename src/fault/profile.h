@@ -33,8 +33,8 @@ struct FaultProfile {
   }
 
   /// Throws std::invalid_argument naming the offending field when a value is
-  /// out of range (negative counts, non-positive durations with events
-  /// scheduled, degrade factor outside (0, 1], ...).
+  /// out of range (non-finite numbers, negative counts, non-positive
+  /// durations with events scheduled, degrade factor outside (0, 1], ...).
   void validate() const;
 
   /// Parses a spec string (see file header).  Unknown keys, malformed

@@ -17,6 +17,10 @@ namespace vcopt::fault {
 
 namespace {
 
+/// Candidate centrals (nearest the original central first) the anchored
+/// repair scan tries before it widens to the full node set.
+constexpr std::size_t kRepairWindow = 8;
+
 struct RecoveryMetrics {
   obs::Counter& node_failures;
   obs::Counter& node_recoveries;
@@ -85,7 +89,7 @@ RecoveryManager::RecoveryManager(cluster::Cloud& cloud, sim::EventQueue& queue,
 }
 
 void RecoveryManager::track(const placement::Grant& grant) {
-  tracked_[grant.lease] = Tracked{grant.request_id, grant.placement.central, 0,
+  tracked_[grant.lease] = Tracked{grant.request_id, grant.placement.central,
                                   grant.placement.distance};
 }
 
@@ -169,13 +173,6 @@ std::optional<cluster::Allocation> RecoveryManager::place_missing(
   const util::IntMatrix remaining = repair_remaining(p);
   const cluster::Topology& topo = cloud_.topology();
 
-  if (!policy_.affinity_preserving) {
-    placement::OnlineHeuristic heuristic;
-    auto placed = heuristic.place(missing, remaining, topo);
-    if (!placed) return std::nullopt;
-    return std::move(placed->allocation);
-  }
-
   // Affinity-preserving scan: candidate centrals ordered by distance from
   // the cluster's original central node, so the first completions keep the
   // replacements in (or next to) the rack the cluster lives in.  Candidates
@@ -186,7 +183,7 @@ std::optional<cluster::Allocation> RecoveryManager::place_missing(
   std::size_t scanned = 0;
   for (const std::size_t x : order) {
     if (cloud_.is_failed(x) || p.failed_nodes[x]) continue;
-    const bool in_window = scanned < policy_.restricted_candidates;
+    const bool in_window = scanned < kRepairWindow;
     ++scanned;
     // Once the restricted window produced a repair, stop at the window edge
     // instead of paying for the full scan.
@@ -271,34 +268,32 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   // Attempt budget exhausted: degrade explicitly.  Best-effort partial
   // refill first (nearest-first from the anchor), then keep the survivors,
   // and only release when nothing of the cluster is left.
-  if (policy_.allow_partial) {
-    const util::IntMatrix remaining = repair_remaining(p);
-    const std::vector<std::size_t> order =
-        cloud_.topology().nodes_by_distance(p.anchor);
-    cluster::Allocation partial(remaining.rows(), remaining.cols());
-    for (std::size_t j = 0; j < remaining.cols(); ++j) {
-      int want = p.missing[j];
-      for (const std::size_t i : order) {
-        if (want == 0) break;
-        const int take = std::min(want, remaining(i, j));
-        if (take > 0) {
-          partial.add(i, j, take);
-          want -= take;
-        }
+  const util::IntMatrix remaining = repair_remaining(p);
+  const std::vector<std::size_t> order =
+      cloud_.topology().nodes_by_distance(p.anchor);
+  cluster::Allocation partial(remaining.rows(), remaining.cols());
+  for (std::size_t j = 0; j < remaining.cols(); ++j) {
+    int want = p.missing[j];
+    for (const std::size_t i : order) {
+      if (want == 0) break;
+      const int take = std::min(want, remaining(i, j));
+      if (take > 0) {
+        partial.add(i, j, take);
+        want -= take;
       }
     }
-    if (partial.total_vms() > 0) {
-      VCOPT_VALIDATE(check::validate_repair_conservation(
-          p.original, p.lost, partial.to_matrix(), p.failed_nodes,
-          /*full_repair=*/false));
-      cloud_.grow_lease(lease, partial);
-      const int replaced = partial.total_vms();
-      m.partial.add();
-      m.vms_replaced.add(static_cast<std::uint64_t>(replaced));
-      finalize(p, placement::PlacementStatus::kPartial, replaced,
-               cloud_.lease_dc(lease).last, false);
-      return;
-    }
+  }
+  if (partial.total_vms() > 0) {
+    VCOPT_VALIDATE(check::validate_repair_conservation(
+        p.original, p.lost, partial.to_matrix(), p.failed_nodes,
+        /*full_repair=*/false));
+    cloud_.grow_lease(lease, partial);
+    const int replaced = partial.total_vms();
+    m.partial.add();
+    m.vms_replaced.add(static_cast<std::uint64_t>(replaced));
+    finalize(p, placement::PlacementStatus::kPartial, replaced,
+             cloud_.lease_dc(lease).last, false);
+    return;
   }
   if (cloud_.lease_allocation(lease).total_vms() > 0) {
     m.degraded.add();

@@ -47,9 +47,6 @@ struct RepairPolicy {
   /// even absurd attempt counts (or factors) schedule a finite retry
   /// instead of an infinite-delay event that would wedge the queue.
   double backoff_max = 60.0;
-  bool affinity_preserving = true; ///< anchor the scan at the original central
-  std::size_t restricted_candidates = 8;  ///< window size of the anchored scan
-  bool allow_partial = true;       ///< false: exhausted retries skip kPartial
 };
 
 /// Retry delay for `attempt` (1-based) under `policy`:
@@ -118,7 +115,6 @@ class RecoveryManager {
   struct Tracked {
     std::uint64_t request_id = 0;
     std::size_t central = 0;
-    int priority = 0;
     double distance = 0;
   };
   struct Pending {

@@ -49,50 +49,6 @@ bool best_move_for_central(const cluster::Allocation& alloc,
 
 }  // namespace
 
-ConsolidationResult consolidate(Placement& placement,
-                                util::IntMatrix& remaining,
-                                const cluster::Topology& topology,
-                                const ConsolidateOptions& options) {
-  cluster::Allocation& alloc = placement.allocation;
-  if (remaining.rows() != alloc.node_count() ||
-      remaining.cols() != alloc.type_count()) {
-    throw std::invalid_argument("consolidate: remaining shape mismatch");
-  }
-
-  ConsolidationResult out;
-  {
-    const cluster::CentralNode c = alloc.best_central(topology);
-    placement.central = c.node;
-    placement.distance = c.distance;
-  }
-  out.distance_before = placement.distance;
-
-  const std::vector<double> no_cost;
-  while (out.migrations.size() < options.max_migrations) {
-    Migration move;
-    double gain = 0;
-    double cost = 0;
-    if (!best_move_for_central(alloc, remaining, topology, placement.central,
-                               no_cost, 0.0, move, gain, cost)) {
-      break;
-    }
-    // Apply: the vacated slot becomes free capacity, the target slot is
-    // consumed.
-    alloc.at(move.from_node, move.type) -= 1;
-    alloc.at(move.to_node, move.type) += 1;
-    remaining(move.from_node, move.type) += 1;
-    remaining(move.to_node, move.type) -= 1;
-    out.migrations.push_back(move);
-    // The optimal central may shift after a move; re-evaluate (only ever
-    // lowers the distance further).
-    const cluster::CentralNode c = alloc.best_central(topology);
-    placement.central = c.node;
-    placement.distance = c.distance;
-  }
-  out.distance_after = placement.distance;
-  return out;
-}
-
 BudgetedConsolidation consolidate_budgeted(
     Placement& placement, util::IntMatrix& remaining,
     const cluster::Topology& topology,
@@ -130,6 +86,8 @@ BudgetedConsolidation consolidate_budgeted(
     remaining(move.to_node, move.type) -= 1;
     out.moves.push_back(BudgetedMove{move, gain, cost});
     out.total_cost += cost;
+    // The optimal central may shift after a move; re-evaluate (only ever
+    // lowers the distance further).
     const cluster::CentralNode c = alloc.best_central(topology);
     placement.central = c.node;
     placement.distance = c.distance;

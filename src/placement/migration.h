@@ -3,9 +3,9 @@
 // overhead"; §VII: recomputing placements when VMs are down/reconfigured).
 //
 // After churn, a virtual cluster can usually be tightened: capacity freed by
-// departed tenants opens slots nearer its central node.  consolidate() hill-
-// climbs with Theorem-1 moves — relocate one VM from the node farthest from
-// the central node into free capacity on a strictly nearer node — until no
+// departed tenants opens slots nearer its central node.
+// consolidate_budgeted() hill-climbs with Theorem-1 moves — relocate one VM
+// into free capacity on a node strictly nearer the central node — until no
 // improving move remains, re-evaluating the central node after each move.
 // Every accepted move strictly reduces DC, so termination is guaranteed.
 #pragma once
@@ -23,29 +23,6 @@ struct Migration {
   std::size_t to_node = 0;
   std::size_t type = 0;
 };
-
-struct ConsolidationResult {
-  std::vector<Migration> migrations;
-  double distance_before = 0;
-  double distance_after = 0;
-
-  double improvement() const { return distance_before - distance_after; }
-};
-
-struct ConsolidateOptions {
-  /// Upper bound on migrations per cluster (live migration is not free);
-  /// SIZE_MAX = unbounded.
-  std::size_t max_migrations = SIZE_MAX;
-};
-
-/// Tightens `placement` in place, consuming/freeing capacity in `remaining`
-/// (the matrix is updated to reflect the moves).  Returns the migration
-/// plan.  The allocation keeps satisfying its request (moves preserve
-/// per-type totals) and never oversubscribes `remaining`.
-ConsolidationResult consolidate(Placement& placement,
-                                util::IntMatrix& remaining,
-                                const cluster::Topology& topology,
-                                const ConsolidateOptions& options = {});
 
 /// One accepted budgeted move: the relocation plus its DC gain (for the
 /// central node at the moment the move was chosen) and the charged cost.
@@ -65,26 +42,27 @@ struct BudgetedConsolidation {
   double improvement() const { return distance_before - distance_after; }
 };
 
-/// Tuning for the economic variant below.
+/// Tuning for consolidate_budgeted().
 struct BudgetedConsolidateOptions {
   std::size_t max_migrations = SIZE_MAX;
   /// Data-movement cost charged per relocated VM, indexed by VM type (DC
   /// units — e.g. memory_gb * cost_per_gb + a shuffle-traffic term; the
-  /// rebalancer builds this from cluster::VmType).  Empty = all zero, which
-  /// reduces the scan to plain consolidate().
+  /// rebalancer builds this from cluster::VmType).  Empty = all zero: a
+  /// plain hill climb that takes every improving move.
   std::vector<double> move_cost;
   /// A move is accepted only when gain - move_cost[type] exceeds this.
   double min_net_gain = 0;
 };
 
-/// Live-migration variant of consolidate() that treats each relocation as an
-/// economic decision (Theorem 1/2 generalized to migration with a cost
-/// budget): per step it picks the (donor, receiver, type) triple with the
-/// highest NET gain — DC gain minus the per-type move cost — and stops when
-/// no move nets more than `min_net_gain`.  Every accepted move still
-/// strictly reduces DC by at least its gain, so termination is inherited
-/// from consolidate(); with empty costs and min_net_gain 0 the move
-/// sequence is identical to consolidate()'s.
+/// Tightens `placement` in place, consuming/freeing capacity in `remaining`
+/// (the matrix is updated to reflect the moves), and returns the migration
+/// plan.  Each relocation is an economic decision (Theorem 1/2 generalized
+/// to migration with a cost budget): per step it picks the (donor,
+/// receiver, type) triple with the highest NET gain — DC gain minus the
+/// per-type move cost — and stops when no move nets more than
+/// `min_net_gain` or after `max_migrations` moves.  The allocation keeps
+/// satisfying its request (moves preserve per-type totals) and never
+/// oversubscribes `remaining`.
 BudgetedConsolidation consolidate_budgeted(
     Placement& placement, util::IntMatrix& remaining,
     const cluster::Topology& topology,

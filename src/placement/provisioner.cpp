@@ -312,38 +312,4 @@ std::vector<Grant> Provisioner::release(cluster::LeaseId lease) {
   return grants;
 }
 
-std::vector<Grant> Provisioner::drain_batch_global() {
-  if (queue_.empty()) return {};
-  std::vector<cluster::Request> batch;
-  batch.reserve(queue_.size());
-  for (const Waiting& w : queue_) batch.push_back(w.request);
-  GlobalSubOpt global;
-  BatchPlacement placed =
-      global.place_batch(batch, cloud_.remaining(), cloud_.topology());
-
-  auto& m = ProvisionerMetrics::get();
-  std::vector<Grant> grants;
-  std::vector<bool> served(batch.size(), false);
-  for (std::size_t t = 0; t < placed.admitted.size(); ++t) {
-    const std::size_t idx = placed.admitted[t];
-    // Checked builds only: the validators take the dense matrix.
-    VCOPT_VALIDATE(check::validate_allocation(
-        placed.placements[t].allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
-        batch[idx].counts(), cloud_.remaining()));
-    const cluster::LeaseId lease =
-        cloud_.grant(batch[idx], placed.placements[t].allocation);
-    m.queue_wait.observe(now_ - queue_[idx].enqueued_at);
-    grants.push_back(Grant{lease, batch[idx].id(), placed.placements[t]});
-    served[idx] = true;
-  }
-  std::deque<Waiting> rest;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!served[i]) rest.push_back(std::move(queue_[i]));
-  }
-  queue_ = std::move(rest);
-  m.grants.add(grants.size());
-  m.queue_depth.set(static_cast<double>(queue_.size()));
-  return grants;
-}
-
 }  // namespace vcopt::placement

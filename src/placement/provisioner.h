@@ -1,7 +1,6 @@
 // Provisioner: ties a placement policy to a live Cloud.  Serves single
-// requests (granting leases), keeps a FIFO wait queue for requests that do
-// not fit, and drains the queue on release — optionally as a batch through
-// Algorithm 2.
+// requests (granting leases), keeps a wait queue for requests that do not
+// fit, and drains the queue one by one in discipline order on release.
 #pragma once
 
 #include <deque>
@@ -112,10 +111,6 @@ class Provisioner {
   /// stopping at the first unservable candidate (head-of-line blocking
   /// within the discipline).  Returns the grants made while draining.
   std::vector<Grant> release(cluster::LeaseId lease);
-
-  /// Drains the wait queue as one batch via Algorithm 2 instead of FIFO
-  /// single-request placement.
-  std::vector<Grant> drain_batch_global();
 
   /// Advances the provisioner's clock (simulation or service seconds;
   /// monotonic — lower values are ignored).  The clock only timestamps wait-

@@ -13,6 +13,18 @@ namespace {
 
 constexpr double kEps = 1e-9;
 constexpr char kDcPerVmSlo[] = "rebalance/dc_per_vm";
+constexpr double kDcPerVmObjective = 0.25;
+/// A planned move must net (gain - cost) more than this.
+constexpr double kMinNetGain = 1e-6;
+// Retry rail: delay = min(30, 1 * 2^(attempt-1)) * (1 +- 0.25), clamped.
+constexpr double kRetryBackoffInitial = 1.0;
+constexpr double kRetryBackoffFactor = 2.0;
+constexpr double kRetryBackoffMax = 30.0;
+constexpr double kRetryJitter = 0.25;
+// Live-copy duration: 0.02 s per GB of the type's memory, at least 0.25 s.
+// The commit fires this long after the reserve.
+constexpr double kCopySecondsPerGb = 0.02;
+constexpr double kMinCopySeconds = 0.25;
 
 obs::Counter& counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name);
@@ -40,11 +52,6 @@ double migration_cost(const cluster::VmType& type, int lease_vms,
                       const MigrationCostModel& model) {
   return model.cost_per_gb * type.memory_gb +
          model.shuffle_cost_factor * static_cast<double>(lease_vms);
-}
-
-double migration_duration(const cluster::VmType& type,
-                          const MigrationCostModel& model) {
-  return std::max(model.min_duration, model.seconds_per_gb * type.memory_gb);
 }
 
 std::vector<DriftCandidate> collect_drift(const cluster::Cloud& cloud,
@@ -89,7 +96,7 @@ std::vector<PlannedMove> plan_moves(const cluster::Cloud& cloud,
     if (vms <= 0) continue;
     placement::BudgetedConsolidateOptions opts;
     opts.max_migrations = budget - out.size();
-    opts.min_net_gain = policy.min_net_gain;
+    opts.min_net_gain = kMinNetGain;
     opts.move_cost.resize(types);
     for (std::size_t j = 0; j < types; ++j) {
       opts.move_cost[j] = migration_cost(cloud.catalog()[j], vms, policy.cost);
@@ -112,7 +119,7 @@ Rebalancer::Rebalancer(cluster::Cloud& cloud, sim::EventQueue& queue,
     obs::SloSpec spec;
     spec.name = kDcPerVmSlo;
     spec.description = "mean DC per VM across live leases stays tight";
-    spec.objective = policy_.dc_per_vm_objective;
+    spec.objective = kDcPerVmObjective;
     spec.threshold = policy_.dc_per_vm_threshold;
     slo_->declare(spec);  // find-or-create: an earlier declaration wins
   }
@@ -162,7 +169,7 @@ void Rebalancer::tick() {
 
   // Health gate: with failed nodes present the recovery ladder owns the
   // cluster; a rebalance round would chase capacity that is about to move.
-  if (policy_.defer_on_failed_nodes && cloud_.inventory().failed_count() > 0) {
+  if (cloud_.inventory().failed_count() > 0) {
     rec.status = RoundStatus::kDeferred;
     finalize_round(rec);
     return;
@@ -219,8 +226,9 @@ void Rebalancer::start_move(std::uint64_t round, const PlannedMove& mv,
     retry_or_fail(round, mv, attempt, first_started_at);
     return;
   }
-  const double duration =
-      migration_duration(cloud_.catalog()[mv.move.type], policy_.cost);
+  const double duration = std::max(
+      kMinCopySeconds,
+      kCopySecondsPerGb * cloud_.catalog()[mv.move.type].memory_gb);
   queue_.schedule_in(duration, [this, round, mv, attempt, first_started_at,
                                 ticket] {
     if (cloud_.commit_migration(ticket)) {
@@ -244,12 +252,9 @@ void Rebalancer::retry_or_fail(std::uint64_t round, const PlannedMove& mv,
     return;
   }
   const double base = util::capped_exponential_backoff(
-      policy_.retry_backoff_initial, policy_.retry_backoff_factor, attempt,
-      policy_.retry_backoff_max);
-  const double jitter =
-      1.0 + policy_.retry_jitter * (2.0 * rng_.uniform01() - 1.0);
-  const double delay =
-      std::clamp(base * jitter, kEps, policy_.retry_backoff_max);
+      kRetryBackoffInitial, kRetryBackoffFactor, attempt, kRetryBackoffMax);
+  const double jitter = 1.0 + kRetryJitter * (2.0 * rng_.uniform01() - 1.0);
+  const double delay = std::clamp(base * jitter, kEps, kRetryBackoffMax);
   queue_.schedule_in(delay, [this, round, mv, attempt, first_started_at] {
     start_move(round, mv, attempt + 1, first_started_at);
   });

@@ -65,19 +65,12 @@ struct MigrationCostModel {
   /// DC units charged per VM in the lease: a proxy for the shuffle traffic
   /// the migration disturbs while the cluster is running.
   double shuffle_cost_factor = 0.02;
-  /// Live-copy duration: seconds_per_gb * memory_gb, floored at
-  /// min_duration.  The commit fires this long after the reserve.
-  double seconds_per_gb = 0.02;
-  double min_duration = 0.25;
 };
 
 /// Cost (DC units) of migrating one VM of `type` out of a lease currently
 /// holding `lease_vms` VMs.
 double migration_cost(const cluster::VmType& type, int lease_vms,
                       const MigrationCostModel& model);
-/// Simulated duration of the live copy for one VM of `type`.
-double migration_duration(const cluster::VmType& type,
-                          const MigrationCostModel& model);
 
 struct RebalancePolicy {
   double tick_period = 10.0;          ///< seconds between rounds
@@ -86,25 +79,19 @@ struct RebalancePolicy {
   /// A lease has drifted when its DC record satisfies
   /// last > drift_ratio * min (the lease has been measurably tighter).
   double drift_ratio = 1.10;
-  double min_net_gain = 1e-6;         ///< accept moves with gain - cost above this
   MigrationCostModel cost;
-  // Retry rail: transient failures (destination down, slot not yet free)
-  // retry with capped exponential backoff and deterministic jitter.
+  /// Retry rail: transient failures (destination down, slot not yet free)
+  /// retry up to this many times, with capped exponential backoff (1 s
+  /// doubling to at most 30 s) and +-25% deterministic jitter.
   int max_retries = 3;
-  double retry_backoff_initial = 1.0;
-  double retry_backoff_factor = 2.0;
-  double retry_backoff_max = 30.0;
-  double retry_jitter = 0.25;
-  /// Health gate: with failed nodes present a round defers outright.
-  bool defer_on_failed_nodes = true;
   /// Consecutive deferred rounds before the loop disables itself.
   int disable_after_bad_rounds = 8;
-  // SLO objective on mean DC-per-VM, declared as "rebalance/dc_per_vm":
-  // while it alerts, leases whose DC-per-VM exceeds the threshold are
-  // candidates even when their own last/min ratio looks flat (a cluster
-  // placed badly from the start has no "tighter past" to drift from).
+  // SLO objective on mean DC-per-VM, declared as "rebalance/dc_per_vm"
+  // (objective 0.25): while it alerts, leases whose DC-per-VM exceeds the
+  // threshold are candidates even when their own last/min ratio looks flat
+  // (a cluster placed badly from the start has no "tighter past" to drift
+  // from).
   double dc_per_vm_threshold = 4.0;
-  double dc_per_vm_objective = 0.25;
 };
 
 /// Degradation ladder of one round.

@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "check/check.h"
@@ -7,6 +8,10 @@
 namespace vcopt::sim {
 
 EventId EventQueue::schedule(double time, Callback cb) {
+  // A NaN compares false against everything and would break the heap order.
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument("EventQueue::schedule: non-finite time");
+  }
   if (time < now_) {
     throw std::invalid_argument("EventQueue::schedule: time in the past");
   }

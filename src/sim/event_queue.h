@@ -20,8 +20,9 @@ class EventQueue {
 
   double now() const { return now_; }
 
-  /// Schedules `cb` at absolute simulated time `time` (>= now).  Events with
-  /// equal time run in scheduling order.
+  /// Schedules `cb` at absolute simulated time `time` (finite, >= now).
+  /// Events with equal time run in scheduling order.  Throws
+  /// std::invalid_argument for a time in the past or a non-finite time.
   EventId schedule(double time, Callback cb);
 
   /// Schedules `cb` `delay` seconds from now.

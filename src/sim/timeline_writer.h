@@ -1,13 +1,13 @@
-// CSV/table export of the cluster-sim state timeline (utilization and
-// queue-depth over time).  Centralises the formatting that bench figures and
-// vcopt_cli previously rebuilt ad hoc from ClusterSimResult::timeline.
+// CSV/table export of the churn simulation's state timeline (utilization
+// and queue-depth over time, FaultSimResult::timeline), shared by the bench
+// figures and vcopt_cli.
 #pragma once
 
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "sim/cluster_sim.h"
+#include "sim/records.h"
 #include "util/table.h"
 
 namespace vcopt::sim {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "placement/online_heuristic.h"
 #include "sim/timeline_writer.h"
 #include "util/rng.h"
@@ -103,31 +104,30 @@ TEST(FaultSim, EveryHitLeaseEndsInATerminalStatus) {
             }());
 }
 
-TEST(FaultSim, QuietProfileMatchesPlainClusterSim) {
-  // With no faults the fault sim must reduce to the plain churn simulation.
-  const std::uint64_t seed = 4;
-  workload::SimScenario sc =
-      workload::paper_sim_scenario(seed, workload::RequestScale::kSmall);
-  const auto trace = make_trace(seed, 20);
-
-  cluster::Cloud plain_cloud(sc.topology, sc.catalog, sc.capacity);
-  const sim::ClusterSimResult plain = sim::run_cluster_sim(
-      plain_cloud, std::make_unique<placement::OnlineHeuristic>(), trace);
-
-  cluster::Cloud fault_cloud(sc.topology, sc.catalog, sc.capacity);
-  const FaultSimResult quiet =
-      run_fault_sim(fault_cloud, std::make_unique<placement::OnlineHeuristic>(),
-                    trace, FaultProfile::parse("none"));
-
-  EXPECT_TRUE(quiet.schedule.empty());
-  EXPECT_TRUE(quiet.repairs.empty());
-  ASSERT_EQ(quiet.grants.size(), plain.grants.size());
-  for (std::size_t i = 0; i < quiet.grants.size(); ++i) {
-    EXPECT_EQ(quiet.grants[i].request_id, plain.grants[i].request_id);
-    EXPECT_DOUBLE_EQ(quiet.grants[i].granted, plain.grants[i].granted);
-    EXPECT_DOUBLE_EQ(quiet.grants[i].distance, plain.grants[i].distance);
+TEST(FaultSim, RecordsSimInstrumentsWithAndWithoutFaults) {
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  obs::Counter& runs = reg.counter("sim/runs");
+  obs::HistogramMetric& wait = reg.histogram(
+      "sim/wait_seconds",
+      obs::MetricsRegistry::exponential_buckets(0.5, 2.0, 14));
+  obs::HistogramMetric& hold = reg.histogram(
+      "sim/hold_seconds",
+      obs::MetricsRegistry::exponential_buckets(0.5, 2.0, 14));
+  obs::Gauge& utilization = reg.gauge("sim/mean_utilization");
+  for (const char* spec : {"none", "light"}) {
+    const std::uint64_t runs_before = runs.value();
+    const std::size_t wait_before = wait.count();
+    const std::size_t hold_before = hold.count();
+    const FaultSimResult res = run_once(spec, 3);
+    EXPECT_EQ(res.node_crashes, std::string(spec) == "light" ? 1 : 0);
+    EXPECT_EQ(runs.value(), runs_before + 1) << spec;
+    EXPECT_EQ(wait.count(), wait_before + res.grants.size()) << spec;
+    EXPECT_EQ(hold.count(), hold_before + res.grants.size()) << spec;
+    EXPECT_DOUBLE_EQ(utilization.value(), res.mean_utilization) << spec;
   }
-  EXPECT_DOUBLE_EQ(quiet.total_distance, plain.total_distance);
+  reg.set_enabled(was_enabled);
 }
 
 TEST(FaultSim, AbandonedLeasesGetAReleaseTimestamp) {

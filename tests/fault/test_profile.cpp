@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace vcopt::fault {
 namespace {
@@ -72,6 +74,71 @@ TEST(FaultProfile, ValidateRejectsOutOfRange) {
   p.transients = 2;
   p.transient_duration = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+// Expects parse(spec) to throw an invalid_argument whose message names
+// `field`.
+void expect_rejected(const std::string& spec, const std::string& field) {
+  try {
+    FaultProfile::parse(spec);
+    ADD_FAILURE() << spec << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << spec << ": " << e.what();
+  }
+}
+
+TEST(FaultProfile, RejectsNanMttr) {
+  expect_rejected("crashes=2,mttr=nan", "mean_downtime");
+}
+
+TEST(FaultProfile, RejectsInfiniteHorizon) {
+  expect_rejected("crashes=2,horizon=inf", "horizon");
+}
+
+TEST(FaultProfile, RejectsNanHorizon) {
+  expect_rejected("crashes=2,horizon=nan", "horizon");
+}
+
+TEST(FaultProfile, RejectsNanTransientDuration) {
+  expect_rejected("transients=2,transient-duration=nan", "transient_duration");
+}
+
+TEST(FaultProfile, RejectsNanDegradeFactor) {
+  expect_rejected("degrade=nan", "degrade_factor");
+}
+
+TEST(FaultProfile, ValidateRejectsNonFiniteHandBuiltFields) {
+  // No events scheduled: the non-finite value is still refused.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  FaultProfile p;
+  p.mean_downtime = inf;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = FaultProfile{};
+  p.transient_duration = nan;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = FaultProfile{};
+  p.horizon = -inf;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(FaultProfile, CountBeyondIntRangeIsRejectedByRange) {
+  // Checked as a double before any conversion, so the message reports the
+  // range rather than a wrapped negative value.
+  expect_rejected("crashes=1e10", "1e10");
+  expect_rejected("crashes=1e10", "2147483647");
+  expect_rejected("racks=inf", "racks");
+  expect_rejected("transients=nan", "transients");
+}
+
+TEST(FaultProfile, SeedTakesTheFullSixtyFourBits) {
+  EXPECT_EQ(FaultProfile::parse("seed=3000000000").seed, 3000000000ULL);
+  EXPECT_EQ(FaultProfile::parse("seed=18446744073709551615").seed,
+            std::numeric_limits<std::uint64_t>::max());
+  expect_rejected("seed=18446744073709551616", "seed");
+  expect_rejected("seed=-1", "seed");
+  expect_rejected("seed=1.5", "seed");
 }
 
 TEST(FaultProfile, DescribeMentionsTheCounts) {

@@ -4,10 +4,10 @@
 // single module's contract.
 #include <gtest/gtest.h>
 
+#include "fault/fault_sim.h"
 #include "mapreduce/apps.h"
 #include "mapreduce/engine.h"
 #include "placement/provisioner.h"
-#include "sim/cluster_sim.h"
 #include "util/stats.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
@@ -80,11 +80,11 @@ TEST(Pipeline, ChurnComparisonAcrossPolicies) {
   const auto trace = workload::poisson_trace(reqs, rng, 4.0, 30.0);
 
   cluster::Cloud cloud_a(sc.topology, sc.catalog, sc.capacity);
-  const sim::ClusterSimResult affinity = sim::run_cluster_sim(
+  const fault::FaultSimResult affinity = fault::run_fault_sim(
       cloud_a, placement::make_policy("online-heuristic"), trace);
   cluster::Cloud cloud_b(sc.topology, sc.catalog, sc.capacity);
-  const sim::ClusterSimResult spread =
-      sim::run_cluster_sim(cloud_b, placement::make_policy("spread"), trace);
+  const fault::FaultSimResult spread =
+      fault::run_fault_sim(cloud_b, placement::make_policy("spread"), trace);
 
   ASSERT_GT(affinity.grants.size(), 0u);
   const double mean_a =
@@ -112,24 +112,6 @@ TEST(Pipeline, DrainSteersNewGrants) {
   for (std::size_t node : second->placement.allocation.used_nodes()) {
     EXPECT_NE(node, used);
   }
-}
-
-// Batch (Algorithm 2) drains never oversubscribe the cloud even under a
-// hostile arrival pattern.
-TEST(Pipeline, BatchDrainCapacitySafety) {
-  const workload::SimScenario sc =
-      workload::paper_sim_scenario(17, workload::RequestScale::kSmall);
-  util::Rng rng(17);
-  const auto reqs = workload::random_requests(sc.catalog, rng, 80, 1, 2);
-  const auto trace = workload::poisson_trace(reqs, rng, 0.5, 40.0);
-  cluster::Cloud cloud(sc.topology, sc.catalog, sc.capacity);
-  sim::ClusterSimOptions opt;
-  opt.batch_drain = true;
-  const sim::ClusterSimResult res = sim::run_cluster_sim(
-      cloud, placement::make_policy("online-heuristic"), trace, opt);
-  // If any allocation had oversubscribed, Cloud::grant would have thrown.
-  EXPECT_EQ(cloud.lease_count(), 0u);
-  EXPECT_EQ(res.grants.size() + res.rejected + res.unserved, trace.size());
 }
 
 }  // namespace

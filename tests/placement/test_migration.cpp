@@ -21,6 +21,8 @@ Placement make_placement(const cluster::Allocation& alloc,
   return evaluate(alloc, topology);
 }
 
+// ---- consolidate_budgeted with no costs: the plain Theorem-1 hill climb ---
+
 TEST(Consolidate, PullsVmIntoFreedNearbySlot) {
   const Topology topo = Topology::uniform(2, 2);
   // Cluster: 2 VMs on node 0, 1 VM stranded cross-rack on node 2.
@@ -33,13 +35,15 @@ TEST(Consolidate, PullsVmIntoFreedNearbySlot) {
   IntMatrix remaining(4, 1, 0);
   remaining(1, 0) = 1;
 
-  const ConsolidationResult res = consolidate(p, remaining, topo);
-  ASSERT_EQ(res.migrations.size(), 1u);
-  EXPECT_EQ(res.migrations[0].from_node, 2u);
-  EXPECT_EQ(res.migrations[0].to_node, 1u);
+  const BudgetedConsolidation res = consolidate_budgeted(p, remaining, topo);
+  ASSERT_EQ(res.moves.size(), 1u);
+  EXPECT_EQ(res.moves[0].move.from_node, 2u);
+  EXPECT_EQ(res.moves[0].move.to_node, 1u);
   EXPECT_DOUBLE_EQ(res.distance_before, 2.0);
   EXPECT_DOUBLE_EQ(res.distance_after, 1.0);
   EXPECT_DOUBLE_EQ(p.distance, 1.0);
+  EXPECT_DOUBLE_EQ(res.moves[0].cost, 0.0);
+  EXPECT_DOUBLE_EQ(res.total_cost, 0.0);
   // Capacity bookkeeping: node 2's slot freed, node 1's consumed.
   EXPECT_EQ(remaining(1, 0), 0);
   EXPECT_EQ(remaining(2, 0), 1);
@@ -52,9 +56,8 @@ TEST(Consolidate, NoopWhenNoFreeCapacity) {
   alloc.at(2, 0) = 1;
   Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 0);
-  const ConsolidationResult res =
-      consolidate(p, remaining, topo);
-  EXPECT_TRUE(res.migrations.empty());
+  const BudgetedConsolidation res = consolidate_budgeted(p, remaining, topo);
+  EXPECT_TRUE(res.moves.empty());
   EXPECT_DOUBLE_EQ(res.improvement(), 0.0);
 }
 
@@ -64,9 +67,8 @@ TEST(Consolidate, NoopWhenAlreadyTight) {
   alloc.at(0, 0) = 3;
   Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 1, 5);
-  const ConsolidationResult res =
-      consolidate(p, remaining, topo);
-  EXPECT_TRUE(res.migrations.empty());
+  const BudgetedConsolidation res = consolidate_budgeted(p, remaining, topo);
+  EXPECT_TRUE(res.moves.empty());
 }
 
 TEST(Consolidate, RespectsMigrationBudget) {
@@ -79,11 +81,10 @@ TEST(Consolidate, RespectsMigrationBudget) {
   IntMatrix remaining(4, 1, 0);
   remaining(0, 0) = 5;
   remaining(1, 0) = 5;
-  ConsolidateOptions opt;
+  BudgetedConsolidateOptions opt;
   opt.max_migrations = 1;
-  const ConsolidationResult res =
-      consolidate(p, remaining, topo, opt);
-  EXPECT_EQ(res.migrations.size(), 1u);
+  const BudgetedConsolidation res = consolidate_budgeted(p, remaining, topo, opt);
+  EXPECT_EQ(res.moves.size(), 1u);
 }
 
 TEST(Consolidate, TypeMatters) {
@@ -94,14 +95,12 @@ TEST(Consolidate, TypeMatters) {
   Placement p = make_placement(alloc, topo);
   IntMatrix remaining(4, 2, 0);
   remaining(1, 0) = 3;  // free capacity of the WRONG type nearby
-  const ConsolidationResult res =
-      consolidate(p, remaining, topo);
-  EXPECT_TRUE(res.migrations.empty());
+  const BudgetedConsolidation res = consolidate_budgeted(p, remaining, topo);
+  EXPECT_TRUE(res.moves.empty());
   remaining(1, 1) = 1;  // now the right type
-  const ConsolidationResult res2 =
-      consolidate(p, remaining, topo);
-  EXPECT_EQ(res2.migrations.size(), 1u);
-  EXPECT_EQ(res2.migrations[0].type, 1u);
+  const BudgetedConsolidation res2 = consolidate_budgeted(p, remaining, topo);
+  EXPECT_EQ(res2.moves.size(), 1u);
+  EXPECT_EQ(res2.moves[0].move.type, 1u);
 }
 
 // Property sweep: consolidation never increases distance, never breaks the
@@ -127,8 +126,7 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
   const Request req_copy = r;
 
   const double before = p.distance;
-  const ConsolidationResult res =
-      consolidate(p, remaining, topo);
+  const BudgetedConsolidation res = consolidate_budgeted(p, remaining, topo);
   EXPECT_LE(p.distance, before + 1e-9);
   EXPECT_DOUBLE_EQ(res.distance_after, p.distance);
   EXPECT_TRUE(p.allocation.satisfies(req_copy));
@@ -137,7 +135,7 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
   EXPECT_EQ(p.allocation.to_matrix() + remaining, capacity);
 
   // Local optimality at the final central: no single VM has a strictly
-  // nearer free slot (otherwise consolidate would have kept going).
+  // nearer free slot (otherwise the hill climb would have kept going).
   for (std::size_t donor = 0; donor < remaining.rows(); ++donor) {
     for (std::size_t j = 0; j < remaining.cols(); ++j) {
       if (p.allocation.at(donor, j) == 0) continue;
@@ -162,31 +160,7 @@ TEST_P(ConsolidateSweep, InvariantsAndBounds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ConsolidateSweep,
                          ::testing::Range<std::uint64_t>(0, 30));
 
-// ---- consolidate_budgeted: the economic (live-migration) variant ---------
-
-TEST(ConsolidateBudgeted, ZeroCostMatchesPlainConsolidate) {
-  const Topology topo = Topology::uniform(2, 2);
-  cluster::Allocation alloc(4, 1);
-  alloc.at(0, 0) = 2;
-  alloc.at(2, 0) = 1;
-  Placement a = make_placement(alloc, topo);
-  Placement b = a;
-  IntMatrix rem_a(4, 1, 0);
-  rem_a(1, 0) = 1;
-  IntMatrix rem_b = rem_a;
-
-  const ConsolidationResult plain = consolidate(a, rem_a, topo);
-  const BudgetedConsolidation econ = consolidate_budgeted(b, rem_b, topo);
-  ASSERT_EQ(econ.moves.size(), plain.migrations.size());
-  for (std::size_t i = 0; i < econ.moves.size(); ++i) {
-    EXPECT_EQ(econ.moves[i].move.from_node, plain.migrations[i].from_node);
-    EXPECT_EQ(econ.moves[i].move.to_node, plain.migrations[i].to_node);
-    EXPECT_EQ(econ.moves[i].move.type, plain.migrations[i].type);
-    EXPECT_DOUBLE_EQ(econ.moves[i].cost, 0.0);
-  }
-  EXPECT_DOUBLE_EQ(econ.distance_after, plain.distance_after);
-  EXPECT_DOUBLE_EQ(econ.total_cost, 0.0);
-}
+// ---- consolidate_budgeted with move costs: the live-migration economics --
 
 TEST(ConsolidateBudgeted, CostAboveGainVetoesTheMove) {
   const Topology topo = Topology::uniform(2, 2);

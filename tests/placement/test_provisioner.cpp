@@ -70,35 +70,6 @@ TEST(Provisioner, QueueWaitTimeHistogramSpansEnqueueToGrant) {
   reg.set_enabled(was_enabled);
 }
 
-TEST(Provisioner, QueueWaitTimeRecordedByBatchDrain) {
-  auto& reg = obs::MetricsRegistry::global();
-  auto& wait_hist = reg.histogram(
-      "provisioner/queue_wait_time",
-      obs::MetricsRegistry::exponential_buckets(0.001, 2.0, 24));
-  const bool was_enabled = reg.enabled();
-  reg.set_enabled(true);
-  const std::size_t before_count = wait_hist.count();
-  const double before_sum = wait_hist.sum();
-
-  Cloud cloud = small_cloud();
-  Provisioner prov(cloud, std::make_unique<OnlineHeuristic>());
-  const auto g1 = prov.request(Request({8}, 1));
-  ASSERT_TRUE(g1.has_value());
-  prov.set_now(1.0);
-  EXPECT_EQ(prov.request(Request({2}, 2)), std::nullopt);
-  prov.set_now(3.0);
-  EXPECT_EQ(prov.request(Request({2}, 3)), std::nullopt);
-  prov.set_now(5.0);
-  cloud.release(g1->lease);  // free capacity without draining the queue
-  const auto drained = prov.drain_batch_global();
-  ASSERT_EQ(drained.size(), 2u);
-
-  // Waits: request 2 waited 5-1=4, request 3 waited 5-3=2.
-  EXPECT_EQ(wait_hist.count(), before_count + 2);
-  EXPECT_DOUBLE_EQ(wait_hist.sum() - before_sum, 6.0);
-  reg.set_enabled(was_enabled);
-}
-
 TEST(Provisioner, RejectsImpossibleRequests) {
   Cloud cloud = small_cloud();
   Provisioner prov(cloud, std::make_unique<OnlineHeuristic>());
@@ -137,20 +108,6 @@ TEST(Provisioner, FifoNoQueueJumping) {
   const auto drained = prov.release(g1->lease);
   EXPECT_TRUE(drained.empty());
   EXPECT_EQ(prov.queue_length(), 2u);
-}
-
-TEST(Provisioner, DrainBatchGlobalServesQueue) {
-  Cloud cloud = small_cloud();
-  Provisioner prov(cloud, std::make_unique<OnlineHeuristic>());
-  const auto g1 = prov.request(Request({8}, 1));
-  ASSERT_TRUE(g1.has_value());
-  EXPECT_EQ(prov.request(Request({2}, 2)), std::nullopt);
-  EXPECT_EQ(prov.request(Request({2}, 3)), std::nullopt);
-  cloud.release(g1->lease);
-  const auto grants = prov.drain_batch_global();
-  ASSERT_EQ(grants.size(), 2u);
-  EXPECT_EQ(prov.queue_length(), 0u);
-  EXPECT_EQ(cloud.lease_count(), 2u);
 }
 
 TEST(Provisioner, NullPolicyThrows) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace vcopt::sim {
@@ -79,6 +80,26 @@ TEST(EventQueue, SchedulingInThePastThrows) {
   q.run();
   EXPECT_THROW(q.schedule(4.0, [] {}), std::invalid_argument);
   EXPECT_NO_THROW(q.schedule(5.0, [] {}));  // equal to now is fine
+}
+
+TEST(EventQueue, SchedulingAtNanThrows) {
+  // NaN compares false against now(): it must not slip into the heap and
+  // break its ordering.
+  EventQueue q;
+  EXPECT_THROW(q.schedule(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, SchedulingAtInfinityThrows) {
+  EventQueue q;
+  EXPECT_THROW(q.schedule(std::numeric_limits<double>::infinity(), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(std::numeric_limits<double>::infinity(), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {

@@ -1,6 +1,6 @@
-// Recorder wiring through the simulation layer: run_cluster_sim and
-// run_fault_sim drive a ClusterSampler on the simulated clock when a
-// recorder is supplied, and the fault sim feeds the repair-success SLO.
+// Recorder wiring through the simulation layer: run_fault_sim drives a
+// ClusterSampler on the simulated clock when a recorder is supplied, with or
+// without faults, and feeds the repair-success SLO.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "placement/online_heuristic.h"
-#include "sim/cluster_sim.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
@@ -36,11 +35,11 @@ TEST(SimSampler, ClusterSimRecordsTimeSeriesOnTheSimClock) {
   cluster::Cloud cloud(scenario.topology, scenario.catalog, scenario.capacity);
   obs::Recorder rec;
   rec.set_enabled(true);
-  ClusterSimOptions opt;
+  fault::FaultSimOptions opt;
   opt.recorder = &rec;
   opt.sample_period = 1.0;
-  const ClusterSimResult res = run_cluster_sim(
-      cloud, std::make_unique<placement::OnlineHeuristic>(), trace, opt);
+  const fault::FaultSimResult res = fault::run_fault_sim(
+      cloud, std::make_unique<placement::OnlineHeuristic>(), trace, {}, opt);
   ASSERT_GT(res.grants.size(), 0u);
 
   obs::TimeSeries& util_series = rec.series("cluster/utilization");
@@ -63,8 +62,8 @@ TEST(SimSampler, NoRecorderMeansNoSeries) {
   const auto scenario = small_scenario();
   const auto trace = small_trace(scenario);
   cluster::Cloud cloud(scenario.topology, scenario.catalog, scenario.capacity);
-  const ClusterSimResult res = run_cluster_sim(
-      cloud, std::make_unique<placement::OnlineHeuristic>(), trace, {});
+  const fault::FaultSimResult res = fault::run_fault_sim(
+      cloud, std::make_unique<placement::OnlineHeuristic>(), trace);
   EXPECT_GT(res.grants.size(), 0u);  // the sim itself is unaffected
 }
 

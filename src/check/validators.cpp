@@ -1,5 +1,6 @@
 #include "check/validators.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -343,6 +344,31 @@ ValidationResult validate_migration_conservation(const util::IntMatrix& before,
     }
   }
   return valid();
+}
+
+ValidationResult validate_bitwise_equal(const std::vector<double>& got,
+                                        const std::vector<double>& want,
+                                        const std::vector<std::string>& names,
+                                        const std::string& what) {
+  if (got.size() != want.size() || got.size() != names.size()) {
+    std::ostringstream os;
+    os << what << ": " << got.size() << " figures against " << want.size()
+       << " references and " << names.size() << " names";
+    return invalid(os.str());
+  }
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  bool ok = true;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(got[k]) ==
+        std::bit_cast<std::uint64_t>(want[k])) {
+      continue;
+    }
+    if (ok) os << what << " differ from their reference:";
+    ok = false;
+    os << "\n  " << names[k] << ": " << got[k] << " != " << want[k];
+  }
+  return ok ? valid() : invalid(os.str());
 }
 
 }  // namespace vcopt::check

@@ -135,4 +135,14 @@ ValidationResult validate_migration_conservation(const util::IntMatrix& before,
                                                  std::size_t to,
                                                  std::size_t type);
 
+/// Incrementally maintained figures against their full recomputation:
+/// every `got[k]` must equal `want[k]` bit for bit (no tolerance; -0.0 and
+/// 0.0 differ), where `names[k]` names field k in the diagnostic.  The
+/// cluster sampler checks its rack-aggregate fragmentation figures against
+/// fragmentation() with it.
+ValidationResult validate_bitwise_equal(const std::vector<double>& got,
+                                        const std::vector<double>& want,
+                                        const std::vector<std::string>& names,
+                                        const std::string& what);
+
 }  // namespace vcopt::check

@@ -13,7 +13,9 @@ Cloud::Cloud(Topology topology, VmCatalog catalog, util::IntMatrix max_capacity)
     : topology_(std::move(topology)),
       catalog_(std::move(catalog)),
       inventory_(std::move(max_capacity)),
-      reserved_(inventory_.node_count(), inventory_.type_count()) {
+      reserved_(inventory_.node_count(), inventory_.type_count()),
+      node_stamp_(topology_.node_count(), 0),
+      rack_stamp_(topology_.rack_count(), 0) {
   if (inventory_.node_count() != topology_.node_count()) {
     throw std::invalid_argument("Cloud: capacity rows != node count");
   }
@@ -22,12 +24,22 @@ Cloud::Cloud(Topology topology, VmCatalog catalog, util::IntMatrix max_capacity)
   }
 }
 
+void Cloud::stamp(std::size_t node) {
+  node_stamp_[node] = change_stamp_;
+  rack_stamp_[topology_.rack_of(node)] = change_stamp_;
+}
+
 void Cloud::notify_one(std::size_t node) {
+  ++change_stamp_;
+  stamp(node);
   if (listener_ == nullptr) return;
   listener_->on_capacity_changed(*this, {node});
 }
 
 void Cloud::notify_pair(std::size_t a, std::size_t b) {
+  ++change_stamp_;
+  stamp(a);
+  stamp(b);
   if (listener_ == nullptr) return;
   if (a == b) {
     listener_->on_capacity_changed(*this, {a});
@@ -37,6 +49,8 @@ void Cloud::notify_pair(std::size_t a, std::size_t b) {
 }
 
 void Cloud::notify_alloc(const Allocation& alloc) {
+  ++change_stamp_;
+  for (const Allocation::Entry& e : alloc.entries()) stamp(e.node);
   if (listener_ == nullptr) return;
   changed_.clear();
   for (const Allocation::Entry& e : alloc.entries()) {

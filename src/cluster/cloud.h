@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cluster/allocation.h"
 #include "cluster/inventory.h"
@@ -151,6 +152,30 @@ class Cloud {
 
   std::size_t pending_migration_count() const { return migrations_.size(); }
 
+  // --- change stamps -----------------------------------------------------
+  //
+  // Every capacity mutation (each point that notifies the listener: grant,
+  // release, drain/undrain, fail/recover, lease shrink/grow and the three
+  // migration steps) bumps a monotone stamp and writes it on each node it
+  // touched and on that node's rack, whether or not a listener is set:
+  // O(k) per mutation.  A reader that remembers change_stamp() finds what
+  // changed since by visiting the racks stamped after it, and within them
+  // the nodes stamped after it, without registering anything
+  // (cluster::ClusterSampler does).  A stamp says a node may have changed,
+  // not that it did: begin_migration and rollback_migration stamp their
+  // destination although the inventory's free capacity there is unchanged.
+
+  /// Stamp of the latest capacity mutation; 0 before the first.
+  std::uint64_t change_stamp() const { return change_stamp_; }
+  /// Stamp of the latest mutation that touched `node` (0 if none has).
+  std::uint64_t node_stamp(std::size_t node) const {
+    return node_stamp_.at(node);
+  }
+  /// Latest node_stamp() over the nodes of `rack`.
+  std::uint64_t rack_stamp(std::size_t rack) const {
+    return rack_stamp_.at(rack);
+  }
+
   bool has_lease(LeaseId id) const { return leases_.count(id) > 0; }
   std::size_t lease_count() const { return leases_.size(); }
   const Allocation& lease_allocation(LeaseId id) const;
@@ -162,9 +187,13 @@ class Cloud {
   std::string describe() const;
 
  private:
+  // Each notify_* bumps the change stamp, stamps the nodes it names, then
+  // calls the listener if one is set.
   void notify_one(std::size_t node);
   void notify_pair(std::size_t a, std::size_t b);
   void notify_alloc(const Allocation& alloc);
+  /// Writes the current change stamp on `node` and its rack.
+  void stamp(std::size_t node);
   /// True if `alloc` fits remaining() net of in-flight migration
   /// reservations, checked on its entries: O(k).
   bool fits_reservations(const Allocation& alloc) const;
@@ -195,6 +224,9 @@ class Cloud {
   std::map<std::uint64_t, PendingMigration> migrations_;
   std::uint64_t next_migration_ = 1;
   CapacityListener* listener_ = nullptr;
+  std::uint64_t change_stamp_ = 0;
+  std::vector<std::uint64_t> node_stamp_;
+  std::vector<std::uint64_t> rack_stamp_;
   /// notify_alloc's node list, reused so a grant or release allocates none.
   std::vector<std::size_t> changed_;
 };

@@ -25,8 +25,11 @@ struct FragmentationStats {
   int free_vms = 0;
 };
 
-/// Computes fragmentation of the inventory's current free capacity.
-/// Drained nodes contribute nothing (they offer no capacity).
+/// Computes fragmentation of the inventory's current free capacity in one
+/// O(n·m) pass.  Drained and failed nodes contribute nothing (they offer no
+/// capacity).  This is the reference: cluster::ClusterSampler keeps the same
+/// figures incrementally from per-rack aggregates, bitwise equal to this,
+/// and checked builds compare the two on every sample.
 FragmentationStats fragmentation(const Inventory& inventory,
                                  const Topology& topology);
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "check/check.h"
 #include "check/validators.h"
@@ -20,6 +21,7 @@ const char* to_string(Admission a) {
 Inventory::Inventory(util::IntMatrix max_capacity)
     : max_(std::move(max_capacity)),
       alloc_(max_.rows(), max_.cols(), 0),
+      capacity_total_(max_.total()),
       drained_(max_.rows(), false),
       failed_(max_.rows(), false) {
   if (max_.rows() == 0 || max_.cols() == 0) {
@@ -134,11 +136,15 @@ void Inventory::allocate(const Allocation& alloc) {
   }
   for (const Allocation::Entry& e : alloc.entries()) {
     alloc_.add_at(e.node, e.type, e.count);
+    allocated_total_ += e.count;
   }
   // C + L == M with 0 <= C <= M must hold after every mutation (drains only
   // mask remaining(), so conservation is checked on the unmasked matrices).
   VCOPT_VALIDATE(
       check::validate_capacity_conservation(alloc_, max_ - alloc_, max_));
+  VCOPT_DCHECK(allocated_total_ == alloc_.total())
+      << " running allocated total " << allocated_total_ << " != "
+      << alloc_.total();
 }
 
 void Inventory::release(const Allocation& alloc) {
@@ -146,28 +152,34 @@ void Inventory::release(const Allocation& alloc) {
     throw std::invalid_argument("Inventory::release: shape mismatch");
   }
   for (const Allocation::Entry& e : alloc.entries()) {
-    if (e.count > alloc_(e.node, e.type)) {
+    // A const read: the non-const accessor would drop alloc_'s row and
+    // column sums, which add_at keeps warm.
+    if (e.count > std::as_const(alloc_)(e.node, e.type)) {
       throw std::invalid_argument(
           "Inventory::release: releasing unallocated VMs");
     }
   }
   for (const Allocation::Entry& e : alloc.entries()) {
     alloc_.add_at(e.node, e.type, -e.count);
+    allocated_total_ -= e.count;
   }
   VCOPT_VALIDATE(
       check::validate_capacity_conservation(alloc_, max_ - alloc_, max_));
+  VCOPT_DCHECK(allocated_total_ == alloc_.total())
+      << " running allocated total " << allocated_total_ << " != "
+      << alloc_.total();
 }
 
 double Inventory::utilization() const {
-  const int cap = max_.total();
-  if (cap == 0) return 0;
-  return static_cast<double>(alloc_.total()) / static_cast<double>(cap);
+  if (capacity_total_ == 0) return 0;
+  return static_cast<double>(allocated_total_) /
+         static_cast<double>(capacity_total_);
 }
 
 std::string Inventory::describe() const {
   std::ostringstream os;
   os << node_count() << " nodes x " << type_count() << " VM types, "
-     << alloc_.total() << "/" << max_.total() << " VMs allocated";
+     << allocated_total_ << "/" << capacity_total_ << " VMs allocated";
   if (const std::size_t f = failed_count()) os << ", " << f << " failed";
   return os.str();
 }

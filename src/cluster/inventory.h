@@ -6,6 +6,7 @@
 //   0 <= C_ij <= M_ij  for all i, j         (no oversubscription)
 //   L = M - C                                (derived, not stored separately)
 //   A_j = sum_i L_ij                         (derived)
+//   allocated_total() = sum_ij C_ij          (kept by allocate / release)
 #pragma once
 
 #include <cstddef>
@@ -60,8 +61,14 @@ class Inventory {
   /// on some node/type.
   void release(const Allocation& alloc);
 
-  /// Fraction of total capacity currently allocated, in [0,1].
+  /// Fraction of total capacity currently allocated, in [0,1]: O(1), read
+  /// from the running totals below.
   double utilization() const;
+
+  /// Sum of C, kept by allocate() and release(): allocated().total() in O(1).
+  int allocated_total() const { return allocated_total_; }
+  /// Sum of M, fixed at construction: max_capacity().total() in O(1).
+  int capacity_total() const { return capacity_total_; }
 
   /// Marks a node as draining (maintenance / suspected failure, paper §VII):
   /// its existing allocations stay, but it stops offering remaining
@@ -89,6 +96,8 @@ class Inventory {
  private:
   util::IntMatrix max_;
   util::IntMatrix alloc_;
+  int allocated_total_ = 0;
+  int capacity_total_ = 0;
   std::vector<bool> drained_;
   std::vector<bool> failed_;
 };

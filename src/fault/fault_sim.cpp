@@ -80,8 +80,9 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
   out.schedule = injector.schedule();
 
   // Utilisation integral.  Repairs shrink and grow leases between grant and
-  // release, so the allocated-VM count is re-read from the inventory after
-  // every mutation instead of being tracked by hand.
+  // release, so the allocated-VM count is re-read from the inventory's
+  // running total (O(1)) after every mutation instead of being tracked by
+  // hand.
   double vm_seconds = 0;
   double last_sample = 0;
   int allocated_vms = 0;
@@ -93,7 +94,7 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
     vm_seconds += allocated_vms * (queue.now() - last_sample);
     last_sample = queue.now();
   };
-  auto resync = [&] { allocated_vms = cloud.inventory().allocated().total(); };
+  auto resync = [&] { allocated_vms = cloud.inventory().allocated_total(); };
   std::unique_ptr<cluster::ClusterSampler> sampler;
   if (options.recorder != nullptr) {
     cluster::ClusterSamplerOptions so;
@@ -235,7 +236,7 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
   out.mean_wait = out.grants.empty()
                       ? 0
                       : wait_sum / static_cast<double>(out.grants.size());
-  const int capacity = cloud.inventory().max_capacity().total();
+  const int capacity = cloud.inventory().capacity_total();
   out.mean_utilization =
       (out.makespan > 0 && capacity > 0)
           ? vm_seconds / (out.makespan * static_cast<double>(capacity))

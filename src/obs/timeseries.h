@@ -4,8 +4,11 @@
 // Prometheus export.  This is the history layer the point-in-time
 // MetricsRegistry lacks — cluster telemetry is recorded here: per-node load
 // and free capacity, utilization and fragmentation (see
-// cluster::ClusterSampler).  A lease's own DC is not a series; the cloud
-// keeps it on the lease record (cluster::Cloud::lease_dc).
+// cluster::ClusterSampler).  A series holds the points its writer chose to
+// record, not one per tick: the sampler writes a per-node point only when
+// the node's value changed, so read those series as step functions whose
+// last point is the current value.  A lease's own DC is not a series; the
+// cloud keeps it on the lease record (cluster::Cloud::lease_dc).
 //
 // Like the metrics registry, a disabled Recorder makes every record() a
 // single relaxed atomic load, so samplers can stay wired unconditionally;

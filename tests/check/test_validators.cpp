@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "cluster/allocation.h"
 #include "cluster/topology.h"
@@ -181,4 +183,29 @@ TEST(ValidateExactCover, DiagnosesMissingDuplicatedAndUnexpected) {
   EXPECT_FALSE(unexpected.ok);
   EXPECT_NE(unexpected.message.find("grants"), std::string::npos)
       << unexpected.message;
+}
+
+TEST(ValidateBitwiseEqual, AcceptsIdenticalBits) {
+  const std::vector<std::string> names{"ratio", "count"};
+  EXPECT_TRUE(
+      vc::validate_bitwise_equal({1.0 / 3.0, 7}, {1.0 / 3.0, 7}, names, "figs")
+          .ok);
+  EXPECT_TRUE(vc::validate_bitwise_equal({}, {}, {}, "figs").ok);
+}
+
+TEST(ValidateBitwiseEqual, RejectsAnyBitDifferenceAndNamesTheField) {
+  const std::vector<std::string> names{"ratio", "count"};
+  const double third = 1.0 / 3.0;
+  const double next = std::nextafter(third, 1.0);
+  const auto off_by_ulp =
+      vc::validate_bitwise_equal({next, 7}, {third, 7}, names, "figs");
+  EXPECT_FALSE(off_by_ulp.ok);
+  EXPECT_NE(off_by_ulp.message.find("ratio"), std::string::npos)
+      << off_by_ulp.message;
+  EXPECT_EQ(off_by_ulp.message.find("count"), std::string::npos)
+      << off_by_ulp.message;
+  // No tolerance, not even for signed zeros.
+  EXPECT_FALSE(vc::validate_bitwise_equal({-0.0, 7}, {0.0, 7}, names, "figs")
+                   .ok);
+  EXPECT_FALSE(vc::validate_bitwise_equal({1.0}, {1.0, 2.0}, names, "figs").ok);
 }

@@ -156,6 +156,52 @@ TEST(Cloud, AdmitDelegatesToInventory) {
   EXPECT_EQ(cloud.admit(Request({9, 0, 0})), Admission::kReject);
 }
 
+TEST(Cloud, ChangeStampsMarkTouchedNodesAndRacks) {
+  Cloud cloud = make_cloud();  // racks {0, 1} and {2, 3}
+  EXPECT_EQ(cloud.change_stamp(), 0u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(cloud.node_stamp(i), 0u);
+
+  // Stamps are written with no listener set.
+  Allocation a(4, 3);
+  a.at(0, 0) = 1;
+  a.at(0, 1) = 1;
+  a.at(2, 0) = 1;
+  const LeaseId id = cloud.grant(Request({2, 1, 0}), a);
+  const std::uint64_t s1 = cloud.change_stamp();
+  EXPECT_EQ(s1, 1u);
+  EXPECT_EQ(cloud.node_stamp(0), s1);
+  EXPECT_EQ(cloud.node_stamp(1), 0u);
+  EXPECT_EQ(cloud.node_stamp(2), s1);
+  EXPECT_EQ(cloud.rack_stamp(0), s1);
+  EXPECT_EQ(cloud.rack_stamp(1), s1);
+
+  cloud.drain_node(3);
+  const std::uint64_t s2 = cloud.change_stamp();
+  EXPECT_GT(s2, s1);
+  EXPECT_EQ(cloud.node_stamp(3), s2);
+  EXPECT_EQ(cloud.rack_stamp(1), s2);
+  EXPECT_EQ(cloud.rack_stamp(0), s1);
+  EXPECT_EQ(cloud.node_stamp(2), s1);
+
+  // A migration stamps its destination at begin and both ends at commit.
+  const std::uint64_t ticket = cloud.begin_migration(id, 0, 1, 0);
+  ASSERT_NE(ticket, 0u);
+  const std::uint64_t s3 = cloud.change_stamp();
+  EXPECT_EQ(cloud.node_stamp(1), s3);
+  EXPECT_EQ(cloud.node_stamp(0), s1);
+  ASSERT_TRUE(cloud.commit_migration(ticket));
+  const std::uint64_t s4 = cloud.change_stamp();
+  EXPECT_EQ(cloud.node_stamp(0), s4);
+  EXPECT_EQ(cloud.node_stamp(1), s4);
+  EXPECT_EQ(cloud.rack_stamp(1), s2);
+
+  cloud.release(id);
+  EXPECT_GT(cloud.change_stamp(), s4);
+  EXPECT_EQ(cloud.node_stamp(3), s2);
+  EXPECT_THROW(cloud.node_stamp(4), std::out_of_range);
+  EXPECT_THROW(cloud.rack_stamp(2), std::out_of_range);
+}
+
 TEST(Cloud, Describe) {
   Cloud cloud = make_cloud();
   const std::string d = cloud.describe();

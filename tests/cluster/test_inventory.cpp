@@ -33,6 +33,27 @@ TEST(Inventory, AllocateAndRelease) {
   EXPECT_EQ(inv.allocated().total(), 0);
 }
 
+TEST(Inventory, RunningTotalsMatchTheMatrices) {
+  Inventory inv = make_inventory();
+  EXPECT_EQ(inv.capacity_total(), inv.max_capacity().total());
+  EXPECT_EQ(inv.allocated_total(), 0);
+  Allocation a({{1, 2}, {1, 0}, {0, 0}});
+  Allocation b({{1, 0}, {0, 0}, {0, 2}});
+  inv.allocate(a);
+  inv.allocate(b);
+  EXPECT_EQ(inv.allocated_total(), inv.allocated().total());
+  EXPECT_EQ(inv.allocated_total(), 7);
+  // A failed release leaves the total as it was.
+  EXPECT_THROW(inv.release(Allocation({{3, 0}, {0, 0}, {0, 0}})),
+               std::invalid_argument);
+  EXPECT_EQ(inv.allocated_total(), 7);
+  inv.release(a);
+  EXPECT_EQ(inv.allocated_total(), inv.allocated().total());
+  EXPECT_EQ(inv.utilization(), static_cast<double>(inv.allocated().total()) /
+                                   inv.max_capacity().total());
+  EXPECT_EQ(inv.capacity_total(), inv.max_capacity().total());
+}
+
 TEST(Inventory, AllocateOverCapacityThrowsAndLeavesStateIntact) {
   Inventory inv = make_inventory();
   Allocation too_big({{3, 0}, {0, 0}, {0, 0}});

@@ -32,7 +32,7 @@ int main() {
       workload::paper_sim_scenario(seed, workload::RequestScale::kSmall);
   cluster::Cloud cloud(sc.topology, sc.catalog, sc.capacity);
   sim::EventQueue queue;
-  fault::RecoveryManager recovery(cloud, queue, fault::RepairPolicy{}, seed);
+  fault::RecoveryManager recovery(cloud, queue, seed);
   placement::Provisioner prov(cloud,
                               std::make_unique<placement::OnlineHeuristic>());
 

@@ -120,6 +120,27 @@ std::string flag(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+// The drift-repair policy's flags, read the same way for `sim --rebalance`
+// (the Rebalancer) and `serve --rebalance` (the service's pass).  Each
+// command passes its own defaults: the policy its options start with.
+placement::RebalancePolicy rebalance_policy_flags(
+    const std::map<std::string, std::string>& flags,
+    placement::RebalancePolicy policy) {
+  if (flags.count("rebalance-period")) {
+    policy.tick_period = std::stod(flags.at("rebalance-period"));
+  }
+  if (flags.count("rebalance-budget")) {
+    policy.max_moves_per_round = std::stoull(flags.at("rebalance-budget"));
+  }
+  if (flags.count("rebalance-drift-ratio")) {
+    policy.drift_ratio = std::stod(flags.at("rebalance-drift-ratio"));
+  }
+  if (flags.count("rebalance-cooldown")) {
+    policy.lease_cooldown = std::stod(flags.at("rebalance-cooldown"));
+  }
+  return policy;
+}
+
 // Set when a subcommand already wrote --telemetry-out itself (serve and sim
 // include their SLO tracker, which dies with the subcommand scope); main()
 // then skips its SLO-less fallback write.
@@ -278,13 +299,7 @@ int cmd_sim(const std::map<std::string, std::string>& flags) {
   if (flags.count("rebalance")) {
     rebalance::RebalanceSimOptions ropt;
     ropt.fault = opt;
-    ropt.policy.tick_period = std::stod(flag(flags, "rebalance-period", "10"));
-    ropt.policy.max_moves_per_round =
-        std::stoull(flag(flags, "rebalance-budget", "4"));
-    ropt.policy.drift_ratio =
-        std::stod(flag(flags, "rebalance-drift-ratio", "1.10"));
-    ropt.policy.lease_cooldown =
-        std::stod(flag(flags, "rebalance-cooldown", "20"));
+    ropt.policy = rebalance_policy_flags(flags, ropt.policy);
     ropt.seed = seed;
     reb = rebalance::run_rebalance_sim(cloud, make_sim_policy(), trace,
                                        profile, ropt);
@@ -429,15 +444,9 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   // planned off each lease's DC record in the cloud, written ahead to the
   // journal so --replay reproduces the exact same moves.
   if (flags.count("rebalance")) {
-    options.rebalance.enabled = true;
-    options.rebalance.period =
-        std::stod(flag(flags, "rebalance-period", "5"));
-    options.rebalance.max_moves =
-        std::stoull(flag(flags, "rebalance-budget", "2"));
-    options.rebalance.drift_ratio =
-        std::stod(flag(flags, "rebalance-drift-ratio", "1.10"));
-    options.rebalance.lease_cooldown =
-        std::stod(flag(flags, "rebalance-cooldown", "10"));
+    options.rebalance = true;
+    options.rebalance_policy =
+        rebalance_policy_flags(flags, options.rebalance_policy);
   }
 
   const auto write_grants = [&](std::string grants) {
@@ -574,7 +583,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
             << ", queue-full " << stats.queue_full << ", deadline-missed "
             << stats.deadline_missed << ", windows " << stats.windows
             << ", decided " << stats.decided << "\n";
-  if (options.rebalance.enabled) {
+  if (options.rebalance) {
     std::cerr << "serve: rebalance passes " << stats.rebalance_passes
               << ", migrations " << stats.rebalance_migrations << "\n";
   }

@@ -46,7 +46,7 @@ FaultSimResult run_fault_sim(cluster::Cloud& cloud,
   VCOPT_TRACE_SPAN("fault/fault_sim");
   placement::Provisioner prov(cloud, std::move(policy), options.discipline);
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, {}, profile.seed);
+  RecoveryManager recovery(cloud, queue, profile.seed);
 
   std::map<std::uint64_t, double> hold_time;
   std::map<std::uint64_t, double> arrival;

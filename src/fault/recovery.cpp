@@ -1,9 +1,6 @@
 #include "fault/recovery.h"
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "check/check.h"
@@ -20,6 +17,11 @@ namespace {
 /// Candidate centrals (nearest the original central first) the anchored
 /// repair scan tries before it widens to the full node set.
 constexpr std::size_t kRepairWindow = 8;
+// Retry backoff: min(60, 1 * 2^(attempt-1)) * (1 +- 0.25), clamped.
+constexpr double kBackoffInitial = 1.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffMax = 60.0;
+constexpr double kBackoffJitter = 0.25;
 
 struct RecoveryMetrics {
   obs::Counter& node_failures;
@@ -74,17 +76,9 @@ double merged_distance(const util::IntMatrix& original,
 
 }  // namespace
 
-double backoff_delay(const RepairPolicy& policy, int attempt, double u) {
-  const double base = util::capped_exponential_backoff(
-      policy.backoff_initial, policy.backoff_factor, attempt,
-      policy.backoff_max);
-  const double jitter = 1.0 + policy.backoff_jitter * (2.0 * u - 1.0);
-  return std::clamp(base * jitter, 0.0, policy.backoff_max);
-}
-
 RecoveryManager::RecoveryManager(cluster::Cloud& cloud, sim::EventQueue& queue,
-                                 RepairPolicy policy, std::uint64_t seed)
-    : cloud_(cloud), queue_(queue), policy_(policy), rng_(seed) {
+                                 std::uint64_t seed)
+    : cloud_(cloud), queue_(queue), rng_(seed) {
   release_hook_ = [this](cluster::LeaseId id) { cloud_.release(id); };
 }
 
@@ -256,10 +250,12 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   }
 
   ++p.attempts;
-  if (p.attempts < policy_.max_attempts) {
+  if (p.attempts < kMaxRepairAttempts) {
     // Exponential backoff with deterministic jitter from the per-lease
-    // stream, clamped to policy_.backoff_max (see backoff_delay).
-    const double delay = backoff_delay(policy_, p.attempts, p.rng.uniform01());
+    // stream.
+    const double delay =
+        util::jittered_backoff(kBackoffInitial, kBackoffFactor, p.attempts,
+                               kBackoffMax, kBackoffJitter, p.rng.uniform01());
     m.retries.add();
     queue_.schedule_in(delay, [this, lease] { attempt_repair(lease); });
     return;
@@ -268,21 +264,8 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   // Attempt budget exhausted: degrade explicitly.  Best-effort partial
   // refill first (nearest-first from the anchor), then keep the survivors,
   // and only release when nothing of the cluster is left.
-  const util::IntMatrix remaining = repair_remaining(p);
-  const std::vector<std::size_t> order =
-      cloud_.topology().nodes_by_distance(p.anchor);
-  cluster::Allocation partial(remaining.rows(), remaining.cols());
-  for (std::size_t j = 0; j < remaining.cols(); ++j) {
-    int want = p.missing[j];
-    for (const std::size_t i : order) {
-      if (want == 0) break;
-      const int take = std::min(want, remaining(i, j));
-      if (take > 0) {
-        partial.add(i, j, take);
-        want -= take;
-      }
-    }
-  }
+  const cluster::Allocation partial = placement::nearest_first_fill(
+      p.missing, repair_remaining(p), cloud_.topology(), p.anchor);
   if (partial.total_vms() > 0) {
     VCOPT_VALIDATE(check::validate_repair_conservation(
         p.original, p.lost, partial.to_matrix(), p.failed_nodes,
@@ -305,23 +288,6 @@ void RecoveryManager::attempt_repair(cluster::LeaseId lease) {
   finalize(p, placement::PlacementStatus::kAbandoned, 0, 0, false);
   tracked_.erase(lease);
   release_hook_(lease);
-}
-
-std::string RecoveryManager::describe() const {
-  int repaired = 0, partial = 0, degraded = 0, abandoned = 0;
-  for (const RepairRecord& r : records_) {
-    switch (r.status) {
-      case placement::PlacementStatus::kRepaired: ++repaired; break;
-      case placement::PlacementStatus::kPartial: ++partial; break;
-      case placement::PlacementStatus::kDegraded: ++degraded; break;
-      default: ++abandoned; break;
-    }
-  }
-  std::ostringstream os;
-  os << "recovery: " << records_.size() << " repairs (" << repaired
-     << " full, " << partial << " partial, " << degraded << " degraded, "
-     << abandoned << " abandoned), " << pending_.size() << " pending";
-  return os.str();
 }
 
 }  // namespace vcopt::fault

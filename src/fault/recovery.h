@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "cluster/cloud.h"
@@ -36,25 +35,10 @@
 
 namespace vcopt::fault {
 
-/// Tuning for the repair loop.
-struct RepairPolicy {
-  int max_attempts = 5;            ///< placement attempts before degrading
-  double backoff_initial = 1.0;    ///< seconds before the first retry
-  double backoff_factor = 2.0;     ///< delay multiplier per attempt
-  double backoff_jitter = 0.25;    ///< +- fraction applied to each delay
-  /// Hard ceiling on any single retry delay, applied after jitter.  The
-  /// geometric growth is computed overflow-safely against this clamp, so
-  /// even absurd attempt counts (or factors) schedule a finite retry
-  /// instead of an infinite-delay event that would wedge the queue.
-  double backoff_max = 60.0;
-};
-
-/// Retry delay for `attempt` (1-based) under `policy`:
-/// min(backoff_max, initial * factor^(attempt-1)) * (1 + jitter * (2u - 1)),
-/// clamped to [0, backoff_max].  `u` is the jitter draw in [0, 1) (the
-/// manager feeds the per-lease Rng stream).  Exposed so the overflow/clamp
-/// behaviour is directly testable at attempt counts no sim would reach.
-double backoff_delay(const RepairPolicy& policy, int attempt, double u);
+/// Placement attempts a repair makes before it degrades.  Between attempts
+/// it backs off 1 s doubling to at most 60 s, with +-25% jitter drawn from
+/// a per-lease stream (util::jittered_backoff).
+inline constexpr int kMaxRepairAttempts = 5;
 
 /// The full story of one lease's encounter with a failure, finalized with a
 /// terminal status.  `vms_replaced < vms_lost` iff the repair degraded.
@@ -75,7 +59,7 @@ struct RepairRecord {
 class RecoveryManager {
  public:
   RecoveryManager(cluster::Cloud& cloud, sim::EventQueue& queue,
-                  RepairPolicy policy = {}, std::uint64_t seed = 1);
+                  std::uint64_t seed = 1);
 
   /// Registers a live grant so its original central node and distance are
   /// known when a failure hits it.  Untracked leases hit by a failure are
@@ -106,10 +90,8 @@ class RecoveryManager {
     repair_hook_ = std::move(hook);
   }
 
-  const RepairPolicy& policy() const { return policy_; }
   const std::vector<RepairRecord>& records() const { return records_; }
   std::size_t pending_count() const { return pending_.size(); }
-  std::string describe() const;
 
  private:
   struct Tracked {
@@ -145,7 +127,6 @@ class RecoveryManager {
 
   cluster::Cloud& cloud_;
   sim::EventQueue& queue_;
-  RepairPolicy policy_;
   util::Rng rng_;
   std::function<void(cluster::LeaseId)> release_hook_;
   std::function<void(const RepairRecord&)> repair_hook_;

@@ -45,45 +45,47 @@ struct ProvisionerMetrics {
   }
 };
 
-/// Best-effort partial fill: up to min(R_j, sum_i L_ij) VMs per type, taken
-/// nearest-first from the anchor node with the largest remaining capacity
-/// (ties: lowest index).  Deterministic; always succeeds at placing exactly
-/// that many VMs, which is fewer than requested iff availability is short.
-cluster::Allocation best_effort_fill(const cluster::Request& r,
-                                     const util::IntMatrix& remaining,
-                                     const cluster::Topology& topology) {
-  const std::size_t n = remaining.rows();
-  const std::size_t m = remaining.cols();
+/// The partial rung's anchor: the node with the largest remaining capacity
+/// (ties: lowest index).
+std::size_t most_free_node(const util::IntMatrix& remaining) {
   std::size_t anchor = 0;
   int anchor_cap = -1;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < remaining.rows(); ++i) {
     int cap = 0;
-    for (std::size_t j = 0; j < m; ++j) cap += remaining(i, j);
+    for (std::size_t j = 0; j < remaining.cols(); ++j) cap += remaining(i, j);
     if (cap > anchor_cap) {
       anchor_cap = cap;
       anchor = i;
     }
   }
+  return anchor;
+}
+
+}  // namespace
+
+cluster::Allocation nearest_first_fill(const std::vector<int>& want,
+                                       const util::IntMatrix& remaining,
+                                       const cluster::Topology& topology,
+                                       std::size_t anchor) {
   const std::vector<std::size_t> order = topology.nodes_by_distance(anchor);
   std::vector<cluster::Allocation::Entry> taken;
-  for (std::size_t j = 0; j < m; ++j) {
-    int want = r.count(j);
-    for (std::size_t i : order) {
-      if (want == 0) break;
-      const int take = std::min(want, remaining(i, j));
+  for (std::size_t j = 0; j < remaining.cols(); ++j) {
+    int left = want[j];
+    for (const std::size_t i : order) {
+      if (left == 0) break;
+      const int take = std::min(left, remaining(i, j));
       if (take > 0) {
         taken.push_back({static_cast<std::uint32_t>(i),
                          static_cast<std::uint32_t>(j), take});
-        want -= take;
+        left -= take;
       }
     }
   }
   // Each (node, type) is taken at most once: sorted, they are the entries.
   std::sort(taken.begin(), taken.end(), cluster::Allocation::cell_less);
-  return cluster::Allocation::from_entries(n, m, std::move(taken));
+  return cluster::Allocation::from_entries(remaining.rows(), remaining.cols(),
+                                           std::move(taken));
 }
-
-}  // namespace
 
 const char* to_string(PlacementStatus s) {
   switch (s) {
@@ -264,7 +266,8 @@ LadderPlan plan_laddered(const cluster::Request& r,
     plan.effective = r;
     m.ladder_heuristic.add();
   } else {
-    cluster::Allocation partial = best_effort_fill(r, remaining, topology);
+    cluster::Allocation partial = nearest_first_fill(
+        r.counts(), remaining, topology, most_free_node(remaining));
     if (partial.total_vms() == 0) {
       plan.status = PlacementStatus::kAbandoned;
       m.ladder_abandoned.add();

@@ -80,6 +80,17 @@ LadderPlan plan_laddered(const cluster::Request& r,
                          const std::vector<int>& capacity_col_sums,
                          PlacementPolicy& policy);
 
+/// Best-effort fill: takes min(want_j, free) VMs of each type j from the
+/// nodes nearest `anchor` first (Topology::nodes_by_distance order), so it
+/// places exactly min(want_j, sum_i remaining_ij) VMs per type.
+/// Deterministic.  plan_laddered's partial rung anchors it at the node with
+/// the largest remaining capacity; a repair out of attempts anchors it at
+/// the lease's original central node.
+cluster::Allocation nearest_first_fill(const std::vector<int>& want,
+                                       const util::IntMatrix& remaining,
+                                       const cluster::Topology& topology,
+                                       std::size_t anchor);
+
 /// Wait-queue service order (§III.C mentions FIFO and priority-based).
 enum class QueueDiscipline {
   kFifo,           ///< arrival order, strict head-of-line blocking

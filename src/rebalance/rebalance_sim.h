@@ -20,7 +20,7 @@ struct RebalanceSimOptions {
   /// receives the rebalancer's rebalance/* series (run_rebalance_sim throws
   /// without one).
   fault::FaultSimOptions fault;
-  RebalancePolicy policy;
+  placement::RebalancePolicy policy;
   /// Seed for the rebalancer's retry jitter (independent of the fault
   /// profile's seed so storm schedule and retry timing decouple).
   std::uint64_t seed = 1;

@@ -11,11 +11,8 @@ namespace vcopt::rebalance {
 
 namespace {
 
-constexpr double kEps = 1e-9;
 constexpr char kDcPerVmSlo[] = "rebalance/dc_per_vm";
 constexpr double kDcPerVmObjective = 0.25;
-/// A planned move must net (gain - cost) more than this.
-constexpr double kMinNetGain = 1e-6;
 // Retry rail: delay = min(30, 1 * 2^(attempt-1)) * (1 +- 0.25), clamped.
 constexpr double kRetryBackoffInitial = 1.0;
 constexpr double kRetryBackoffFactor = 2.0;
@@ -30,12 +27,6 @@ obs::Counter& counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name);
 }
 
-obs::HistogramMetric& gain_histogram() {
-  return obs::MetricsRegistry::global().histogram(
-      "rebalance/migration_gain",
-      obs::MetricsRegistry::exponential_buckets(0.01, 2.0, 12));
-}
-
 }  // namespace
 
 const char* to_string(RoundStatus s) {
@@ -48,79 +39,18 @@ const char* to_string(RoundStatus s) {
   return "unknown";
 }
 
-double migration_cost(const cluster::VmType& type, int lease_vms,
-                      const MigrationCostModel& model) {
-  return model.cost_per_gb * type.memory_gb +
-         model.shuffle_cost_factor * static_cast<double>(lease_vms);
-}
-
-std::vector<DriftCandidate> collect_drift(const cluster::Cloud& cloud,
-                                          const RebalancePolicy& policy,
-                                          bool slo_hot) {
-  std::vector<DriftCandidate> out;
-  for (const cluster::LeaseId id : cloud.lease_ids()) {
-    const int vms = cloud.lease_allocation(id).total_vms();
-    if (vms <= 0) continue;
-    const cluster::LeaseDc dc = cloud.lease_dc(id);
-    const double dc_per_vm = dc.last / static_cast<double>(vms);
-    const bool drifted = dc.last > policy.drift_ratio * dc.min + kEps;
-    const bool hot = slo_hot && dc_per_vm > policy.dc_per_vm_threshold;
-    if (!drifted && !hot) continue;
-    out.push_back(DriftCandidate{id, dc.last - dc.min, dc_per_vm});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const DriftCandidate& a, const DriftCandidate& b) {
-              if (a.drift != b.drift) return a.drift > b.drift;
-              return a.lease < b.lease;
-            });
-  return out;
-}
-
-std::vector<PlannedMove> plan_moves(const cluster::Cloud& cloud,
-                                    const std::vector<DriftCandidate>& candidates,
-                                    const RebalancePolicy& policy,
-                                    std::size_t budget) {
-  std::vector<PlannedMove> out;
-  if (budget == 0) return out;
-  // One shared remaining matrix across candidates: a slot promised to an
-  // earlier lease's move is not offered to a later one.  Reservation-aware,
-  // so in-flight migrations from previous rounds are already excluded.
-  util::IntMatrix rem = cloud.remaining();
-  const std::size_t types = cloud.type_count();
-  for (const DriftCandidate& cand : candidates) {
-    if (out.size() >= budget) break;
-    if (!cloud.has_lease(cand.lease)) continue;
-    placement::Placement p;
-    p.allocation = cloud.lease_allocation(cand.lease);
-    const int vms = p.allocation.total_vms();
-    if (vms <= 0) continue;
-    placement::BudgetedConsolidateOptions opts;
-    opts.max_migrations = budget - out.size();
-    opts.min_net_gain = kMinNetGain;
-    opts.move_cost.resize(types);
-    for (std::size_t j = 0; j < types; ++j) {
-      opts.move_cost[j] = migration_cost(cloud.catalog()[j], vms, policy.cost);
-    }
-    const placement::BudgetedConsolidation plan = placement::consolidate_budgeted(
-        p, rem, cloud.topology(), opts);
-    for (const placement::BudgetedMove& mv : plan.moves) {
-      out.push_back(PlannedMove{cand.lease, mv.move, mv.gain, mv.cost});
-    }
-  }
-  return out;
-}
-
 Rebalancer::Rebalancer(cluster::Cloud& cloud, sim::EventQueue& queue,
-                       obs::Recorder& recorder, RebalancePolicy policy,
-                       std::uint64_t seed, obs::SloTracker* slo)
-    : cloud_(cloud), queue_(queue), recorder_(recorder), policy_(policy),
+                       obs::Recorder& recorder,
+                       placement::RebalancePolicy policy, std::uint64_t seed,
+                       obs::SloTracker* slo)
+    : cloud_(cloud), queue_(queue), recorder_(recorder), planner_(policy),
       slo_(slo), rng_(seed) {
   if (slo_ != nullptr) {
     obs::SloSpec spec;
     spec.name = kDcPerVmSlo;
     spec.description = "mean DC per VM across live leases stays tight";
     spec.objective = kDcPerVmObjective;
-    spec.threshold = policy_.dc_per_vm_threshold;
+    spec.threshold = placement::kDcPerVmThreshold;
     slo_->declare(spec);  // find-or-create: an earlier declaration wins
   }
 }
@@ -129,7 +59,8 @@ void Rebalancer::arm(double horizon) {
   if (ticker_) {
     ticker_->stop();
   }
-  ticker_.emplace(queue_, policy_.tick_period, horizon, [this] { tick(); });
+  ticker_.emplace(queue_, planner_.policy().tick_period, horizon,
+                  [this] { tick(); });
   ticker_->start();
 }
 
@@ -166,34 +97,17 @@ void Rebalancer::tick() {
   RoundRecord rec;
   rec.round = ++round_counter_;
   rec.time = now;
-
-  // Health gate: with failed nodes present the recovery ladder owns the
-  // cluster; a rebalance round would chase capacity that is about to move.
-  if (cloud_.inventory().failed_count() > 0) {
+  const bool slo_hot = slo_ != nullptr && slo_->any_alerting(now);
+  const placement::RoundPlan plan =
+      planner_.plan(cloud_, now, slo_hot, inflight_per_lease_);
+  if (plan.deferred) {
     rec.status = RoundStatus::kDeferred;
     finalize_round(rec);
     return;
   }
-
-  const bool slo_hot = slo_ != nullptr && slo_->any_alerting(now);
-  std::vector<DriftCandidate> candidates =
-      collect_drift(cloud_, policy_, slo_hot);
-  // Rate-limit rails: leases with an in-flight move or inside their
-  // cooldown window are left alone this round.
-  candidates.erase(
-      std::remove_if(candidates.begin(), candidates.end(),
-                     [&](const DriftCandidate& c) {
-                       if (inflight_per_lease_.count(c.lease) > 0) return true;
-                       const auto it = cooldown_until_.find(c.lease);
-                       return it != cooldown_until_.end() && it->second > now;
-                     }),
-      candidates.end());
-  rec.candidates = candidates.size();
-
-  const std::vector<PlannedMove> moves =
-      plan_moves(cloud_, candidates, policy_, policy_.max_moves_per_round);
-  rec.planned = moves.size();
-  if (moves.empty()) {
+  rec.candidates = plan.candidates;
+  rec.planned = plan.moves.size();
+  if (plan.moves.empty()) {
     // Nothing drifted past the economic bar: the cluster is where the
     // rebalancer wants it.  A quiet round is a good round.
     rec.status = RoundStatus::kRebalanced;
@@ -203,15 +117,16 @@ void Rebalancer::tick() {
 
   OpenRound& open = open_rounds_[rec.round];
   open.record = rec;
-  open.outstanding = moves.size();
-  for (const PlannedMove& mv : moves) {
+  open.outstanding = plan.moves.size();
+  for (const placement::PlannedMove& mv : plan.moves) {
     ++inflight_per_lease_[mv.lease];
     start_move(rec.round, mv, 1, now);
   }
 }
 
-void Rebalancer::start_move(std::uint64_t round, const PlannedMove& mv,
-                            int attempt, double first_started_at) {
+void Rebalancer::start_move(std::uint64_t round,
+                            const placement::PlannedMove& mv, int attempt,
+                            double first_started_at) {
   if (!cloud_.has_lease(mv.lease)) {
     // The lease ended while the move waited (release or abandoned repair):
     // terminal, not worth a retry.
@@ -245,24 +160,24 @@ void Rebalancer::start_move(std::uint64_t round, const PlannedMove& mv,
   });
 }
 
-void Rebalancer::retry_or_fail(std::uint64_t round, const PlannedMove& mv,
-                               int attempt, double first_started_at) {
-  if (attempt > policy_.max_retries) {
+void Rebalancer::retry_or_fail(std::uint64_t round,
+                               const placement::PlannedMove& mv, int attempt,
+                               double first_started_at) {
+  if (attempt > kMaxRetries) {
     finish_move(round, mv, attempt, first_started_at, false);
     return;
   }
-  const double base = util::capped_exponential_backoff(
-      kRetryBackoffInitial, kRetryBackoffFactor, attempt, kRetryBackoffMax);
-  const double jitter = 1.0 + kRetryJitter * (2.0 * rng_.uniform01() - 1.0);
-  const double delay = std::clamp(base * jitter, kEps, kRetryBackoffMax);
+  const double delay = util::jittered_backoff(
+      kRetryBackoffInitial, kRetryBackoffFactor, attempt, kRetryBackoffMax,
+      kRetryJitter, rng_.uniform01());
   queue_.schedule_in(delay, [this, round, mv, attempt, first_started_at] {
     start_move(round, mv, attempt + 1, first_started_at);
   });
 }
 
-void Rebalancer::finish_move(std::uint64_t round, const PlannedMove& mv,
-                             int attempts, double first_started_at,
-                             bool committed) {
+void Rebalancer::finish_move(std::uint64_t round,
+                             const placement::PlannedMove& mv, int attempts,
+                             double first_started_at, bool committed) {
   const double now = queue_.now();
   MigrationRecord rec;
   rec.round = round;
@@ -287,9 +202,7 @@ void Rebalancer::finish_move(std::uint64_t round, const PlannedMove& mv,
   const auto it = open_rounds_.find(round);
   VCOPT_DCHECK(it != open_rounds_.end());
   if (committed) {
-    counter("rebalance/migrations_committed").add(1);
-    gain_histogram().observe(mv.gain);
-    cooldown_until_[mv.lease] = now + policy_.lease_cooldown;
+    planner_.record_commit(mv, now);
     ++it->second.record.committed;
     it->second.record.net_gain += mv.gain - mv.cost;
   } else {
@@ -326,7 +239,7 @@ void Rebalancer::finalize_round(RoundRecord record) {
       .record(queue_.now(), record.net_gain);
   rounds_.push_back(record);
 
-  if (!disabled_ && consecutive_bad_ >= policy_.disable_after_bad_rounds) {
+  if (!disabled_ && consecutive_bad_ >= kDisableAfterBadRounds) {
     // Bottom of the degradation ladder: stop making it worse.  A marker
     // round records the transition; reset() re-arms.
     disabled_ = true;
@@ -355,20 +268,6 @@ std::string Rebalancer::transcript() const {
        << " cost=" << m.cost << " attempts=" << m.attempts
        << " committed=" << (m.committed ? 1 : 0) << "\n";
   }
-  return os.str();
-}
-
-std::string Rebalancer::describe() const {
-  std::size_t committed = 0;
-  std::size_t failed = 0;
-  for (const MigrationRecord& m : migrations_) {
-    if (m.committed) ++committed; else ++failed;
-  }
-  std::ostringstream os;
-  os << "rebalancer: rounds=" << rounds_.size() << " migrations="
-     << migrations_.size() << " committed=" << committed << " failed="
-     << failed << " inflight=" << inflight_per_lease_.size()
-     << (disabled_ ? " DISABLED" : "");
   return os.str();
 }
 

@@ -15,6 +15,8 @@
 //     cluster::Cloud::begin/commit/rollback_migration  (two-phase, with
 //     conservation checks) ... which updates the lease's DC record.
 //
+// Collect and decide are placement::RoundPlanner (placement/migration.h),
+// shared with the service's journaled pass; migrate is this file's own.
 // The collect step reads the DC record the cloud keeps for every live
 // lease, so a decision depends on the allocations alone: not on lease
 // ordinal, sample period, or whether a recorder is attached.  The decide
@@ -57,42 +59,12 @@
 
 namespace vcopt::rebalance {
 
-/// Economic model of one live migration (Opposites-Attract style: the gain
-/// must beat the cost of moving the data).
-struct MigrationCostModel {
-  /// DC units charged per GB of the VM type's memory (the copy itself).
-  double cost_per_gb = 0.005;
-  /// DC units charged per VM in the lease: a proxy for the shuffle traffic
-  /// the migration disturbs while the cluster is running.
-  double shuffle_cost_factor = 0.02;
-};
-
-/// Cost (DC units) of migrating one VM of `type` out of a lease currently
-/// holding `lease_vms` VMs.
-double migration_cost(const cluster::VmType& type, int lease_vms,
-                      const MigrationCostModel& model);
-
-struct RebalancePolicy {
-  double tick_period = 10.0;          ///< seconds between rounds
-  std::size_t max_moves_per_round = 4;  ///< migration budget per round
-  double lease_cooldown = 20.0;       ///< seconds a migrated lease is left alone
-  /// A lease has drifted when its DC record satisfies
-  /// last > drift_ratio * min (the lease has been measurably tighter).
-  double drift_ratio = 1.10;
-  MigrationCostModel cost;
-  /// Retry rail: transient failures (destination down, slot not yet free)
-  /// retry up to this many times, with capped exponential backoff (1 s
-  /// doubling to at most 30 s) and +-25% deterministic jitter.
-  int max_retries = 3;
-  /// Consecutive deferred rounds before the loop disables itself.
-  int disable_after_bad_rounds = 8;
-  // SLO objective on mean DC-per-VM, declared as "rebalance/dc_per_vm"
-  // (objective 0.25): while it alerts, leases whose DC-per-VM exceeds the
-  // threshold are candidates even when their own last/min ratio looks flat
-  // (a cluster placed badly from the start has no "tighter past" to drift
-  // from).
-  double dc_per_vm_threshold = 4.0;
-};
+/// Retry rail: a transient failure (destination down, slot not yet free)
+/// retries up to this many times, after 1 s doubling to at most 30 s, with
+/// +-25% deterministic jitter.
+inline constexpr int kMaxRetries = 3;
+/// Consecutive deferred rounds before the loop disables itself.
+inline constexpr int kDisableAfterBadRounds = 8;
 
 /// Degradation ladder of one round.
 enum class RoundStatus {
@@ -132,43 +104,11 @@ struct RoundRecord {
   double net_gain = 0;          ///< sum of (gain - cost) over committed moves
 };
 
-/// A drifted lease the collect step surfaced.
-struct DriftCandidate {
-  cluster::LeaseId lease = 0;
-  double drift = 0;          ///< last - min of the lease's DC record
-  double dc_per_vm = 0;      ///< last DC divided by current VM count
-};
-
-/// One move the decide step planned (lease + Theorem-2 relocation + economics).
-struct PlannedMove {
-  cluster::LeaseId lease = 0;
-  placement::Migration move;
-  double gain = 0;
-  double cost = 0;
-};
-
-/// Collect step, reusable without a Rebalancer (the service's inline
-/// rebalance pass shares it): reads the DC record (Cloud::lease_dc) of
-/// every live lease holding VMs and returns the drifted ones, ordered by
-/// drift descending (ties by lease id).  `slo_hot` widens the net to leases
-/// whose DC-per-VM exceeds `policy.dc_per_vm_threshold`.
-std::vector<DriftCandidate> collect_drift(const cluster::Cloud& cloud,
-                                          const RebalancePolicy& policy,
-                                          bool slo_hot);
-
-/// Decide step, also reusable: plans up to `budget` budgeted Theorem-2
-/// moves across `candidates` (in order) against the cloud's current
-/// reservation-aware remaining capacity.  Pure apart from reading the
-/// cloud; applying the moves is the caller's business.
-std::vector<PlannedMove> plan_moves(const cluster::Cloud& cloud,
-                                    const std::vector<DriftCandidate>& candidates,
-                                    const RebalancePolicy& policy,
-                                    std::size_t budget);
-
 /// The background rebalancer: one instance per simulation/driver, ticking on
-/// the shared event queue.  Not thread-safe — it lives on the sim's
-/// single-threaded event loop (the service uses the reusable steps above
-/// under its own lock instead).
+/// the shared event queue.  Its rounds are placement::RoundPlanner's, the
+/// decision the service's pass makes too; what is its own is the applier:
+/// timed two-phase copies, retries and the breaker.  Not thread-safe — it
+/// lives on the sim's single-threaded event loop.
 class Rebalancer {
  public:
   /// `recorder` receives the rebalance/* series this writes.  The optional
@@ -176,7 +116,7 @@ class Rebalancer {
   /// fed once per tick with the mean DC per VM over every live lease.  All
   /// references must outlive the rebalancer.
   Rebalancer(cluster::Cloud& cloud, sim::EventQueue& queue,
-             obs::Recorder& recorder, RebalancePolicy policy = {},
+             obs::Recorder& recorder, placement::RebalancePolicy policy = {},
              std::uint64_t seed = 1, obs::SloTracker* slo = nullptr);
 
   /// Schedules periodic ticks (first at now + tick_period) until `horizon`.
@@ -193,12 +133,10 @@ class Rebalancer {
   std::size_t inflight_count() const { return inflight_per_lease_.size(); }
   const std::vector<RoundRecord>& rounds() const { return rounds_; }
   const std::vector<MigrationRecord>& migrations() const { return migrations_; }
-  const RebalancePolicy& policy() const { return policy_; }
 
   /// One line per finalized migration and round, deterministic — the CI
   /// soak diffs two runs' transcripts to prove replay determinism.
   std::string transcript() const;
-  std::string describe() const;
 
  private:
   struct OpenRound {
@@ -207,19 +145,19 @@ class Rebalancer {
   };
 
   void feed_telemetry(double now);
-  void start_move(std::uint64_t round, const PlannedMove& mv, int attempt,
-                  double first_started_at);
-  void retry_or_fail(std::uint64_t round, const PlannedMove& mv, int attempt,
-                     double first_started_at);
-  void finish_move(std::uint64_t round, const PlannedMove& mv, int attempts,
-                   double first_started_at, bool committed);
+  void start_move(std::uint64_t round, const placement::PlannedMove& mv,
+                  int attempt, double first_started_at);
+  void retry_or_fail(std::uint64_t round, const placement::PlannedMove& mv,
+                     int attempt, double first_started_at);
+  void finish_move(std::uint64_t round, const placement::PlannedMove& mv,
+                   int attempts, double first_started_at, bool committed);
   void resolve_move(std::uint64_t round);
   void finalize_round(RoundRecord record);
 
   cluster::Cloud& cloud_;
   sim::EventQueue& queue_;
   obs::Recorder& recorder_;
-  RebalancePolicy policy_;
+  placement::RoundPlanner planner_;
   obs::SloTracker* slo_;
   util::Rng rng_;
   std::optional<sim::PeriodicTicker> ticker_;  ///< built by arm()
@@ -229,7 +167,6 @@ class Rebalancer {
   std::uint64_t round_counter_ = 0;
   std::map<std::uint64_t, OpenRound> open_rounds_;
   std::map<cluster::LeaseId, int> inflight_per_lease_;
-  std::map<cluster::LeaseId, double> cooldown_until_;
   std::vector<RoundRecord> rounds_;
   std::vector<MigrationRecord> migrations_;
 };

@@ -34,8 +34,8 @@ struct ReplayResult {
 
 /// Replays `records` against `cloud` (normally a freshly built copy of the
 /// topology the live service ran on).  Of `options`, replay reads only what
-/// decides a window the journal names: `policy`, `ladder`, and `cells` /
-/// `cell_size` for the partition.  Window membership, sheds and rebalance
+/// decides a window the journal names: `policy`, and `cells` / `cell_size`
+/// for the partition.  Window membership, sheds and rebalance
 /// moves come from the records, so the admission, batching, discipline,
 /// journal, telemetry and rebalance fields are ignored.
 /// Throws std::invalid_argument on an unknown options.policy spec or a

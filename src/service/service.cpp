@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "placement/global_subopt.h"
-#include "rebalance/rebalancer.h"
 #include "service/journal.h"
 #include "util/mutex.h"
 
@@ -419,7 +418,8 @@ std::vector<Outcome> decide_window(cluster::Cloud& cloud,
 
 PlacementService::PlacementService(cluster::Cloud& cloud,
                                    ServiceOptions options)
-    : cloud_(cloud), options_(std::move(options)) {
+    : cloud_(cloud), options_(std::move(options)),
+      rebalance_planner_(options_.rebalance_policy) {
   // Fail fast on an unknown policy spec; plans build their own instance.
   placement::make_policy(options_.policy);
   if (options_.max_batch == 0) {
@@ -726,39 +726,22 @@ void PlacementService::publish_outcomes_locked(std::size_t shed_count,
 }
 
 void PlacementService::maybe_rebalance_locked(double t) {
-  const ServiceRebalanceOptions& ro = options_.rebalance;
-  if (!ro.enabled) return;
-  if (t < last_rebalance_ + ro.period) return;
+  if (!options_.rebalance) return;
+  if (t < last_rebalance_ + options_.rebalance_policy.tick_period) return;
   last_rebalance_ = t;
 
-  rebalance::RebalancePolicy rp;
-  rp.max_moves_per_round = ro.max_moves;
-  rp.drift_ratio = ro.drift_ratio;
-  rp.lease_cooldown = ro.lease_cooldown;
-  rp.cost.cost_per_gb = ro.cost_per_gb;
-  rp.cost.shuffle_cost_factor = ro.shuffle_cost_factor;
-
-  std::vector<rebalance::DriftCandidate> candidates =
-      rebalance::collect_drift(cloud_, rp, /*slo_hot=*/false);
-  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                  [&](const rebalance::DriftCandidate& c) {
-                                    const auto it =
-                                        rebalance_cooldown_.find(c.lease);
-                                    return it != rebalance_cooldown_.end() &&
-                                           it->second > t;
-                                  }),
-                   candidates.end());
-  if (candidates.empty()) return;
-  const std::vector<rebalance::PlannedMove> moves =
-      rebalance::plan_moves(cloud_, candidates, rp, ro.max_moves);
-  if (moves.empty()) return;
+  // The service has no moves in flight between passes: each pass commits
+  // its moves before it returns.
+  const placement::RoundPlan plan =
+      rebalance_planner_.plan(cloud_, t, /*slo_hot=*/false, {});
+  if (plan.moves.empty()) return;
 
   // Write-ahead: the journal records the exact moves before they execute,
   // so replay re-applies the identical capacity evolution.
   if (journal_) {
     std::vector<RebalanceMove> journal_moves;
-    journal_moves.reserve(moves.size());
-    for (const rebalance::PlannedMove& mv : moves) {
+    journal_moves.reserve(plan.moves.size());
+    for (const placement::PlannedMove& mv : plan.moves) {
       journal_moves.push_back(RebalanceMove{mv.lease, mv.move.from_node,
                                             mv.move.to_node, mv.move.type});
     }
@@ -767,7 +750,7 @@ void PlacementService::maybe_rebalance_locked(double t) {
 
   auto& reg = obs::MetricsRegistry::global();
   std::size_t committed = 0;
-  for (const rebalance::PlannedMove& mv : moves) {
+  for (const placement::PlannedMove& mv : plan.moves) {
     reg.counter("rebalance/migrations_attempted").add(1);
     // In-lock apply: the plan was computed against the cloud this lock
     // protects, so each move lands on exactly the capacity it planned for
@@ -782,11 +765,7 @@ void PlacementService::maybe_rebalance_locked(double t) {
       continue;
     }
     ++committed;
-    reg.counter("rebalance/migrations_committed").add(1);
-    reg.histogram("rebalance/migration_gain",
-                  obs::MetricsRegistry::exponential_buckets(0.01, 2.0, 12))
-        .observe(mv.gain);
-    rebalance_cooldown_[mv.lease] = t + ro.lease_cooldown;
+    rebalance_planner_.record_commit(mv, t);
   }
   if (committed > 0) {
     ++stats_.rebalance_passes;

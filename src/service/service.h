@@ -43,6 +43,7 @@
 #include "cluster/snapshot.h"
 #include "obs/request_context.h"
 #include "obs/slo.h"
+#include "placement/migration.h"
 #include "placement/provisioner.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -151,24 +152,6 @@ struct PendingEntry {
   std::size_t cell = kNoCell;
 };
 
-/// Opt-in drift-repair pass (docs/robustness.md): between decide windows
-/// the service runs a budgeted rebalance — collect drifted leases from the
-/// DC record the cloud keeps on every lease (Cloud::lease_dc), plan
-/// Theorem-2 moves whose DC gain beats their data-movement cost, apply them
-/// through the cloud's two-phase migration primitive.  Every pass is
-/// journaled write-ahead (a "rebalance" record listing the exact moves), so
-/// replay reproduces the capacity evolution byte-identically.  The pass
-/// reads no telemetry: it acts the same with or without a recorder.
-struct ServiceRebalanceOptions {
-  bool enabled = false;
-  double period = 5.0;        ///< min service-clock seconds between passes
-  std::size_t max_moves = 2;  ///< migration budget per pass
-  double drift_ratio = 1.10;  ///< lease drifted when last > ratio * min DC
-  double lease_cooldown = 10.0;  ///< seconds a migrated lease is left alone
-  double cost_per_gb = 0.005;
-  double shuffle_cost_factor = 0.02;
-};
-
 struct ServiceOptions {
   std::size_t max_batch = 8;   ///< window closes at this many pending
   double max_wait = 0.010;     ///< ... or when the oldest waited this long (s)
@@ -185,8 +168,14 @@ struct ServiceOptions {
   /// the service.
   obs::Recorder* recorder = nullptr;
   double sample_period = 1.0;
-  /// Opt-in, journaled drift-repair between decide windows (see above).
-  ServiceRebalanceOptions rebalance;
+  /// Opt-in drift-repair pass (docs/robustness.md): after a window commit
+  /// or release, at most once per tick_period, placement::RoundPlanner
+  /// plans moves off the DC record the cloud keeps on every lease, and the
+  /// service journals them write-ahead (a "rebalance" record, so replay
+  /// reproduces them) and commits them at once.  It reads no telemetry.
+  bool rebalance = false;
+  placement::RebalancePolicy rebalance_policy{
+      .tick_period = 5.0, .max_moves_per_round = 2, .lease_cooldown = 10.0};
   /// Sharded cell serving (docs/cells.md): with either knob > 0 the service
   /// partitions the cloud into rack-aligned cells, routes each accepted
   /// request to a cell at admission (O(cells) sketch scoring), and closes
@@ -297,7 +286,7 @@ struct ServiceStats {
   std::uint64_t deadline_missed = 0;  ///< shed-on-deadline at window close
   std::uint64_t windows = 0;
   std::uint64_t decided = 0;        ///< outcomes emitted
-  // Drift-repair pass (all zero unless options.rebalance.enabled).
+  // Drift-repair pass (all zero unless options.rebalance).
   std::uint64_t rebalance_passes = 0;      ///< passes that applied >= 1 move
   std::uint64_t rebalance_migrations = 0;  ///< committed live migrations
 };
@@ -397,9 +386,9 @@ class PlacementService {
   ServiceStats stats_ VCOPT_GUARDED_BY(mu_);
   std::uint64_t next_seq_ VCOPT_GUARDED_BY(mu_) = 1;
   std::uint64_t next_window_ VCOPT_GUARDED_BY(mu_) = 1;
-  // Drift-repair pass state (rebalance.enabled only).
+  // Drift-repair pass state (options_.rebalance only).
   double last_rebalance_ VCOPT_GUARDED_BY(mu_) = 0;
-  std::map<cluster::LeaseId, double> rebalance_cooldown_ VCOPT_GUARDED_BY(mu_);
+  placement::RoundPlanner rebalance_planner_ VCOPT_GUARDED_BY(mu_);
   double virtual_now_ VCOPT_GUARDED_BY(mu_) = 0;
   bool stopping_ VCOPT_GUARDED_BY(mu_) = false;
   // Reconciliation ledger for the stop()-time VCOPT_VALIDATE (accepted seqs

@@ -136,8 +136,8 @@ std::string Histogram::render(std::size_t width) const {
   return os.str();
 }
 
-double capped_exponential_backoff(double initial, double factor, int attempt,
-                                  double max_delay) {
+double jittered_backoff(double initial, double factor, int attempt,
+                        double max_delay, double jitter, double u) {
   if (initial <= 0 || attempt <= 0 || max_delay <= 0) return 0;
   if (factor < 1) factor = 1;
   double delay = initial;
@@ -145,7 +145,8 @@ double capped_exponential_backoff(double initial, double factor, int attempt,
     if (delay >= max_delay) break;  // already clamped; stop before overflow
     delay *= factor;
   }
-  return std::min(delay, max_delay);
+  delay = std::min(delay, max_delay);
+  return std::clamp(delay * (1.0 + jitter * (2.0 * u - 1.0)), 0.0, max_delay);
 }
 
 }  // namespace vcopt::util

@@ -73,14 +73,17 @@ class Histogram {
   std::size_t total_ = 0;
 };
 
-/// Exponential backoff delay for retry `attempt` (1-based), clamped to
-/// `max_delay`.  Overflow-safe: the geometric growth stops multiplying the
-/// moment it crosses the clamp, so arbitrarily high attempt counts never
-/// reach pow()'s overflow-to-infinity range — the result is always finite
-/// (callers schedule it on an event queue, where an infinite delay would
-/// wedge the run).  `initial <= 0` or `attempt <= 0` yield 0; `factor < 1`
-/// is treated as 1 (backoff never shrinks).
-double capped_exponential_backoff(double initial, double factor, int attempt,
-                                  double max_delay);
+/// Retry delay for `attempt` (1-based): the exponential backoff
+/// min(max_delay, initial * factor^(attempt-1)) times the jitter
+/// (1 + jitter * (2u - 1)), clamped to [0, max_delay].  `u` is the caller's
+/// draw in [0, 1), so the delay is as deterministic as the caller's Rng
+/// stream.  Overflow-safe: the geometric growth stops multiplying the moment
+/// it crosses the clamp, so arbitrarily high attempt counts never reach
+/// pow()'s overflow-to-infinity range — the result is always finite (callers
+/// schedule it on an event queue, where an infinite delay would wedge the
+/// run).  `initial <= 0`, `attempt <= 0` or `max_delay <= 0` yield 0;
+/// `factor < 1` is treated as 1 (backoff never shrinks).
+double jittered_backoff(double initial, double factor, int attempt,
+                        double max_delay, double jitter, double u);
 
 }  // namespace vcopt::util

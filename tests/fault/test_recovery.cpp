@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -60,7 +59,7 @@ void fill_remaining(Cloud& cloud) {
 TEST(RecoveryManager, FullRepairRestoresTheLeaseOffTheFailedNode) {
   Cloud cloud = roomy_cloud();
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, RepairPolicy{}, /*seed=*/7);
+  RecoveryManager recovery(cloud, queue, /*seed=*/7);
   placement::Provisioner prov(
       cloud, std::make_unique<placement::OnlineHeuristic>());
 
@@ -100,7 +99,7 @@ TEST(RecoveryManager, FullRepairRestoresTheLeaseOffTheFailedNode) {
 TEST(RecoveryManager, RepairNeverReturnsToATaintedNodeEvenAfterRecovery) {
   Cloud cloud = roomy_cloud();
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, RepairPolicy{}, /*seed=*/3);
+  RecoveryManager recovery(cloud, queue, /*seed=*/3);
 
   Allocation alloc(cloud.node_count(), cloud.type_count());
   alloc.at(0, 0) = 3;
@@ -123,10 +122,7 @@ TEST(RecoveryManager, RepairNeverReturnsToATaintedNodeEvenAfterRecovery) {
 TEST(RecoveryManager, ExhaustedRetriesWithSomeCapacityEndInPartial) {
   Cloud cloud = tiny_cloud();
   sim::EventQueue queue;
-  RepairPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_initial = 0.5;
-  RecoveryManager recovery(cloud, queue, policy, /*seed=*/5);
+  RecoveryManager recovery(cloud, queue, /*seed=*/5);
 
   // Lease: 2 type-0 VMs on node 0, 1 on node 1.  Fill the rest of the cloud
   // except a single type-0 slot on node 2.
@@ -151,7 +147,7 @@ TEST(RecoveryManager, ExhaustedRetriesWithSomeCapacityEndInPartial) {
   }
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->status, PlacementStatus::kPartial);
-  EXPECT_EQ(rec->attempts, policy.max_attempts);
+  EXPECT_EQ(rec->attempts, kMaxRepairAttempts);
   EXPECT_EQ(rec->vms_lost, 2);
   EXPECT_EQ(rec->vms_replaced, 1);
   // Backoff between attempts advances the event clock.
@@ -164,10 +160,7 @@ TEST(RecoveryManager, ExhaustedRetriesWithSomeCapacityEndInPartial) {
 TEST(RecoveryManager, NoCapacityButSurvivorsEndsInDegraded) {
   Cloud cloud = tiny_cloud();
   sim::EventQueue queue;
-  RepairPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_initial = 0.5;
-  RecoveryManager recovery(cloud, queue, policy, /*seed=*/5);
+  RecoveryManager recovery(cloud, queue, /*seed=*/5);
 
   Allocation alloc(3, 3);
   alloc.at(0, 0) = 1;
@@ -192,9 +185,7 @@ TEST(RecoveryManager, NoCapacityButSurvivorsEndsInDegraded) {
 TEST(RecoveryManager, EmptiedLeaseWithNoCapacityIsAbandonedAndReleased) {
   Cloud cloud = tiny_cloud();
   sim::EventQueue queue;
-  RepairPolicy policy;
-  policy.max_attempts = 1;
-  RecoveryManager recovery(cloud, queue, policy, /*seed=*/2);
+  RecoveryManager recovery(cloud, queue, /*seed=*/2);
 
   Allocation alloc(3, 3);
   alloc.at(0, 0) = 2;  // the whole lease lives on the doomed node
@@ -226,7 +217,7 @@ TEST(RecoveryManager, EmptiedLeaseWithNoCapacityIsAbandonedAndReleased) {
 TEST(RecoveryManager, UntrackMidRepairFinalizesAsAbandoned) {
   Cloud cloud = roomy_cloud();
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, RepairPolicy{}, /*seed=*/4);
+  RecoveryManager recovery(cloud, queue, /*seed=*/4);
 
   Allocation alloc(cloud.node_count(), cloud.type_count());
   alloc.at(0, 0) = 2;
@@ -249,7 +240,7 @@ TEST(RecoveryManager, UntrackMidRepairFinalizesAsAbandoned) {
 TEST(RecoveryManager, FailedNodeHandlingIsIdempotent) {
   Cloud cloud = roomy_cloud();
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, RepairPolicy{}, /*seed=*/8);
+  RecoveryManager recovery(cloud, queue, /*seed=*/8);
 
   Allocation alloc(cloud.node_count(), cloud.type_count());
   alloc.at(2, 1) = 2;
@@ -266,7 +257,7 @@ TEST(RecoveryManager, FailedNodeHandlingIsIdempotent) {
 TEST(RecoveryManager, RepairHookFiresOncePerFinalizedRecord) {
   Cloud cloud = roomy_cloud();
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, RepairPolicy{}, /*seed=*/6);
+  RecoveryManager recovery(cloud, queue, /*seed=*/6);
 
   Allocation alloc(cloud.node_count(), cloud.type_count());
   alloc.at(1, 0) = 2;
@@ -291,7 +282,7 @@ TEST(RecoveryManager, RepairHookFiresOncePerFinalizedRecord) {
 std::vector<RepairRecord> run_scenario(std::uint64_t seed) {
   Cloud cloud = roomy_cloud();
   sim::EventQueue queue;
-  RecoveryManager recovery(cloud, queue, RepairPolicy{}, seed);
+  RecoveryManager recovery(cloud, queue, seed);
   placement::Provisioner prov(
       cloud, std::make_unique<placement::OnlineHeuristic>());
   for (int i = 0; i < 4; ++i) {
@@ -319,45 +310,6 @@ TEST(RecoveryManager, IdenticalRunsProduceIdenticalTranscripts) {
     EXPECT_DOUBLE_EQ(a[i].completed_at, b[i].completed_at);
     EXPECT_DOUBLE_EQ(a[i].distance_after, b[i].distance_after);
     EXPECT_EQ(a[i].restricted_scan_used, b[i].restricted_scan_used);
-  }
-}
-
-// The backoff schedule must stay finite and clamped no matter how many
-// attempts pile up: initial * factor^(attempt-1) overflows double well
-// before attempt 10000, and an inf/nan delay would wedge the event queue.
-TEST(RecoveryManager, BackoffStaysFiniteAndCappedAtAbsurdAttemptCounts) {
-  RepairPolicy policy;
-  policy.backoff_initial = 1.0;
-  policy.backoff_factor = 2.0;
-  policy.backoff_jitter = 0.25;
-  policy.backoff_max = 60.0;
-  for (const int attempt : {1, 2, 7, 64, 1024, 10000, 1 << 30}) {
-    for (const double u : {0.0, 0.5, 0.999999}) {
-      const double d = backoff_delay(policy, attempt, u);
-      ASSERT_TRUE(std::isfinite(d)) << "attempt " << attempt;
-      EXPECT_GE(d, 0.0);
-      EXPECT_LE(d, policy.backoff_max) << "attempt " << attempt;
-    }
-  }
-  // Early attempts still grow geometrically below the cap.
-  EXPECT_DOUBLE_EQ(backoff_delay(policy, 1, 0.5), 1.0);
-  EXPECT_DOUBLE_EQ(backoff_delay(policy, 2, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(backoff_delay(policy, 3, 0.5), 4.0);
-}
-
-// Extreme policy values (huge initial, huge factor) are also clamped, and a
-// jitter draw at the top of [0, 1) never pushes the delay past the cap.
-TEST(RecoveryManager, BackoffClampSurvivesExtremePolicyValues) {
-  RepairPolicy policy;
-  policy.backoff_initial = 1e300;
-  policy.backoff_factor = 1e10;
-  policy.backoff_jitter = 1.0;
-  policy.backoff_max = 30.0;
-  for (const int attempt : {1, 50, 10000}) {
-    const double d = backoff_delay(policy, attempt, 0.999999);
-    ASSERT_TRUE(std::isfinite(d));
-    EXPECT_LE(d, policy.backoff_max);
-    EXPECT_GE(d, 0.0);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <stdexcept>
+
+#include "cluster/cloud.h"
 #include "cluster/topology.h"
 #include "placement/baselines.h"
 #include "placement/online_heuristic.h"
@@ -274,6 +279,103 @@ TEST_P(BudgetedSweep, InvariantsAndEconomy) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BudgetedSweep,
                          ::testing::Range<std::uint64_t>(0, 30));
+
+// ---- RoundPlanner: the drift-repair decision both rebalancers share ------
+
+// 2 racks x 2 nodes, 3 EC2 types, 2 of each type per node, with a loose
+// lease of type 0 and one of type 1: one VM on node 0 and one across racks
+// on node 2 (DC 2), with room on nodes 0 and 1 to tighten them.
+struct PlannerFixture {
+  cluster::Cloud cloud{Topology::uniform(2, 2),
+                       cluster::VmCatalog::ec2_default(), IntMatrix(4, 3, 2)};
+  cluster::LeaseId a = loose_lease(0);
+  cluster::LeaseId b = loose_lease(1);
+
+  cluster::LeaseId loose_lease(std::size_t type) {
+    std::vector<int> counts(3, 0);
+    counts[type] = 2;
+    cluster::Allocation alloc(4, 3);
+    alloc.at(0, type) = 1;
+    alloc.at(2, type) = 1;
+    return cloud.grant(Request(counts), alloc);
+  }
+};
+
+// Every lease with DC > 0 is a candidate; a migrated one rests 10 s.
+RebalancePolicy any_dc_policy() {
+  RebalancePolicy policy;
+  policy.drift_ratio = 0.0;
+  policy.lease_cooldown = 10.0;
+  return policy;
+}
+
+std::set<cluster::LeaseId> moved_leases(const RoundPlan& plan) {
+  std::set<cluster::LeaseId> out;
+  for (const PlannedMove& mv : plan.moves) out.insert(mv.lease);
+  return out;
+}
+
+const PlannedMove& move_of(const RoundPlan& plan, cluster::LeaseId lease) {
+  for (const PlannedMove& mv : plan.moves) {
+    if (mv.lease == lease) return mv;
+  }
+  throw std::logic_error("no planned move for the lease");
+}
+
+using Cooldowns = std::map<cluster::LeaseId, double>;
+
+TEST(RoundPlanner, CooldownMapHoldsOnlyLeasesWhoseWindowIsOpen) {
+  PlannerFixture f;
+  RoundPlanner planner(any_dc_policy());
+  const std::map<cluster::LeaseId, int> none;
+
+  RoundPlan plan = planner.plan(f.cloud, 0.0, false, none);
+  EXPECT_EQ(plan.candidates, 2u);
+  EXPECT_EQ(moved_leases(plan), (std::set<cluster::LeaseId>{f.a, f.b}));
+  planner.record_commit(move_of(plan, f.a), 0.0);  // a rests until 10
+  EXPECT_EQ(planner.cooldowns(), (Cooldowns{{f.a, 10.0}}));
+
+  // a is inside its window: only b is planned.
+  plan = planner.plan(f.cloud, 5.0, false, none);
+  EXPECT_EQ(plan.candidates, 1u);
+  EXPECT_EQ(moved_leases(plan), (std::set<cluster::LeaseId>{f.b}));
+  planner.record_commit(move_of(plan, f.b), 5.0);  // b rests until 15
+  EXPECT_EQ(planner.cooldowns(), (Cooldowns{{f.a, 10.0}, {f.b, 15.0}}));
+
+  // a's window closed at 10: it is forgotten and planned again; b rests.
+  plan = planner.plan(f.cloud, 10.0, false, none);
+  EXPECT_EQ(planner.cooldowns(), (Cooldowns{{f.b, 15.0}}));
+  EXPECT_EQ(moved_leases(plan), (std::set<cluster::LeaseId>{f.a}));
+
+  // Both windows closed: the map is empty and both leases are back.
+  plan = planner.plan(f.cloud, 15.0, false, none);
+  EXPECT_TRUE(planner.cooldowns().empty());
+  EXPECT_EQ(plan.candidates, 2u);
+  EXPECT_EQ(moved_leases(plan), (std::set<cluster::LeaseId>{f.a, f.b}));
+}
+
+TEST(RoundPlanner, SkipsInflightLeasesAndDefersWhileNodesAreFailed) {
+  PlannerFixture f;
+  RebalancePolicy policy = any_dc_policy();
+  policy.max_moves_per_round = 1;
+  RoundPlanner planner(policy);
+
+  // A lease with a move in flight is left alone; the budget caps the rest.
+  RoundPlan plan = planner.plan(f.cloud, 0.0, false, {{f.a, 1}});
+  EXPECT_FALSE(plan.deferred);
+  EXPECT_EQ(plan.candidates, 1u);
+  EXPECT_EQ(moved_leases(plan), (std::set<cluster::LeaseId>{f.b}));
+  plan = planner.plan(f.cloud, 0.0, false, {});
+  EXPECT_EQ(plan.candidates, 2u);
+  EXPECT_EQ(plan.moves.size(), 1u);
+
+  // The health gate: a failed node defers the round.
+  f.cloud.fail_node(3);
+  plan = planner.plan(f.cloud, 1.0, false, {});
+  EXPECT_TRUE(plan.deferred);
+  EXPECT_EQ(plan.candidates, 0u);
+  EXPECT_TRUE(plan.moves.empty());
+}
 
 }  // namespace
 }  // namespace vcopt::placement

@@ -144,18 +144,21 @@ TEST(Rebalancer, DisablesAfterConsecutiveBadRoundsAndResetsBack) {
   recorder.set_enabled(true);
   cloud.fail_node(3);
 
-  RebalancePolicy policy;
-  policy.disable_after_bad_rounds = 2;
-  Rebalancer reb(cloud, queue, recorder, policy);
-  reb.tick();
+  Rebalancer reb(cloud, queue, recorder);
+  for (int i = 1; i < kDisableAfterBadRounds; ++i) reb.tick();
+  EXPECT_FALSE(reb.disabled());
   reb.tick();
   EXPECT_TRUE(reb.disabled());
-  // deferred, deferred, then the kDisabled marker round.
-  ASSERT_EQ(reb.rounds().size(), 3u);
-  EXPECT_EQ(reb.rounds()[2].status, RoundStatus::kDisabled);
+  // kDisableAfterBadRounds deferred rounds, then the kDisabled marker round.
+  const std::size_t rounds = kDisableAfterBadRounds + 1;
+  ASSERT_EQ(reb.rounds().size(), rounds);
+  for (std::size_t i = 0; i + 1 < rounds; ++i) {
+    EXPECT_EQ(reb.rounds()[i].status, RoundStatus::kDeferred);
+  }
+  EXPECT_EQ(reb.rounds().back().status, RoundStatus::kDisabled);
   // Disabled loop ignores further ticks.
   reb.tick();
-  EXPECT_EQ(reb.rounds().size(), 3u);
+  EXPECT_EQ(reb.rounds().size(), rounds);
   // Operator reset re-arms it.
   reb.reset();
   EXPECT_FALSE(reb.disabled());
@@ -180,7 +183,7 @@ TEST(Rebalancer, CooldownLeavesAJustMigratedLeaseAlone) {
   obs::Recorder recorder;
   recorder.set_enabled(true);
 
-  RebalancePolicy policy;
+  placement::RebalancePolicy policy;
   policy.max_moves_per_round = 1;
   Rebalancer reb(cloud, queue, recorder, policy);
   reb.tick();
@@ -212,7 +215,7 @@ TEST(Rebalancer, PerRoundBudgetCapsConcurrentMoves) {
   obs::Recorder recorder;
   recorder.set_enabled(true);
 
-  RebalancePolicy policy;
+  placement::RebalancePolicy policy;
   policy.max_moves_per_round = 1;
   Rebalancer reb(cloud, queue, recorder, policy);
   reb.tick();
@@ -229,9 +232,7 @@ TEST(Rebalancer, MidCopyNodeFailureRollsBackThenRetriesToExhaustion) {
   obs::Recorder recorder;
   recorder.set_enabled(true);
 
-  RebalancePolicy policy;
-  policy.max_retries = 2;
-  Rebalancer reb(cloud, queue, recorder, policy);
+  Rebalancer reb(cloud, queue, recorder);
   reb.tick();  // begin_migration reserves a slot on node 1
   EXPECT_EQ(cloud.pending_migration_count(), 1u);
   // The destination crashes mid-copy: commit must roll back, then every
@@ -242,7 +243,7 @@ TEST(Rebalancer, MidCopyNodeFailureRollsBackThenRetriesToExhaustion) {
   ASSERT_EQ(reb.migrations().size(), 1u);
   const MigrationRecord& m = reb.migrations()[0];
   EXPECT_FALSE(m.committed);
-  EXPECT_EQ(m.attempts, policy.max_retries + 1);
+  EXPECT_EQ(m.attempts, kMaxRetries + 1);
   EXPECT_EQ(cloud.pending_migration_count(), 0u);
   // Books intact: the VM never left node 2, nothing was duplicated.
   EXPECT_EQ(cloud.lease_allocation(id).at(2, 0), 1);
@@ -270,18 +271,24 @@ TEST(Rebalancer, LeaseReleasedMidRetryEndsTheChainCleanly) {
 }
 
 TEST(Rebalancer, SloObjectiveWidensTheNetToFlatButLooseLeases) {
-  Cloud cloud = make_cloud();
+  // Under the default tiers no lease's DC per VM exceeds the threshold of
+  // 4: every VM sits at most cross_cloud = 4 from the central.  Two
+  // one-rack clouds 16 apart let the stranded lease (two VMs on node 0, one
+  // on node 2, across clouds) reach 16 / 3 = 5.33 per VM.
+  cluster::DistanceConfig far;
+  far.cross_cloud = 16.0;
+  Cloud cloud(cluster::Topology::multi_cloud(2, 1, 2, far),
+              cluster::VmCatalog::ec2_default(), util::IntMatrix(4, 3, 2));
   stranded_lease(cloud);
   sim::EventQueue queue;
   obs::Recorder recorder;
   recorder.set_enabled(true);
-  // Flat DC record — no drift signal — but DC-per-VM is 2/3 per VM with
-  // the whole lease loose from day one.
+  // Flat DC record — no drift signal — but DC-per-VM is above
+  // placement::kDcPerVmThreshold with the whole lease loose from day one.
+  ASSERT_GT(16.0 / 3.0, placement::kDcPerVmThreshold);
 
-  RebalancePolicy policy;
-  policy.dc_per_vm_threshold = 0.5;  // 2/3 VMs = 0.667 per VM: too loose
   obs::SloTracker slo;
-  Rebalancer reb(cloud, queue, recorder, policy, /*seed=*/1, &slo);
+  Rebalancer reb(cloud, queue, recorder, {}, /*seed=*/1, &slo);
   ASSERT_TRUE(slo.declared("rebalance/dc_per_vm"));
   // Each tick feeds the objective one (bad) sample; once the burn alert
   // arms, the flat-but-loose lease becomes a candidate.
@@ -301,7 +308,7 @@ TEST(Rebalancer, ArmedTickerReplaysByteIdenticalTranscripts) {
     sim::EventQueue queue;
     obs::Recorder recorder;
     recorder.set_enabled(true);
-    RebalancePolicy policy;
+    placement::RebalancePolicy policy;
     policy.tick_period = 5.0;
     Rebalancer reb(cloud, queue, recorder, policy, /*seed=*/7);
     reb.arm(/*horizon=*/60.0);

@@ -163,13 +163,13 @@ TEST(GoldenStream, TwoCells) {
 TEST(GoldenStream, RebalanceWithRecorder) {
   ServiceOptions options;
   options.sample_period = 0.005;
-  options.rebalance.enabled = true;
-  options.rebalance.period = 0.05;
-  options.rebalance.max_moves = 4;
-  options.rebalance.drift_ratio = 0.0;
-  options.rebalance.lease_cooldown = 0.05;
-  options.rebalance.cost_per_gb = 1e-4;
-  options.rebalance.shuffle_cost_factor = 1e-4;
+  options.rebalance = true;
+  options.rebalance_policy.tick_period = 0.05;
+  options.rebalance_policy.max_moves_per_round = 4;
+  options.rebalance_policy.drift_ratio = 0.0;
+  options.rebalance_policy.lease_cooldown = 0.05;
+  options.rebalance_policy.cost.cost_per_gb = 1e-4;
+  options.rebalance_policy.cost.shuffle_cost_factor = 1e-4;
   obs::Recorder recorder;
   recorder.set_enabled(true);
   const ServedRun run = serve(options, &recorder);

@@ -85,15 +85,15 @@ RunResult run_churn(const workload::SimScenario& scenario,
 ServiceOptions rebalance_options() {
   ServiceOptions options;
   options.max_batch = 4;
-  options.rebalance.enabled = true;
-  options.rebalance.period = 1.0;
-  options.rebalance.max_moves = 4;
+  options.rebalance = true;
+  options.rebalance_policy.tick_period = 1.0;
+  options.rebalance_policy.max_moves_per_round = 4;
   // Any lease with DC > 0 is a candidate: churn leaves loose placements
   // that never had a "tighter past" to drift from.
-  options.rebalance.drift_ratio = 0.0;
-  options.rebalance.lease_cooldown = 1.0;
-  options.rebalance.cost_per_gb = 1e-4;
-  options.rebalance.shuffle_cost_factor = 1e-4;
+  options.rebalance_policy.drift_ratio = 0.0;
+  options.rebalance_policy.lease_cooldown = 1.0;
+  options.rebalance_policy.cost.cost_per_gb = 1e-4;
+  options.rebalance_policy.cost.shuffle_cost_factor = 1e-4;
   return options;
 }
 
@@ -156,7 +156,7 @@ TEST(ServiceRebalance, PeriodGatesBackToBackPasses) {
   obs::Recorder recorder;
   recorder.set_enabled(true);
   ServiceOptions slow = rebalance_options();
-  slow.rebalance.period = 1e9;  // one pass per geological era
+  slow.rebalance_policy.tick_period = 1e9;  // one pass per geological era
   const RunResult r = run_churn(scenario, slow, &recorder);
   // The gate admits at most the very first eligible pass.
   EXPECT_LE(r.stats.rebalance_passes, 1u);

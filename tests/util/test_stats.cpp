@@ -126,5 +126,35 @@ TEST(Histogram, RenderContainsCounts) {
   EXPECT_NE(render.find("2"), std::string::npos);
 }
 
+// The backoff schedule must stay finite and clamped no matter how many
+// attempts pile up: initial * factor^(attempt-1) overflows double well
+// before attempt 10000, and an inf/nan delay would wedge the event queue.
+// The parameters are the repair loop's: 1 s doubling, capped at 60 s, +-25%.
+TEST(JitteredBackoff, StaysFiniteAndCappedAtAbsurdAttemptCounts) {
+  for (const int attempt : {1, 2, 7, 64, 1024, 10000, 1 << 30}) {
+    for (const double u : {0.0, 0.5, 0.999999}) {
+      const double d = jittered_backoff(1.0, 2.0, attempt, 60.0, 0.25, u);
+      ASSERT_TRUE(std::isfinite(d)) << "attempt " << attempt;
+      EXPECT_GE(d, 0.0);
+      EXPECT_LE(d, 60.0) << "attempt " << attempt;
+    }
+  }
+  // Early attempts still grow geometrically below the cap.
+  EXPECT_DOUBLE_EQ(jittered_backoff(1.0, 2.0, 1, 60.0, 0.25, 0.5), 1.0);
+  EXPECT_DOUBLE_EQ(jittered_backoff(1.0, 2.0, 2, 60.0, 0.25, 0.5), 2.0);
+  EXPECT_DOUBLE_EQ(jittered_backoff(1.0, 2.0, 3, 60.0, 0.25, 0.5), 4.0);
+}
+
+// Extreme parameters (huge initial, huge factor) are also clamped, and a
+// jitter draw at the top of [0, 1) never pushes the delay past the cap.
+TEST(JitteredBackoff, ClampSurvivesExtremeParameters) {
+  for (const int attempt : {1, 50, 10000}) {
+    const double d = jittered_backoff(1e300, 1e10, attempt, 30.0, 1.0, 0.999999);
+    ASSERT_TRUE(std::isfinite(d));
+    EXPECT_LE(d, 30.0);
+    EXPECT_GE(d, 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace vcopt::util

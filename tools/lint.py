@@ -51,6 +51,15 @@ the served path):
                      carries `// NOLINT(vcopt-dense-allocation)` and says
                      why.
 
+Layering rule (src/service/, src/cell/, src/placement/ and src/cluster/,
+the served layers):
+
+  vcopt-served-layering
+                     no `#include` of a rebalance/, fault/, sim/,
+                     mapreduce/ or dataflow/ header: the served library
+                     (vcopt_service and what it links) does not link the
+                     simulators, which sit above it and use it.
+
 Lock-discipline rule (src/ outside src/util/):
 
   vcopt-raw-mutex    no raw std::mutex / std::lock_guard / std::unique_lock
@@ -115,6 +124,11 @@ FIXTURE_DIRS = ("tests/lint/fixtures", "tests/check/compile_fail")
 REPLAY_DIRS = ("src/service/", "src/fault/", "src/sim/", "src/rebalance/",
                "src/cell/", "src/placement/", "src/cluster/")
 
+# The served layers, which may include no simulator header
+# (RE_SIMULATOR_INCLUDE).
+SERVED_LAYER_DIRS = ("src/service/", "src/cell/", "src/placement/",
+                     "src/cluster/")
+
 # Files allowed to talk to the terminal directly: the logging backend is
 # the single choke point all other src/ code must route through.
 IOSTREAM_ALLOWLIST = {
@@ -147,6 +161,8 @@ RULES: dict[str, str] = {
         "src/ outside solver/ uses Topology::distance, not a dense D",
     "vcopt-dense-allocation":
         "the served path reads Allocation::entries(), not to_matrix()",
+    "vcopt-served-layering":
+        "the served layers include no simulator header",
     "vcopt-unordered-in-replay":
         "no unordered containers in replay-critical code",
     "vcopt-wall-clock":
@@ -181,6 +197,8 @@ RE_SIMD = re.compile(
     r"|#\s*include\s*<(?:[a-z]*mmintrin|arm_neon|arm_sve|arm_acle)\.h>")
 RE_DENSE_DISTANCE = re.compile(r"(?:\.|->)\s*distance_matrix\s*\(")
 RE_DENSE_ALLOCATION = re.compile(r"(?:\.|->)\s*to_matrix\s*\(")
+RE_SIMULATOR_INCLUDE = re.compile(
+    r'^\s*#\s*include\s*"(?:rebalance|fault|sim|mapreduce|dataflow)/')
 RE_UNORDERED = re.compile(r"std\s*::\s*unordered_(map|set|multimap|multiset)\b")
 RE_WALL_CLOCK = re.compile(
     r"\b(system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b"
@@ -248,6 +266,7 @@ class Linter:
         dense_scoped = in_src and not rel.startswith(
             DENSE_DISTANCE_ALLOWLIST_PREFIXES)
         sparse_scoped = rel.startswith(SPARSE_ALLOCATION_DIRS)
+        served_layer = rel.startswith(SERVED_LAYER_DIRS)
         exempt_io = (rel in IOSTREAM_ALLOWLIST or not in_src
                      or rel.startswith("src/exp/"))
 
@@ -308,6 +327,12 @@ class Linter:
                             "iterate Allocation::entries() (a checked-build "
                             "validator gets NOLINT(vcopt-dense-allocation) "
                             "with its reason)")
+            if served_layer and RE_SIMULATOR_INCLUDE.search(
+                    line) and not suppressed(raw, "vcopt-served-layering"):
+                self.report(path, lineno, "vcopt-served-layering",
+                            "simulator header in a served layer; the served "
+                            "library links no rebalance/, fault/, sim/, "
+                            "mapreduce/ or dataflow/ code")
             if RE_SIMD.search(code) and not suppressed(raw, "vcopt-raw-simd"):
                 self.report(path, lineno, "vcopt-raw-simd",
                             "raw SIMD intrinsic; write the scalar loop (a "

@@ -2,8 +2,8 @@
 """Self-test for tools/lint.py, run as a ctest (`lint_selftest`).
 
 Drives the linter over the fixture corpus in tests/lint/fixtures/ — a
-miniature repo layout (src/service/, src/placement/, src/solver/,
-src/fault/, src/util/) fed through --fixture-root so the path-scoped rules
+miniature repo layout (src/service/, src/cell/, src/placement/,
+src/solver/, src/fault/, src/rebalance/, src/util/) fed through --fixture-root so the path-scoped rules
 classify the files exactly like real code — and asserts:
 
   * every rule fires on its bad-fixture line, and nowhere else;
@@ -34,12 +34,14 @@ BAD_FILES = [
     FIXTURES / "src" / "placement" / "bad_dense_distance.cpp",
     FIXTURES / "src" / "placement" / "bad_replay_scope.cpp",
     FIXTURES / "src" / "service" / "bad_dense_allocation.cpp",
+    FIXTURES / "src" / "cell" / "bad_layering.cpp",
 ]
 GOOD_FILES = [
     FIXTURES / "src" / "service" / "good_determinism.cpp",
     FIXTURES / "src" / "util" / "ok_raw_mutex.cpp",
     FIXTURES / "src" / "solver" / "ok_dense_distance.cpp",
     FIXTURES / "src" / "fault" / "ok_dense_allocation.cpp",
+    FIXTURES / "src" / "rebalance" / "ok_layering.cpp",
 ]
 
 # (relative path, line, rule) for every finding the corpus must produce.
@@ -74,6 +76,11 @@ EXPECTED = [
     ("src/service/bad_determinism.cpp", 22, "vcopt-std-hash"),
     ("src/service/bad_dense_allocation.cpp", 9, "vcopt-dense-allocation"),
     ("src/service/bad_dense_allocation.cpp", 10, "vcopt-dense-allocation"),
+    ("src/cell/bad_layering.cpp", 9, "vcopt-served-layering"),
+    ("src/cell/bad_layering.cpp", 10, "vcopt-served-layering"),
+    ("src/cell/bad_layering.cpp", 11, "vcopt-served-layering"),
+    ("src/cell/bad_layering.cpp", 12, "vcopt-served-layering"),
+    ("src/cell/bad_layering.cpp", 13, "vcopt-served-layering"),
 ]
 
 FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<rule>[^\]]+)\]")

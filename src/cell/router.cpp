@@ -80,13 +80,15 @@ RouteDecision CellRouter::route(const cluster::Request& request,
     const int frag_mille = static_cast<int>(s.fragmentation() * 1000.0);
     scored.emplace_back(affinity_class, racks, frag_mille, c);
   }
-  std::sort(scored.begin(), scored.end());
-
-  const std::size_t k = std::max<std::size_t>(1, options_.shortlist);
-  decision.shortlist.reserve(std::min(k, scored.size()));
-  for (const Score& s : scored) {
-    if (decision.shortlist.size() >= k) break;
-    decision.shortlist.push_back(std::get<3>(s));
+  // The k best in order: the cell id makes every score distinct, so partial
+  // selection gives the prefix a full sort would.
+  const std::size_t k =
+      std::min(std::max<std::size_t>(1, options_.shortlist), scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
+                    scored.end());
+  decision.shortlist.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    decision.shortlist.push_back(std::get<3>(scored[i]));
   }
 
   metrics.pruned.add(decision.pruned);

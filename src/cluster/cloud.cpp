@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "check/check.h"
 #include "check/validators.h"
@@ -22,6 +23,8 @@ Cloud::Cloud(Topology topology, VmCatalog catalog, util::IntMatrix max_capacity)
   if (inventory_.type_count() != catalog_.size()) {
     throw std::invalid_argument("Cloud: capacity cols != catalog size");
   }
+  free_ = inventory_.remaining();
+  free_.warm_sums();
 }
 
 void Cloud::stamp(std::size_t node) {
@@ -62,16 +65,60 @@ void Cloud::notify_alloc(const Allocation& alloc) {
 }
 
 util::IntMatrix Cloud::remaining() const {
-  util::IntMatrix rem = inventory_.remaining();
-  if (reserved_total_ == 0) return rem;
-  for (std::size_t i = 0; i < rem.rows(); ++i) {
-    for (std::size_t j = 0; j < rem.cols(); ++j) {
-      // A failed node zeroes its remaining row while reservations on it may
-      // still be in flight; clamp so the view never goes negative.
-      rem(i, j) = std::max(0, rem(i, j) - reserved_(i, j));
+#if VCOPT_ENABLE_CHECKS
+  // The whole view against the books, and its sums against fresh ones.
+  std::vector<int> col_sums(type_count(), 0);
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    int row_sum = 0;
+    for (std::size_t j = 0; j < type_count(); ++j) {
+      check_free_cell(i, j);
+      row_sum += free_(i, j);
+      col_sums[j] += free_(i, j);
     }
+    VCOPT_INVARIANT(free_.row_sum(i) == row_sum)
+        << " free view row " << i << " sums to " << row_sum
+        << " but caches " << free_.row_sum(i);
   }
-  return rem;
+  for (std::size_t j = 0; j < type_count(); ++j) {
+    VCOPT_INVARIANT(free_.col_sum(j) == col_sums[j])
+        << " free view column " << j << " sums to " << col_sums[j]
+        << " but caches " << free_.col_sum(j);
+  }
+#endif
+  return free_;
+}
+
+void Cloud::debit_free(const Allocation& alloc) {
+  for (const Allocation::Entry& e : alloc.entries()) {
+    free_.add_at(e.node, e.type, -e.count);
+    check_free_cell(e.node, e.type);
+  }
+}
+
+void Cloud::credit_free(const Allocation& alloc) {
+  for (const Allocation::Entry& e : alloc.entries()) {
+    if (!inventory_.is_failed(e.node) && !inventory_.is_drained(e.node)) {
+      free_.add_at(e.node, e.type, e.count);
+    }
+    check_free_cell(e.node, e.type);
+  }
+}
+
+void Cloud::refresh_free(std::size_t node, std::size_t type) {
+  // A const read: the non-const accessor would drop the view's sums.
+  free_.add_at(node, type,
+               remaining_at(node, type) - std::as_const(free_)(node, type));
+}
+
+void Cloud::refresh_free_row(std::size_t node) {
+  for (std::size_t j = 0; j < type_count(); ++j) refresh_free(node, j);
+}
+
+void Cloud::check_free_cell(std::size_t node, std::size_t type) const {
+  VCOPT_INVARIANT(free_(node, type) == remaining_at(node, type))
+      << " free view cell (" << node << ", " << type << ") holds "
+      << free_(node, type) << " but the books give "
+      << remaining_at(node, type);
 }
 
 bool Cloud::fits_reservations(const Allocation& alloc) const {
@@ -97,6 +144,7 @@ LeaseId Cloud::grant(const Request& request, const Allocation& alloc) {
         "in-flight migrations)");
   }
   inventory_.allocate(alloc);  // throws if it does not fit
+  debit_free(alloc);
   const LeaseId id = next_lease_++;
   const CentralNode c = alloc.best_central(topology_);
   // Ids only grow, so the new lease goes last: an O(1) hinted insert.
@@ -130,11 +178,13 @@ void Cloud::release(LeaseId id) {
   const Allocation alloc = std::move(it->second.alloc);
   leases_.erase(it);
   inventory_.release(alloc);
+  credit_free(alloc);
   notify_alloc(alloc);
 }
 
 std::vector<LeaseId> Cloud::fail_node(std::size_t node) {
   inventory_.fail_node(node);  // bounds-checks `node`
+  refresh_free_row(node);
   notify_one(node);
   std::vector<LeaseId> affected;
   for (const auto& [id, lease] : leases_) {
@@ -172,6 +222,7 @@ void Cloud::shrink_lease(LeaseId id, const Allocation& lost) {
     }
   }
   inventory_.release(lost);
+  credit_free(lost);
   for (const Allocation::Entry& e : lost.entries()) {
     alloc.add(e.node, e.type, -e.count);
   }
@@ -190,6 +241,7 @@ void Cloud::grow_lease(LeaseId id, const Allocation& extra) {
         "in-flight migrations)");
   }
   inventory_.allocate(extra);  // validates shape and fit
+  debit_free(extra);
   for (const Allocation::Entry& e : extra.entries()) {
     it->second.alloc.add(e.node, e.type, e.count);
   }
@@ -220,6 +272,7 @@ std::uint64_t Cloud::begin_migration(LeaseId lease, std::size_t from,
   if (inventory_.remaining_at(to, type) - reserved_(to, type) <= 0) return 0;
   reserved_(to, type) += 1;
   ++reserved_total_;
+  refresh_free(to, type);
   const std::uint64_t ticket = next_migration_++;
   migrations_.emplace(ticket, PendingMigration{lease, from, to, type});
   notify_one(to);
@@ -262,6 +315,8 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
   inventory_.release(freed);
   alloc.add(m.from, m.type, -1);
   alloc.add(m.to, m.type, 1);
+  refresh_free(m.to, m.type);
+  refresh_free(m.from, m.type);
 #if VCOPT_ENABLE_CHECKS
   VCOPT_VALIDATE(check::validate_migration_conservation(
       before, alloc.to_matrix(),  // NOLINT(vcopt-dense-allocation)
@@ -278,9 +333,11 @@ void Cloud::rollback_migration(std::uint64_t ticket) {
     throw std::invalid_argument("Cloud::rollback_migration: unknown ticket");
   }
   const std::size_t to = it->second.to;
-  reserved_(to, it->second.type) -= 1;
+  const std::size_t type = it->second.type;
+  reserved_(to, type) -= 1;
   --reserved_total_;
   migrations_.erase(it);
+  refresh_free(to, type);
   notify_one(to);
 }
 

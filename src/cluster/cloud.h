@@ -61,9 +61,14 @@ class Cloud {
   Admission admit(const Request& request) const {
     return inventory_.admit(request);
   }
-  /// Remaining capacity net of in-flight migration reservations (clamped at
-  /// zero where a node failed with reservations outstanding).  Identical to
-  /// inventory().remaining() while no migration is pending.
+  /// Remaining capacity net of in-flight migration reservations: M − C −
+  /// reserved, zero on failed or drained nodes (clamped at zero where a node
+  /// failed with reservations outstanding).  Identical to
+  /// inventory().remaining() while no migration is pending.  A copy of the
+  /// free view the cloud keeps current at every capacity mutation — O(k) per
+  /// grant, release, shrink or grow, O(m) per drain, fail or recover, O(1)
+  /// per migration step — so the copy costs O(n·m) with no arithmetic and
+  /// carries the view's row and column sums warm.
   util::IntMatrix remaining() const;
 
   /// One cell of remaining(): free slots of `type` on `node`, net of
@@ -87,10 +92,12 @@ class Cloud {
   /// but offers no further capacity until undrained.
   void drain_node(std::size_t node) {
     inventory_.drain_node(node);
+    refresh_free_row(node);
     notify_one(node);
   }
   void undrain_node(std::size_t node) {
     inventory_.undrain_node(node);
+    refresh_free_row(node);
     notify_one(node);
   }
   bool is_drained(std::size_t node) const { return inventory_.is_drained(node); }
@@ -103,6 +110,7 @@ class Cloud {
   std::vector<LeaseId> fail_node(std::size_t node);
   void recover_node(std::size_t node) {
     inventory_.recover_node(node);
+    refresh_free_row(node);
     notify_one(node);
   }
   bool is_failed(std::size_t node) const { return inventory_.is_failed(node); }
@@ -198,6 +206,19 @@ class Cloud {
   /// reservations, checked on its entries: O(k).
   bool fits_reservations(const Allocation& alloc) const;
 
+  // Free-view upkeep, all through add_at so the view's sums stay warm.
+  /// Takes a granted allocation's entries off the view; they land on live
+  /// nodes with room, so each cell falls by its count.
+  void debit_free(const Allocation& alloc);
+  /// Puts released entries back; a failed or drained node's cells stay 0.
+  void credit_free(const Allocation& alloc);
+  /// Sets one cell of the view to remaining_at(node, type).
+  void refresh_free(std::size_t node, std::size_t type);
+  /// refresh_free over every type of `node`.
+  void refresh_free_row(std::size_t node);
+  /// Checked builds: the view's cell equals remaining_at.
+  void check_free_cell(std::size_t node, std::size_t type) const;
+
   struct Lease {
     Allocation alloc;
     LeaseDc dc;
@@ -221,6 +242,9 @@ class Cloud {
   /// remaining() so nothing else can claim them mid-copy.
   util::IntMatrix reserved_;
   int reserved_total_ = 0;
+  /// remaining() as a maintained matrix: remaining_at(i, j) in every cell,
+  /// row and column sums warm.
+  util::IntMatrix free_;
   std::map<std::uint64_t, PendingMigration> migrations_;
   std::uint64_t next_migration_ = 1;
   CapacityListener* listener_ = nullptr;

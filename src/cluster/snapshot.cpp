@@ -7,10 +7,9 @@ std::shared_ptr<const CloudSnapshot> SnapshotArena::build(
   auto snap = std::make_shared<CloudSnapshot>();
   snap->epoch = epoch;
   snap->build_time = build_time;
+  // A copy of the cloud's free view, whose row and column sums arrive warm,
+  // so readers never mutate the snapshot (util::Matrix threading contract).
   snap->remaining = cloud.remaining();
-  // Warm the lazy row/col sum caches now, so readers never mutate the
-  // snapshot (util::Matrix threading contract).
-  snap->remaining.warm_sums();
   const util::IntMatrix& max = cloud.inventory().max_capacity();
   snap->capacity_col_sums.resize(cloud.type_count());
   for (std::size_t j = 0; j < cloud.type_count(); ++j) {

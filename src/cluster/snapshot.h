@@ -1,11 +1,13 @@
 // Immutable point-in-time views of a Cloud's capacity.
 //
 // A CloudSnapshot freezes everything a decision window needs to plan
-// placements — the remaining-capacity matrix L (sum caches pre-warmed), the
-// per-type capacity column sums that drive the admit() kReject rung, and a
-// pointer to the (immutable) topology.  service::detail::decide_window
-// builds one per window and plans against it with the pure
-// service::detail::plan_window before committing the grants to the cloud.
+// placements — the remaining-capacity matrix L, the per-type capacity
+// column sums that drive the admit() kReject rung, and a pointer to the
+// (immutable) topology.  service::detail::decide_window builds one per
+// window and plans against it with the pure service::detail::plan_window
+// before committing the grants to the cloud.  Building one copies the free
+// view the Cloud keeps current (Cloud::remaining()), sums included: no
+// M − C arithmetic and no re-summing.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +26,7 @@ struct CloudSnapshot {
   std::uint64_t epoch = 0;
   /// Service-clock time the snapshot was built; not used for any decision.
   double build_time = 0;
-  /// L = M - C at build time, with row/col sum caches warmed.
+  /// Cloud::remaining() at build time, with its row/col sum caches warm.
   util::IntMatrix remaining;
   /// Per-type total capacity sum_i M_ij including drained/failed nodes —
   /// the admit() kReject test ("can never be served") verbatim.

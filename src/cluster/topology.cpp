@@ -1,7 +1,6 @@
 #include "cluster/topology.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -78,12 +77,21 @@ std::vector<std::size_t> Topology::nodes_by_distance(std::size_t from) const {
   if (from >= node_count()) {
     throw std::out_of_range("Topology::nodes_by_distance");
   }
-  std::vector<std::size_t> order(node_count());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return distance(from, a) < distance(from, b);
-                   });
+  const std::size_t rack = node_rack_[from];
+  const std::size_t cloud = rack_cloud_[rack];
+  std::vector<std::size_t> order;
+  order.reserve(node_count());
+  order.push_back(from);
+  for (const std::size_t i : rack_nodes_[rack]) {
+    if (i != from) order.push_back(i);
+  }
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    const std::size_t r = node_rack_[i];
+    if (r != rack && rack_cloud_[r] == cloud) order.push_back(i);
+  }
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    if (rack_cloud_[node_rack_[i]] != cloud) order.push_back(i);
+  }
   return order;
 }
 

@@ -60,6 +60,10 @@ class Topology {
     }
     return rack_cloud_[rack];
   }
+  /// Every node's rack id, indexed by node: rack_of() without the bounds
+  /// check, for loops that walk all nodes.
+  const std::vector<std::size_t>& node_racks() const { return node_rack_; }
+  /// The nodes of `rack`, ascending.
   const std::vector<std::size_t>& nodes_in_rack(std::size_t rack) const;
 
   bool same_rack(std::size_t a, std::size_t b) const;
@@ -78,7 +82,10 @@ class Topology {
   }
 
   /// Every node, nearest to `from` first and ties by index: `from`, its
-  /// rack-mates, the rest of its cloud, then the other clouds.
+  /// rack-mates, the rest of its cloud, then the other clouds, each run
+  /// ascending.  Because validate() makes the tiers strictly increasing,
+  /// that is a stable sort of all nodes by distance(from, ·); it is built
+  /// as one walk per tier, O(n) without a comparison sort.
   std::vector<std::size_t> nodes_by_distance(std::size_t from) const;
 
   /// The dense n x n matrix D, built afresh on each call.  An n^2 object

@@ -20,6 +20,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using Entry = cluster::Allocation::Entry;
 
+// A getList tier whose keys span more than this many times its size is
+// ordered by comparison sort rather than counting sort.
+constexpr std::uint64_t kCountingSortSpan = 4;
+
+// The terms of a candidate's score that depend only on its rack r (rack
+// constancy, docs/algorithms.md).  With R the request, RF_r the rack's and
+// CF the cloud's free sums: the node and rack tiers together take
+// covered = Σ_j min(R_j, RF_rj) whichever of the rack's nodes is central,
+// the rest of the cloud in_cloud = Σ_j min(R_j − min(R_j, RF_rj),
+// CF_j − RF_rj), and the other clouds the rest.
+struct RackTerms {
+  std::int64_t covered = 0;
+  std::int64_t in_cloud = 0;
+  std::int64_t beyond = 0;
+};
+
 // Per-thread scratch for Algorithm 1.  All buffers are sized once per
 // (n, m) shape and reused across place() calls, so the scan and the fill
 // perform no heap allocation in steady state.  `taken` holds the last
@@ -30,12 +46,17 @@ struct Workspace {
   std::vector<int> need;            // outstanding per-type demand
   std::vector<int> lx;              // central node's free-capacity row L[x]
   std::vector<std::int32_t> key;    // per-node com(L[x], L[i]) overlap sums
-  std::vector<std::size_t> tier;    // candidate ordering within one tier
-  std::vector<std::size_t> far;     // off-rack, other-cloud candidates
+  std::vector<std::size_t> tier;    // one tier's nodes, ascending
+  std::vector<std::size_t> far;     // off-rack, other-cloud nodes, ascending
+  std::vector<std::size_t> sorted;  // a tier in getList order
+  std::vector<std::uint32_t> bucket;  // counting-sort bucket offsets
   std::vector<Entry> taken;         // current candidate's (node, type, count)
   std::vector<int> rack_free;       // per-rack free sums, racks x m
   std::vector<int> cloud_free;      // per-cloud free sums, clouds x m
-  std::vector<double> score;        // tier score per candidate central
+  std::vector<RackTerms> terms;     // per-rack score terms
+  std::vector<std::size_t> candidates;  // nodes with a positive row sum
+  std::vector<int> cover;           // A(x) = Σ_j min(R_j, L_xj) per candidate
+  std::vector<double> score;        // score per candidate central
 
   void prepare(std::size_t n_, std::size_t m_) {
     if (n == n_ && m == m_) return;
@@ -46,12 +67,42 @@ struct Workspace {
     key.assign(n, 0);
     tier.reserve(n);
     far.reserve(n);
+    sorted.reserve(n);
+    candidates.reserve(n);
+    cover.reserve(n);
   }
 };
 
 Workspace& local_workspace() {
   thread_local Workspace ws;
   return ws;
+}
+
+// Puts one tier, given in ascending index order with its keys in ws.key
+// spanning [lo, hi], into getList order: key descending, ties by ascending
+// index.  A stable counting sort by descending key gives exactly that order
+// in O(t + hi − lo); a tier whose keys span much more than its size falls
+// back to std::sort with the same comparator.
+const std::vector<std::size_t>& get_list(std::vector<std::size_t>& nodes,
+                                         std::int32_t lo, std::int32_t hi,
+                                         Workspace& ws) {
+  const std::size_t t = nodes.size();
+  const auto span = static_cast<std::uint64_t>(std::int64_t{hi} - lo);
+  if (span > kCountingSortSpan * t) {
+    std::sort(nodes.begin(), nodes.end(), [&](std::size_t a, std::size_t b) {
+      if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
+      return a < b;
+    });
+    return nodes;
+  }
+  ws.bucket.assign(span + 2, 0);
+  for (const std::size_t i : nodes) ++ws.bucket[hi - ws.key[i] + 1];
+  for (std::size_t b = 1; b < ws.bucket.size(); ++b) {
+    ws.bucket[b] += ws.bucket[b - 1];
+  }
+  ws.sorted.resize(t);
+  for (const std::size_t i : nodes) ws.sorted[ws.bucket[hi - ws.key[i]]++] = i;
+  return ws.sorted;
 }
 
 // The greedy fill of Algorithm 1 for one fixed central node, evaluated into
@@ -88,21 +139,22 @@ bool fill_candidate(const cluster::Request& request,
     }
   };
 
-  // Sorts one tier into getList order, descending
-  // key[i] = sum_j com(L[x], L[i])[j] with ties by index, and visits it.
+  // Keys one tier, key[i] = sum_j com(L[x], L[i]), puts it in getList
+  // order and visits it until the request completes.
   auto fill_tier = [&](std::vector<std::size_t>& nodes) {
+    if (nodes.empty()) return;
+    std::int32_t lo = std::numeric_limits<std::int32_t>::max();
+    std::int32_t hi = std::numeric_limits<std::int32_t>::min();
     for (std::size_t i : nodes) {
       std::int32_t k = 0;
       for (std::size_t j = 0; j < ws.m; ++j) {
         k += std::min(ws.lx[j], remaining(i, j));
       }
       ws.key[i] = k;
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
     }
-    std::sort(nodes.begin(), nodes.end(), [&](std::size_t a, std::size_t b) {
-      if (ws.key[a] != ws.key[b]) return ws.key[a] > ws.key[b];
-      return a < b;
-    });
-    for (std::size_t i : nodes) {
+    for (std::size_t i : get_list(nodes, lo, hi, ws)) {
       take(i);
       if (outstanding == 0) return;
     }
@@ -126,14 +178,15 @@ bool fill_candidate(const cluster::Request& request,
   // Step 3: off-rack nodes — getList(D, x, 1), nearer tiers first (same
   // cloud before cross-cloud) so Theorem 1 keeps applying, then the
   // capacity-overlap ordering inside each tier.  Only reached (and only
-  // sorted) when the rack could not complete the request.  One pass splits
+  // ordered) when the rack could not complete the request.  One pass splits
   // the two tiers.
   if (outstanding > 0) {
     const std::size_t cloud = topology.cloud_of_rack(rack);
+    const std::vector<std::size_t>& node_rack = topology.node_racks();
     ws.tier.clear();
     ws.far.clear();
     for (std::size_t i = 0; i < ws.n; ++i) {
-      const std::size_t r = topology.rack_of(i);
+      const std::size_t r = node_rack[i];
       if (r == rack) continue;
       (topology.cloud_of_rack(r) == cloud ? ws.tier : ws.far).push_back(i);
     }
@@ -160,61 +213,106 @@ bool fill_candidate(const cluster::Request& request,
   return true;
 }
 
-// Per-rack and per-cloud free sums of `remaining`, in one pass over the
-// nodes.  Negative cells, which no fill takes from, count as 0.
-void build_free_sums(const util::IntMatrix& remaining,
-                     const cluster::Topology& topology, Workspace& ws) {
-  const std::size_t m = ws.m;
-  ws.rack_free.assign(topology.rack_count() * m, 0);
-  ws.cloud_free.assign(topology.cloud_count() * m, 0);
-  for (std::size_t i = 0; i < ws.n; ++i) {
-    int* rack_row = ws.rack_free.data() + topology.rack_of(i) * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      rack_row[j] += std::max(remaining(i, j), 0);
+// Lines 9-14's one-node allocation on `node`.  Its DC is Definition 1 of a
+// one-node allocation, ΣR · same_node, in the bits
+// Allocation::best_central computes.
+Placement whole_node_placement(const cluster::Request& request,
+                               const cluster::Topology& topology,
+                               std::size_t node, std::size_t m) {
+  std::vector<Entry> on_node;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (request.count(j) > 0) {
+      on_node.push_back({static_cast<std::uint32_t>(node),
+                         static_cast<std::uint32_t>(j), request.count(j)});
     }
   }
-  for (std::size_t r = 0; r < topology.rack_count(); ++r) {
+  return Placement{cluster::Allocation::from_entries(topology.node_count(), m,
+                                                     std::move(on_node)),
+                   node,
+                   static_cast<double>(request.total_vms()) *
+                       topology.distance(node, node)};
+}
+
+// One pass over the rows of `remaining`.  Returns the first node that can
+// host the whole request (lines 9-14; tested on raw cells, so a negative
+// cell is no fit even where the request asks for none of that type), or n
+// if none can.  Otherwise leaves in ws the candidates — nodes whose row sum
+// is positive — in ascending order with their coverage
+// A(x) = Σ_j min(R_j, max(L_xj, 0)), and the per-rack free sums, where a
+// negative cell, which no fill takes from, counts as 0.
+std::size_t scan_nodes(const cluster::Request& request,
+                       const util::IntMatrix& remaining,
+                       const cluster::Topology& topology, Workspace& ws) {
+  const std::size_t m = ws.m;
+  const int* req = request.counts().data();
+  const int* row = remaining.data().data();
+  const std::size_t* node_rack = topology.node_racks().data();
+  ws.rack_free.assign(topology.rack_count() * m, 0);
+  ws.candidates.clear();
+  ws.cover.clear();
+  for (std::size_t i = 0; i < ws.n; ++i, row += m) {
+    int* rack_row = ws.rack_free.data() + node_rack[i] * m;
+    bool whole = true;
+    int sum = 0;
+    int cover = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      const int v = row[j];
+      const int free = std::max(v, 0);
+      whole &= v >= req[j];
+      sum += v;
+      cover += std::min(req[j], free);
+      rack_row[j] += free;
+    }
+    if (whole) return i;
+    if (sum > 0) {
+      ws.candidates.push_back(i);
+      ws.cover.push_back(cover);
+    }
+  }
+  return ws.n;
+}
+
+// Fills ws.terms from the per-rack free sums in ws.rack_free: O(R·m).  The
+// fill from a central x of rack r takes a_j = min(R_j, L_xj) of type j on
+// the node and b_j = min(R_j − a_j, RF_rj − L_xj) in the rack; since
+// 0 <= L_xj <= RF_rj, a_j + b_j = min(R_j, RF_rj), so the two tiers depend
+// on x only through A(x) = Σ_j a_j.
+void compute_rack_terms(const cluster::Request& request,
+                        const cluster::Topology& topology, Workspace& ws) {
+  const std::size_t m = ws.m;
+  const std::size_t racks = topology.rack_count();
+  ws.cloud_free.assign(topology.cloud_count() * m, 0);
+  for (std::size_t r = 0; r < racks; ++r) {
     int* cloud_row = ws.cloud_free.data() + topology.cloud_of_rack(r) * m;
     for (std::size_t j = 0; j < m; ++j) cloud_row[j] += ws.rack_free[r * m + j];
   }
+  ws.terms.resize(racks);
+  for (std::size_t r = 0; r < racks; ++r) {
+    const int* rack_row = ws.rack_free.data() + r * m;
+    const int* cloud_row =
+        ws.cloud_free.data() + topology.cloud_of_rack(r) * m;
+    RackTerms t;
+    for (std::size_t j = 0; j < m; ++j) {
+      const int need = request.count(j);
+      const int covered = std::min(need, rack_row[j]);
+      const int in_cloud = std::min(need - covered, cloud_row[j] - rack_row[j]);
+      t.covered += covered;
+      t.in_cloud += in_cloud;
+      t.beyond += need - covered - in_cloud;
+    }
+    ws.terms[r] = t;
+  }
 }
 
-// The distance fill_candidate(central) reaches, without filling.  Whatever
-// the getList order inside a tier, once the fill has visited the whole tier
-// it has taken min(outstanding, tier free) of each type, so with R the
-// request and L the free matrix: a = min(R, L[x]) on the node,
-// b = min(R - a, rack free - L[x]) in the rack, c = min(rest, cloud free -
-// rack free) in the cloud, and the rest beyond it.  O(m).
-double tier_score(const cluster::Request& request,
-                  const util::IntMatrix& remaining,
-                  const cluster::Topology& topology, std::size_t central,
-                  const Workspace& ws) {
-  const std::size_t rack = topology.rack_of(central);
-  const int* rack_row = ws.rack_free.data() + rack * ws.m;
-  const int* cloud_row =
-      ws.cloud_free.data() + topology.cloud_of_rack(rack) * ws.m;
-  std::int64_t on_node = 0;
-  std::int64_t in_rack = 0;
-  std::int64_t in_cloud = 0;
-  std::int64_t beyond = 0;
-  for (std::size_t j = 0; j < ws.m; ++j) {
-    int need = request.count(j);
-    const int lx = std::max(remaining(central, j), 0);
-    const int a = std::min(need, lx);
-    need -= a;
-    const int b = std::min(need, rack_row[j] - lx);
-    need -= b;
-    const int c = std::min(need, cloud_row[j] - rack_row[j]);
-    on_node += a;
-    in_rack += b;
-    in_cloud += c;
-    beyond += need - c;
-  }
-  const cluster::DistanceConfig& tiers = topology.distances();
-  return tiers.same_node * static_cast<double>(on_node) +
-         tiers.same_rack * static_cast<double>(in_rack) +
-         tiers.cross_rack * static_cast<double>(in_cloud) +
-         tiers.cross_cloud * static_cast<double>(beyond);
+// The distance the fill from a central with coverage `cover` in a rack
+// with terms `t` reaches: A(x) VMs on the node, covered − A(x) in the rack,
+// then the cloud and beyond.  O(1).
+double rack_score(const cluster::DistanceConfig& tiers, std::int64_t cover,
+                  const RackTerms& t) {
+  return tiers.same_node * static_cast<double>(cover) +
+         tiers.same_rack * static_cast<double>(t.covered - cover) +
+         tiers.cross_rack * static_cast<double>(t.in_cloud) +
+         tiers.cross_cloud * static_cast<double>(t.beyond);
 }
 
 // How far above the minimum score a candidate may score and still fill to
@@ -280,10 +378,23 @@ double OnlineHeuristic::score_from_central(const cluster::Request& request,
       request.type_count() != remaining.cols()) {
     throw std::invalid_argument("score_from_central: shape mismatch");
   }
+  const std::size_t m = remaining.cols();
   Workspace ws;
-  ws.prepare(remaining.rows(), remaining.cols());
-  build_free_sums(remaining, topology, ws);
-  return tier_score(request, remaining, topology, central, ws);
+  ws.prepare(remaining.rows(), m);
+  ws.rack_free.assign(topology.rack_count() * m, 0);
+  for (std::size_t i = 0; i < ws.n; ++i) {
+    int* rack_row = ws.rack_free.data() + topology.rack_of(i) * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      rack_row[j] += std::max(remaining(i, j), 0);
+    }
+  }
+  compute_rack_terms(request, topology, ws);
+  std::int64_t cover = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    cover += std::min(request.count(j), std::max(remaining(central, j), 0));
+  }
+  return rack_score(topology.distances(), cover,
+                    ws.terms[topology.rack_of(central)]);
 }
 
 std::optional<Placement> OnlineHeuristic::place(
@@ -298,7 +409,9 @@ std::optional<Placement> OnlineHeuristic::place(
     throw std::invalid_argument("OnlineHeuristic::place: shape mismatch");
   }
 
-  // Admission precheck (lines 1-5 of Algorithm 1): total availability.
+  // Admission precheck (lines 1-5 of Algorithm 1): total availability, in
+  // O(m) from the view's warm column sums.  A spilled cell member fails it
+  // against the whole flat view; keep this rejection ahead of the pass.
   for (std::size_t j = 0; j < m; ++j) {
     if (request.count(j) > remaining.col_sum(j)) {
       record_place_metrics(0, 0, false);
@@ -306,41 +419,16 @@ std::optional<Placement> OnlineHeuristic::place(
     }
   }
 
-  // Lines 9-14: if one node can host everything, take it.  Its DC is
-  // Definition 1 of a one-node allocation, ΣR · same_node, in the bits
-  // Allocation::best_central computes.
-  for (std::size_t i = 0; i < n; ++i) {
-    bool whole = true;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (remaining(i, j) < request.count(j)) {
-        whole = false;
-        break;
-      }
-    }
-    if (whole) {
-      std::vector<Entry> on_node;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (request.count(j) > 0) {
-          on_node.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(j), request.count(j)});
-        }
-      }
-      record_place_metrics(1, 0, true);
-      return Placement{
-          cluster::Allocation::from_entries(n, m, std::move(on_node)), i,
-          static_cast<double>(request.total_vms()) * topology.distance(i, i)};
-    }
-  }
-
-  // Candidate central nodes: anything with free capacity.
-  std::vector<std::size_t> candidates;
-  candidates.reserve(n);
-  for (std::size_t x = 0; x < n; ++x) {
-    if (remaining.row_sum(x) > 0) candidates.push_back(x);
-  }
-
+  // Lines 9-14 and the candidate scan, in one pass: a node that can host
+  // everything is taken at once.
   Workspace& ws = local_workspace();
   ws.prepare(n, m);
+  if (const std::size_t whole = scan_nodes(request, remaining, topology, ws);
+      whole < n) {
+    record_place_metrics(1, 0, true);
+    return whole_node_placement(request, topology, whole, m);
+  }
+  const std::vector<std::size_t>& candidates = ws.candidates;
   std::optional<Placement> best;
 
   if (mode_ == Mode::kFirstImprovement) {
@@ -361,19 +449,21 @@ std::optional<Placement> OnlineHeuristic::place(
     // kBestOfAllStarts: the winner is the lexicographic minimum of
     // (distance, central index) over every candidate.  Past the admission
     // precheck every fill completes (it visits every node), and its
-    // distance is the candidate's tier score, so score them all, then fill
-    // in index order only those within rounding slack of the minimum — the
-    // first minimum alone when scores are exact.
-    build_free_sums(remaining, topology, ws);
+    // distance is the candidate's score, from its coverage and its rack's
+    // terms, so score them all, then fill in index order only those within
+    // rounding slack of the minimum — the first minimum alone when scores
+    // are exact.
+    compute_rack_terms(request, topology, ws);
+    const cluster::DistanceConfig& tiers = topology.distances();
+    const std::size_t* node_rack = topology.node_racks().data();
     ws.score.resize(candidates.size());
     double min_score = kInf;
     for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
-      ws.score[idx] = tier_score(request, remaining, topology,
-                                 candidates[idx], ws);
+      ws.score[idx] = rack_score(tiers, ws.cover[idx],
+                                 ws.terms[node_rack[candidates[idx]]]);
       min_score = std::min(min_score, ws.score[idx]);
     }
-    const double slack =
-        rounding_slack(request, topology.distances(), n, min_score);
+    const double slack = rounding_slack(request, tiers, n, min_score);
     std::size_t filled = 0;
     for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
       if (ws.score[idx] > min_score + slack) continue;

@@ -15,16 +15,20 @@
 // appropriate central node" and is never worse.  kFirstImprovement
 // reproduces the literal break-on-improvement behaviour.
 //
-// Performance (see docs/performance.md): for a fixed central node the fill
-// takes min(need, free) of each type tier by tier, so its distance depends
-// only on the per-tier free totals.  kBestOfAllStarts therefore scores every
-// candidate in O(m) from per-rack and per-cloud free sums built in one pass,
-// and fills only the winner: O(n·m + n log n) per request instead of
-// O(n²·m).  The winner is still the lexicographic minimum of (distance,
+// Performance (see docs/performance.md): kBestOfAllStarts makes one pass
+// over the nodes — the whole-node test of lines 9-14, the candidates, each
+// candidate's coverage A(x) = Σ_j min(R_j, L_xj) and the per-rack free
+// sums — then O(racks·m) arithmetic.  By rack constancy (docs/algorithms.md)
+// the node and rack tiers of a fill from x take min(R_j, rack free_j) of
+// each type whichever node of x's rack is central, so a candidate's score
+// is its coverage plus its rack's terms, O(1), and only the winner is
+// filled.  The winner is still the lexicographic minimum of (distance,
 // central index) over every candidate's fill, bit for bit; with tiers whose
 // products round, the candidates within a proven rounding slack of the
-// minimum score are filled and compared.  A per-thread Workspace makes the
-// fill allocation-free in steady state.
+// minimum score are filled and compared.  A fill orders each tier by
+// getList's key with a counting sort (comparison sort only for a tier whose
+// keys span far more than its size).  A per-thread Workspace makes the scan
+// and the fill allocation-free in steady state.
 #pragma once
 
 #include "placement/policy.h"
@@ -50,9 +54,9 @@ class OnlineHeuristic : public PlacementPolicy {
       const cluster::Request& request, const util::IntMatrix& remaining,
       const cluster::Topology& topology, std::size_t central);
 
-  /// The distance fill_from_central(central) reaches, computed from
-  /// per-tier free totals without filling: the score place() ranks
-  /// candidates by; exposed for tests.  Equal to the fill's distance when
+  /// The distance fill_from_central(central) reaches, computed from the
+  /// central's coverage and its rack's free sums without filling: the score
+  /// place() ranks candidates by; exposed for tests.  Equal to the fill's distance when
   /// the request fits the total free capacity, exactly for integral tiers
   /// and up to rounding otherwise.
   static double score_from_central(const cluster::Request& request,

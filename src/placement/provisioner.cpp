@@ -46,13 +46,13 @@ struct ProvisionerMetrics {
 };
 
 /// The partial rung's anchor: the node with the largest remaining capacity
-/// (ties: lowest index).
+/// (ties: lowest index), read from the view's row sums, which the serving
+/// path's working view keeps warm.
 std::size_t most_free_node(const util::IntMatrix& remaining) {
   std::size_t anchor = 0;
   int anchor_cap = -1;
   for (std::size_t i = 0; i < remaining.rows(); ++i) {
-    int cap = 0;
-    for (std::size_t j = 0; j < remaining.cols(); ++j) cap += remaining(i, j);
+    const int cap = remaining.row_sum(i);
     if (cap > anchor_cap) {
       anchor_cap = cap;
       anchor = i;

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cell/directory.h"
+#include "cell/partition.h"
+#include "placement/online_heuristic.h"
+#include "util/rng.h"
+#include "workload/generator.h"
 
 namespace vcopt::cluster {
 namespace {
@@ -200,6 +211,254 @@ TEST(Cloud, ChangeStampsMarkTouchedNodesAndRacks) {
   EXPECT_EQ(cloud.node_stamp(3), s2);
   EXPECT_THROW(cloud.node_stamp(4), std::out_of_range);
   EXPECT_THROW(cloud.rack_stamp(2), std::out_of_range);
+}
+
+// --- the maintained free view against the books ---------------------------
+
+/// A migration the storm began and has not ended: its reserved slot.
+struct Reservation {
+  std::size_t to = 0;
+  std::size_t type = 0;
+};
+
+/// remaining() recomputed from what the test can see: the inventory's
+/// M − C (zero on failed or drained nodes) less the reservations the test
+/// holds, clamped at zero.
+util::IntMatrix recomputed_free(
+    const Cloud& cloud, const std::map<std::uint64_t, Reservation>& held) {
+  util::IntMatrix reserved(cloud.node_count(), cloud.type_count());
+  for (const auto& [ticket, r] : held) reserved(r.to, r.type) += 1;
+  util::IntMatrix want = cloud.inventory().remaining();
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      want(i, j) = std::max(0, want(i, j) - reserved(i, j));
+    }
+  }
+  return want;
+}
+
+/// remaining() equals the recomputation cell for cell, and its row and
+/// column sums equal freshly computed ones.
+void expect_free_view(const Cloud& cloud,
+                      const std::map<std::uint64_t, Reservation>& held,
+                      const std::string& where) {
+  const util::IntMatrix got = cloud.remaining();
+  ASSERT_EQ(got, recomputed_free(cloud, held)) << where;
+  std::vector<int> col(got.cols(), 0);
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    int row = 0;
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      row += got.data()[i * got.cols() + j];
+      col[j] += got.data()[i * got.cols() + j];
+    }
+    ASSERT_EQ(got.row_sum(i), row) << where << ": row " << i;
+  }
+  for (std::size_t j = 0; j < got.cols(); ++j) {
+    ASSERT_EQ(got.col_sum(j), col[j]) << where << ": column " << j;
+  }
+}
+
+/// Begins moving one VM of `lease` to `to`; records the reservation.
+std::uint64_t begin_move(Cloud& cloud, LeaseId lease, std::size_t to,
+                         std::map<std::uint64_t, Reservation>& held) {
+  for (const Allocation::Entry& e : cloud.lease_allocation(lease).entries()) {
+    if (e.node == to) continue;
+    const std::uint64_t ticket = cloud.begin_migration(lease, e.node, to, e.type);
+    if (ticket != 0) {
+      held[ticket] = Reservation{to, e.type};
+      return ticket;
+    }
+  }
+  return 0;
+}
+
+/// Seeded storms of every capacity mutation the cloud offers, with the
+/// clamp's cases scripted in: a failed node holding a reservation, a commit
+/// whose destination failed or drained (it rolls back), and a reservation
+/// that outlives a fail/recover and then commits.
+void run_free_view_storm(const Topology& topo, std::uint64_t seed,
+                         bool directory_holds_listener) {
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               (directory_holds_listener ? ", cell directory" : ""));
+  const VmCatalog catalog = VmCatalog::ec2_default();
+  util::Rng rng(seed);
+  Cloud cloud(topo, catalog,
+              workload::random_inventory(topo, catalog, rng, 1, 4));
+  std::unique_ptr<cell::CellDirectory> dir;
+  if (directory_holds_listener) {
+    cell::CellPartitionOptions po;
+    po.target_cells = 3;
+    dir = std::make_unique<cell::CellDirectory>(cloud, po);
+  }
+  std::map<std::uint64_t, Reservation> held;
+  std::vector<LeaseId> live;
+  std::vector<std::size_t> failed;
+  placement::OnlineHeuristic heuristic;
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const auto grant_one = [&](int step) {
+    const Request r = workload::random_request(
+        catalog, rng, 0, 3, static_cast<std::uint64_t>(step));
+    if (r.empty()) return;
+    if (auto p = heuristic.place(r, cloud.remaining(), cloud.topology())) {
+      live.push_back(cloud.grant(r, p->allocation));
+    }
+  };
+  const auto end_move = [&](std::uint64_t ticket, bool commit) {
+    held.erase(ticket);
+    if (commit) {
+      cloud.commit_migration(ticket);  // rolls back if the world moved
+    } else {
+      cloud.rollback_migration(ticket);
+    }
+  };
+
+  // Begins a migration of `lease` to the first node from a random start
+  // that takes it; sets `to`.
+  const auto begin_somewhere = [&](LeaseId lease, std::size_t& to) {
+    const std::size_t start = pick(cloud.node_count());
+    for (std::size_t k = 0; k < cloud.node_count(); ++k) {
+      to = (start + k) % cloud.node_count();
+      if (const std::uint64_t t = begin_move(cloud, lease, to, held)) return t;
+    }
+    return std::uint64_t{0};
+  };
+
+  expect_free_view(cloud, held, "fresh");
+  for (int step = 0; step < 12; ++step) grant_one(step);
+  ASSERT_GE(live.size(), 2u);
+  expect_free_view(cloud, held, "granted");
+
+  // A failed destination keeps its reservation: the view clamps at zero,
+  // and a commit rolls back.
+  std::size_t to = 0;
+  std::uint64_t t = begin_somewhere(live.front(), to);
+  ASSERT_NE(t, 0u);
+  cloud.fail_node(to);
+  expect_free_view(cloud, held, "reserved node failed");
+  end_move(t, true);
+  expect_free_view(cloud, held, "commit after destination failed");
+  cloud.recover_node(to);
+  expect_free_view(cloud, held, "recovered");
+  // A drained destination rolls the commit back too.
+  t = begin_somewhere(live.back(), to);
+  ASSERT_NE(t, 0u);
+  cloud.drain_node(to);
+  expect_free_view(cloud, held, "reserved node drained");
+  end_move(t, true);
+  expect_free_view(cloud, held, "commit after destination drained");
+  cloud.undrain_node(to);
+  expect_free_view(cloud, held, "undrained");
+  // A reservation that outlives its node's fail and recover commits.
+  t = begin_somewhere(live.front(), to);
+  ASSERT_NE(t, 0u);
+  cloud.fail_node(to);
+  cloud.recover_node(to);
+  expect_free_view(cloud, held, "reservation survived a failure");
+  ASSERT_TRUE(cloud.commit_migration(t));
+  held.erase(t);
+  expect_free_view(cloud, held, "commit after recovery");
+
+  for (int step = 0; step < 300; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    switch (rng.uniform_int(0, 10)) {
+      case 0:
+      case 1:
+        grant_one(step);
+        break;
+      case 2: {  // release
+        if (live.empty()) break;
+        const std::size_t k = pick(live.size());
+        cloud.release(live[k]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        break;
+      }
+      case 3: {  // shrink one VM off a lease
+        if (live.empty()) break;
+        const LeaseId id = live[pick(live.size())];
+        const auto& entries = cloud.lease_allocation(id).entries();
+        if (entries.empty()) break;
+        const Allocation::Entry e = entries[pick(entries.size())];
+        Allocation lost(cloud.node_count(), cloud.type_count());
+        lost.add(e.node, e.type, 1);
+        cloud.shrink_lease(id, lost);
+        break;
+      }
+      case 4: {  // grow a lease by one VM on a free slot
+        if (live.empty()) break;
+        const std::size_t node = pick(cloud.node_count());
+        const std::size_t type = pick(cloud.type_count());
+        if (cloud.remaining_at(node, type) <= 0) break;
+        Allocation extra(cloud.node_count(), cloud.type_count());
+        extra.add(node, type, 1);
+        cloud.grow_lease(live[pick(live.size())], extra);
+        break;
+      }
+      case 5: {  // fail, shrinking some revoked slices as a repair would
+        const std::size_t node = pick(cloud.node_count());
+        if (cloud.is_failed(node)) break;
+        for (const LeaseId id : cloud.fail_node(node)) {
+          if (rng.bernoulli(0.5)) {
+            cloud.shrink_lease(id, cloud.lease_part_on_node(id, node));
+          }
+        }
+        failed.push_back(node);
+        break;
+      }
+      case 6:  // recover
+        if (failed.empty()) break;
+        cloud.recover_node(failed.back());
+        failed.pop_back();
+        break;
+      case 7: {  // drain or undrain
+        const std::size_t node = pick(cloud.node_count());
+        if (cloud.is_drained(node)) {
+          cloud.undrain_node(node);
+        } else {
+          cloud.drain_node(node);
+        }
+        break;
+      }
+      case 8: {  // begin a migration
+        if (live.empty()) break;
+        begin_move(cloud, live[pick(live.size())], pick(cloud.node_count()),
+                   held);
+        break;
+      }
+      default: {  // commit or roll back one begun earlier
+        if (held.empty()) break;
+        auto it = held.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(pick(held.size())));
+        end_move(it->first, rng.bernoulli(0.6));
+        break;
+      }
+    }
+    expect_free_view(cloud, held, where);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  if (dir) {
+    EXPECT_TRUE(dir->validate().ok);
+  }
+}
+
+TEST(CloudFreeView, StormOnUniformRacks) {
+  for (const bool with_dir : {false, true}) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      run_free_view_storm(Topology::uniform(5, 4), seed, with_dir);
+    }
+  }
+}
+
+TEST(CloudFreeView, StormOnMultiCloudAndUnevenRacks) {
+  for (const bool with_dir : {false, true}) {
+    run_free_view_storm(Topology::multi_cloud(2, 3, 3), 4, with_dir);
+    // Racks of 1, 2, 4 and 7 nodes whose members interleave by node id.
+    run_free_view_storm(
+        Topology({3, 2, 3, 1, 3, 0, 3, 2, 3, 2, 3, 1, 2, 3}, {0, 0, 1, 1}), 5,
+        with_dir);
+  }
 }
 
 TEST(Cloud, Describe) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
+#include "../placement/reference.h"
+#include "util/rng.h"
+
 namespace vcopt::cluster {
 namespace {
 
@@ -111,6 +118,32 @@ TEST(Topology, OutOfRangeAccessThrows) {
   EXPECT_THROW(t.rack_of(4), std::out_of_range);
   EXPECT_THROW(t.distance(0, 4), std::out_of_range);
   EXPECT_THROW(t.nodes_in_rack(2), std::out_of_range);
+}
+
+// The tier walk is the stable sort of every node by distance from `from`,
+// from every node, on uniform, multi-cloud and irregular interleaved
+// topologies (racks of uneven size, racks and clouds interleaved by index).
+TEST(Topology, NodesByDistanceIsAStableSortByDistance) {
+  util::Rng rng(11);
+  const std::vector<Topology> topologies = {
+      Topology::uniform(4, 5),
+      Topology::multi_cloud(3, 2, 4),
+      reference::irregular(rng, 40, 7, DistanceConfig{}),
+      reference::irregular(rng, 31, 11, reference::tiers(0.1, 0.7, 1.3, 2.9)),
+  };
+  for (const Topology& t : topologies) {
+    for (std::size_t from = 0; from < t.node_count(); ++from) {
+      std::vector<std::size_t> want(t.node_count());
+      std::iota(want.begin(), want.end(), std::size_t{0});
+      std::stable_sort(want.begin(), want.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return t.distance(from, a) < t.distance(from, b);
+                       });
+      ASSERT_EQ(t.nodes_by_distance(from), want)
+          << t.describe() << " from " << from;
+    }
+    EXPECT_THROW(t.nodes_by_distance(t.node_count()), std::out_of_range);
+  }
 }
 
 TEST(Topology, Describe) {

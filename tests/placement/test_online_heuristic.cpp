@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
+#include "reference.h"
 #include "solver/sd_solver.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -133,60 +133,6 @@ TEST(OnlineHeuristic, TheoremOneExchangeImproves) {
   EXPECT_LT(dc1, dc2);
 }
 
-// Algorithm 1's fill for one central node as the dense-D reference writes
-// it: the central node, its rack-mates by descending overlap key, then every
-// off-rack node sorted by (D(i, x), overlap key descending, index).  The
-// overlap key of node i is sum_j min(L[x][j], L[i][j]).
-std::optional<cluster::Allocation> reference_fill(const Request& r,
-                                                  const IntMatrix& remaining,
-                                                  const Topology& topo,
-                                                  std::size_t x) {
-  const util::DoubleMatrix d = topo.distance_matrix();
-  const std::size_t n = remaining.rows();
-  const std::size_t m = remaining.cols();
-  std::vector<int> key(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      key[i] += std::min(remaining(x, j), remaining(i, j));
-    }
-  }
-  std::vector<std::size_t> rack;
-  std::vector<std::size_t> off_rack;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == x) continue;
-    (topo.same_rack(i, x) ? rack : off_rack).push_back(i);
-  }
-  const auto by_key = [&](std::size_t a, std::size_t b) {
-    if (key[a] != key[b]) return key[a] > key[b];
-    return a < b;
-  };
-  std::sort(rack.begin(), rack.end(), by_key);
-  std::sort(off_rack.begin(), off_rack.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (d(a, x) != d(b, x)) return d(a, x) < d(b, x);
-              return by_key(a, b);
-            });
-  std::vector<std::size_t> order = {x};
-  order.insert(order.end(), rack.begin(), rack.end());
-  order.insert(order.end(), off_rack.begin(), off_rack.end());
-
-  cluster::Allocation alloc(n, m);
-  std::vector<int> need = r.counts();
-  for (std::size_t i : order) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const int take = std::min(need[j], remaining(i, j));
-      if (take > 0) {
-        alloc.add(i, j, take);
-        need[j] -= take;
-      }
-    }
-  }
-  for (int v : need) {
-    if (v > 0) return std::nullopt;
-  }
-  return alloc;
-}
-
 // Three clouds of two racks: requests too big for one rack make the fills
 // cross both off-rack tiers (the central's cloud, then the other clouds),
 // and every fill must match the dense-D reference exactly.
@@ -199,9 +145,10 @@ TEST(OnlineHeuristic, MultiCloudFillMatchesDenseReference) {
     const IntMatrix remaining =
         workload::random_inventory(topo, catalog, rng, 0, 2);
     const Request r = workload::random_request(catalog, rng, 4, 9, seed);
+    const util::DoubleMatrix d = topo.distance_matrix();
     for (std::size_t x = 0; x < topo.node_count(); ++x) {
       const auto got = OnlineHeuristic::fill_from_central(r, remaining, topo, x);
-      const auto want = reference_fill(r, remaining, topo, x);
+      const auto want = reference::reference_fill(r, remaining, topo, d, x);
       ASSERT_EQ(got.has_value(), want.has_value())
           << "seed=" << seed << " central=" << x;
       if (!got) continue;

@@ -1,11 +1,14 @@
 // Algorithm 1's scored candidate scan must equal an independent argmin over
-// fill_from_central: same central, same distance down to the last bit, same
-// allocation matrix.  place() scores every candidate central from per-rack
-// and per-cloud free sums and fills only the candidates that can still win,
-// so these tests pin the scan against the fill-every-candidate reference on
-// uniform, multi-cloud and irregular topologies, integral and fractional
-// tiers, and churned inventories, and pin the lemma the scan rests on: a
-// candidate's score is its fill's distance.
+// the dense-D reference fill (reference.h): same central, same distance down
+// to the last bit, same allocation matrix.  place() scores every candidate
+// central from its coverage and its rack's free sums, fills only the
+// candidates that can still win and orders each getList tier by counting
+// sort, so these tests pin the scan against a fill-every-candidate
+// reference that shares none of that code — on uniform, multi-cloud and
+// irregular topologies, integral and fractional tiers, churned
+// inventories, and inventories whose getList keys outrun their tiers — and
+// pin the lemma the scan rests on: a candidate's score is its fill's
+// distance.
 //
 // The ParallelEquivalence and ParallelPlacement ids date from the chunked
 // parallel scan these suites used to compare with the serial one; they are
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "placement/online_heuristic.h"
+#include "reference.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -28,6 +32,9 @@ namespace {
 using cluster::DistanceConfig;
 using cluster::Request;
 using cluster::Topology;
+using reference::irregular;
+using reference::reference_best;
+using reference::tiers;
 using util::IntMatrix;
 
 void expect_identical(const std::optional<Placement>& a,
@@ -39,38 +46,6 @@ void expect_identical(const std::optional<Placement>& a,
   // Bitwise: both paths must evaluate the winning distance identically.
   EXPECT_EQ(a->distance, b->distance) << where;
   EXPECT_EQ(a->allocation, b->allocation) << where;
-}
-
-// Reference semantics of Mode::kBestOfAllStarts: the first node that can
-// host the whole request (lines 9-14 of Algorithm 1), at the Definition-1
-// distance of that one-node allocation, else the argmin of (distance,
-// central index) over every candidate central with free capacity, each
-// filled by the public fill_from_central.
-std::optional<Placement> reference_best(const Request& r,
-                                        const IntMatrix& remaining,
-                                        const Topology& topo) {
-  for (std::size_t x = 0; x < remaining.rows(); ++x) {
-    bool whole = true;
-    for (std::size_t j = 0; j < remaining.cols(); ++j) {
-      whole = whole && remaining(x, j) >= r.count(j);
-    }
-    if (!whole) continue;
-    cluster::Allocation alloc(remaining.rows(), remaining.cols());
-    for (std::size_t j = 0; j < remaining.cols(); ++j) {
-      alloc.at(x, j) = r.count(j);
-    }
-    const double d = alloc.distance_from(x, topo);
-    return Placement{std::move(alloc), x, d};
-  }
-  std::optional<Placement> best;
-  for (std::size_t x = 0; x < remaining.rows(); ++x) {
-    if (remaining.row_sum(x) == 0) continue;
-    auto alloc = OnlineHeuristic::fill_from_central(r, remaining, topo, x);
-    if (!alloc) continue;
-    const double d = alloc->distance_from(x, topo);
-    if (!best || d < best->distance) best = Placement{std::move(*alloc), x, d};
-  }
-  return best;
 }
 
 bool integral(const DistanceConfig& t) {
@@ -88,33 +63,10 @@ double slack(const Topology& topo, double score) {
          std::numeric_limits<double>::epsilon() * score;
 }
 
-DistanceConfig tiers(double node, double rack, double cloud, double far) {
-  DistanceConfig t;
-  t.same_node = node;
-  t.same_rack = rack;
-  t.cross_rack = cloud;
-  t.cross_cloud = far;
-  return t;
-}
-
 struct Variant {
   std::string name;
   Topology topology;
 };
-
-// Racks of uneven size whose nodes interleave by index, and clouds whose
-// racks interleave too.
-Topology irregular(util::Rng& rng, std::size_t nodes, std::size_t racks,
-                   DistanceConfig t) {
-  std::vector<std::size_t> node_rack(nodes);
-  for (std::size_t& r : node_rack) {
-    r = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(racks) - 1));
-  }
-  std::vector<std::size_t> rack_cloud(racks);
-  for (std::size_t r = 0; r < racks; ++r) rack_cloud[r] = r % 3;
-  return Topology(std::move(node_rack), std::move(rack_cloud), t);
-}
 
 std::vector<Variant> variants(util::Rng& rng) {
   const DistanceConfig frac = tiers(0.1, 0.7, 1.3, 2.9);
@@ -238,6 +190,69 @@ TEST_P(ScoredScan, ScoreEqualsFillDistance) {
             << v.name << " central " << x << " scored " << score
             << " filled " << d;
       }
+    }
+  }
+}
+
+// Cells of 0-4 with a quarter at 100 or 200: a getList tier's overlap keys
+// then span up to 600 with few distinct values, so tiers whose keys outrun
+// their size take the comparison-sort fallback, tiers of small nodes the
+// counting sort, and both meet ties.
+IntMatrix wide_key_inventory(std::size_t nodes, std::size_t types,
+                             util::Rng& rng) {
+  IntMatrix remaining(nodes, types);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    for (std::size_t j = 0; j < types; ++j) {
+      remaining(i, j) = rng.bernoulli(0.25)
+                            ? (rng.bernoulli(0.5) ? 100 : 200)
+                            : static_cast<int>(rng.uniform_int(0, 4));
+    }
+  }
+  return remaining;
+}
+
+// Both getList orderings, single-node off-rack tiers and fractional tiers:
+// every central's fill equals the dense-D reference fill, and place()
+// equals the reference argmin.
+TEST_P(ScoredScan, WideKeysAndSingleNodeTiersMatchReference) {
+  util::Rng rng(GetParam());
+  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const DistanceConfig frac = tiers(0.1, 0.7, 1.3, 2.9);
+  // Each cloud holds a rack of five and a rack of one node.
+  const std::vector<std::size_t> node_rack = {0, 0, 0, 0, 0, 1, 2, 2, 2,
+                                              2, 2, 3, 4, 4, 4, 4, 4, 5};
+  const std::vector<std::size_t> rack_cloud = {0, 0, 1, 1, 2, 2};
+  const std::vector<Variant> wide = {
+      {"single_node_racks", Topology::multi_cloud(3, 2, 1)},
+      {"lone_node_racks", Topology(node_rack, rack_cloud)},
+      {"lone_node_racks_fractional", Topology(node_rack, rack_cloud, frac)},
+      {"irregular_fractional", irregular(rng, 24, 8, frac)},
+  };
+  OnlineHeuristic heuristic;
+  for (const Variant& v : wide) {
+    const IntMatrix remaining =
+        wide_key_inventory(v.topology.node_count(), catalog.size(), rng);
+    const util::DoubleMatrix d = v.topology.distance_matrix();
+    for (int k = 0; k < 6; ++k) {
+      // Small requests fill from the small nodes; large ones reach the
+      // 100/200 nodes and the off-rack tiers.
+      const int hi = k % 2 == 0 ? 6 : 300;
+      const Request r = workload::random_request(catalog, rng, hi / 3, hi, 0);
+      const std::string where =
+          v.name + " seed=" + std::to_string(GetParam()) + " k=" +
+          std::to_string(k);
+      for (std::size_t x = 0; x < remaining.rows(); ++x) {
+        const auto got =
+            OnlineHeuristic::fill_from_central(r, remaining, v.topology, x);
+        const auto want =
+            reference::reference_fill(r, remaining, v.topology, d, x);
+        ASSERT_EQ(got.has_value(), want.has_value()) << where << " x=" << x;
+        if (got) {
+          EXPECT_EQ(*got, *want) << where << " x=" << x;
+        }
+      }
+      expect_identical(heuristic.place(r, remaining, v.topology),
+                       reference_best(r, remaining, v.topology), where);
     }
   }
 }

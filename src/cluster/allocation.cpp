@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "cluster/topology.h"
 
@@ -121,7 +122,8 @@ bool Allocation::debit_from(util::IntMatrix& remaining) const {
   bool nonnegative = true;
   for (const Entry& e : entries_) {
     remaining.add_at(e.node, e.type, -e.count);
-    nonnegative = nonnegative && remaining(e.node, e.type) >= 0;
+    // A const read: the non-const accessor would drop the sums add_at kept.
+    nonnegative = nonnegative && std::as_const(remaining)(e.node, e.type) >= 0;
   }
   return nonnegative;
 }

@@ -155,7 +155,8 @@ BatchPlacement GlobalSubOpt::place_batch(
   for (std::size_t idx = 0; idx < batch.size(); ++idx) {
     auto placed = online.place(batch[idx], avail, topology);
     if (!placed) continue;  // not enough capacity left: stays queued
-    // O(k) debit; add_at keeps avail's sum cache warm for the next place().
+    // O(k) debit through add_at with const read-backs, so avail's sum
+    // cache stays warm for the next place().
     if (!placed->allocation.debit_from(avail)) {
       throw std::logic_error("GlobalSubOpt: policy oversubscribed capacity");
     }

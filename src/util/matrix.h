@@ -108,6 +108,10 @@ class Matrix {
     }
   }
 
+  /// True while the row/col sum cache is current, so the next row_sum or
+  /// col_sum is O(1) rather than a full rebuild.
+  bool sums_warm() const { return sums_valid_; }
+
   /// Builds the row/col sum cache if stale.  Call from a single thread
   /// before concurrent read-only row_sum/col_sum access (the lazy rebuild
   /// writes mutable state and is not synchronised).

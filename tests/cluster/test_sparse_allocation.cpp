@@ -257,6 +257,34 @@ TEST(SparseAllocation, MatchesDenseReferenceOnSeededSequences) {
   }
 }
 
+// A window debit keeps the view's sum cache warm: the readers after it (the
+// admission precheck's column sums, the partial rung's row sums) then cost
+// O(1), not a rebuild of every sum.
+TEST(SparseAllocation, DebitFromKeepsTheViewsSumsWarm) {
+  util::IntMatrix view(6, 3, 4);
+  view.warm_sums();
+  Allocation a(6, 3);
+  a.add(1, 0, 2);
+  a.add(1, 2, 4);
+  a.add(4, 1, 3);
+  ASSERT_TRUE(a.debit_from(view));
+  EXPECT_TRUE(view.sums_warm());
+  util::IntMatrix fresh(6, 3);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      fresh(i, j) = std::as_const(view)(i, j);
+    }
+  }
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(view.row_sum(i), fresh.row_sum(i));
+  for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(view.col_sum(j), fresh.col_sum(j));
+  // An oversubscribing debit reports it and still leaves the sums warm.
+  Allocation over(6, 3);
+  over.add(1, 2, 1);
+  EXPECT_FALSE(over.debit_from(view));
+  EXPECT_TRUE(view.sums_warm());
+  EXPECT_EQ(view.row_sum(1), 5);
+}
+
 TEST(SparseAllocation, AddBelowZeroThrowsAndLeavesTheAllocationUnchanged) {
   Allocation a(5, 3);
   a.add(1, 2, 2);

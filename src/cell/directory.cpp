@@ -27,7 +27,6 @@ struct DirectoryMetrics {
 CellDirectory::CellDirectory(cluster::Cloud& cloud,
                              CellPartitionOptions options)
     : cloud_(cloud), partition_(cloud.topology(), options) {
-  node_free_ = util::IntMatrix(cloud_.node_count(), cloud_.type_count());
   rebuild();
   cloud_.set_capacity_listener(this);
 }
@@ -35,12 +34,6 @@ CellDirectory::CellDirectory(cluster::Cloud& cloud,
 CellDirectory::~CellDirectory() { cloud_.set_capacity_listener(nullptr); }
 
 void CellDirectory::rebuild() {
-  const std::size_t m = cloud_.type_count();
-  for (std::size_t i = 0; i < cloud_.node_count(); ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      node_free_(i, j) = cloud_.remaining_at(i, j);
-    }
-  }
   sketches_.clear();
   sketches_.reserve(partition_.cell_count());
   for (std::size_t c = 0; c < partition_.cell_count(); ++c) {
@@ -55,12 +48,11 @@ CellSketch CellDirectory::compute_sketch(std::size_t cell) const {
   CellSketch s;
   s.free_total.assign(m, 0);
   s.rack_free = util::IntMatrix(cl.racks.size(), m);
-  for (std::size_t node : cl.nodes) {
-    const std::size_t lr = partition_.local_rack(cloud_.topology().rack_of(node));
+  for (std::size_t lr = 0; lr < cl.racks.size(); ++lr) {
+    const int* rack = cloud_.free_index().rack_free(cl.racks[lr]);
     for (std::size_t j = 0; j < m; ++j) {
-      const int free = node_free_(node, j);
-      s.free_total[j] += free;
-      s.rack_free(lr, j) += free;
+      s.free_total[j] += rack[j];
+      s.rack_free(lr, j) = rack[j];
     }
   }
   return s;
@@ -71,20 +63,20 @@ void CellDirectory::on_capacity_changed(const cluster::Cloud& cloud,
   auto& metrics = DirectoryMetrics::get();
   const std::size_t m = cloud.type_count();
   for (std::size_t node : nodes) {
-    const std::size_t c = partition_.cell_of_node(node);
-    CellSketch& s = sketches_[c];
-    const std::size_t lr =
-        partition_.local_rack(cloud.topology().rack_of(node));
+    const std::size_t rack = cloud.topology().rack_of(node);
+    CellSketch& s = sketches_[partition_.cell_of_node(node)];
+    const std::size_t lr = partition_.local_rack(rack);
+    const int* now = cloud.free_index().rack_free(rack);
     bool changed = false;
     for (std::size_t j = 0; j < m; ++j) {
-      const int now = cloud.remaining_at(node, j);
-      const int delta = now - node_free_(node, j);
+      const int delta = now[j] - s.rack_free(lr, j);
       if (delta == 0) continue;
-      node_free_(node, j) = now;
+      s.rack_free(lr, j) = now[j];
       s.free_total[j] += delta;
-      s.rack_free(lr, j) += delta;
       changed = true;
     }
+    // Counts sketch rows that changed: a second node of the same rack in
+    // one mutation finds its row current already.
     if (changed) metrics.sketch_updates.add();
   }
 }
@@ -92,7 +84,7 @@ void CellDirectory::on_capacity_changed(const cluster::Cloud& cloud,
 check::ValidationResult CellDirectory::validate() const {
   const std::size_t m = cloud_.type_count();
   // Ground truth: re-read every node straight from the cloud, bypassing the
-  // node_free_ mirror (which is itself under test).
+  // cloud's rack sums (which are themselves under test).
   for (std::size_t c = 0; c < partition_.cell_count(); ++c) {
     const Cell& cl = partition_.cell(c);
     const CellSketch& s = sketches_[c];

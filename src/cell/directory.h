@@ -3,12 +3,14 @@
 // of the cloud (grant / release / fault / recover / drain / undrain / lease
 // resize / two-phase migration).  The maintenance protocol (docs/cells.md):
 //
-//   1. The directory mirrors the cloud's effective per-node free capacity
-//      (Cloud::remaining_at — zero on failed/drained nodes, net of
-//      migration reservations).
+//   1. The cloud keeps per-rack free sums of its effective free capacity
+//      (Cloud::free_index — Cloud::remaining_at summed per rack: zero on
+//      failed/drained nodes, net of migration reservations), and has
+//      updated them by the time it calls the listener.
 //   2. On a mutation the cloud reports the touched node ids; the directory
-//      re-reads exactly those rows and applies the deltas to the owning
-//      cell's free_total / rack_free.
+//      copies each touched rack's sums into its cell's rack_free row and
+//      applies the row's change to the cell's free_total.  Cells hold
+//      whole racks, so a rack's sums are its sketch row.
 //
 // Not internally synchronised: mutations arrive synchronously from the
 // cloud's mutators, so the directory inherits whatever discipline guards
@@ -37,7 +39,7 @@ class CellDirectory : public cluster::CapacityListener {
 
   const CellPartition& partition() const { return partition_; }
   std::size_t cell_count() const { return partition_.cell_count(); }
-  std::size_t node_count() const { return node_free_.rows(); }
+  std::size_t node_count() const { return cloud_.node_count(); }
 
   /// The cell's sketch, exact for the cloud's committed state.
   const CellSketch& sketch(std::size_t cell) const {
@@ -52,7 +54,8 @@ class CellDirectory : public cluster::CapacityListener {
   /// path and called directly by the storm tests.
   check::ValidationResult validate() const;
 
-  // CapacityListener: re-read the touched rows and apply deltas.
+  // CapacityListener: refresh the touched racks' rows from the cloud's rack
+  // sums and apply their deltas.  O(m) per touched node.
   void on_capacity_changed(const cluster::Cloud& cloud,
                            const std::vector<std::size_t>& nodes) override;
 
@@ -62,8 +65,6 @@ class CellDirectory : public cluster::CapacityListener {
   cluster::Cloud& cloud_;
   CellPartition partition_;
   std::vector<CellSketch> sketches_;
-  /// Mirror of Cloud::remaining_at for delta computation.
-  util::IntMatrix node_free_;
 };
 
 }  // namespace vcopt::cell

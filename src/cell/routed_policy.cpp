@@ -32,8 +32,9 @@ RoutedPolicy::RoutedPolicy(CellDirectory& directory,
     : directory_(directory), router_(options) {}
 
 std::optional<placement::Placement> RoutedPolicy::place(
-    const cluster::Request& request, const util::IntMatrix& remaining,
+    const cluster::Request& request, const cluster::CapacityView& view,
     const cluster::Topology& topology) {
+  const util::IntMatrix& remaining = view.matrix();
   if (remaining.rows() != directory_.node_count() ||
       topology.node_count() != directory_.node_count()) {
     throw std::invalid_argument(
@@ -80,7 +81,7 @@ std::optional<placement::Placement> RoutedPolicy::place(
   }
 
   metrics.fallback_flat.add();
-  return inner_.place(request, remaining, topology);
+  return inner_.place(request, view, topology);
 }
 
 }  // namespace vcopt::cell

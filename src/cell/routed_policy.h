@@ -29,7 +29,7 @@ class RoutedPolicy : public placement::PlacementPolicy {
   RoutedPolicy(CellDirectory& directory, CellRouterOptions options = {});
 
   std::optional<placement::Placement> place(
-      const cluster::Request& request, const util::IntMatrix& remaining,
+      const cluster::Request& request, const cluster::CapacityView& view,
       const cluster::Topology& topology) override;
 
   std::string name() const override { return "routed"; }

@@ -25,6 +25,7 @@ Cloud::Cloud(Topology topology, VmCatalog catalog, util::IntMatrix max_capacity)
   }
   free_ = inventory_.remaining();
   free_.warm_sums();
+  index_ = FreeIndex(topology_, inventory_.max_capacity(), free_);
 }
 
 void Cloud::stamp(std::size_t node) {
@@ -84,34 +85,55 @@ util::IntMatrix Cloud::remaining() const {
         << " free view column " << j << " sums to " << col_sums[j]
         << " but caches " << free_.col_sum(j);
   }
+  // The class index against one rebuilt from the view.
+  VCOPT_INVARIANT(index_.same_state(
+      FreeIndex(topology_, inventory_.max_capacity(), free_)))
+      << " free-vector class index diverged from the free view";
 #endif
   return free_;
 }
 
+void Cloud::add_free(std::size_t node, std::size_t type, int delta) {
+  free_.add_at(node, type, delta);
+  index_.add(node, type, delta);
+}
+
+void Cloud::reclass(std::size_t node) {
+  index_.reclass(node, free_.data().data() + node * type_count());
+}
+
+// Entries arrive sorted by node, so a node's last entry is where its row is
+// final and it is reclassed.
 void Cloud::debit_free(const Allocation& alloc) {
-  for (const Allocation::Entry& e : alloc.entries()) {
-    free_.add_at(e.node, e.type, -e.count);
-    check_free_cell(e.node, e.type);
+  const std::vector<Allocation::Entry>& es = alloc.entries();
+  for (std::size_t k = 0; k < es.size(); ++k) {
+    add_free(es[k].node, es[k].type, -es[k].count);
+    check_free_cell(es[k].node, es[k].type);
+    if (k + 1 == es.size() || es[k + 1].node != es[k].node) {
+      reclass(es[k].node);
+    }
   }
 }
 
 void Cloud::credit_free(const Allocation& alloc) {
-  for (const Allocation::Entry& e : alloc.entries()) {
+  const std::vector<Allocation::Entry>& es = alloc.entries();
+  for (std::size_t k = 0; k < es.size(); ++k) {
+    const Allocation::Entry& e = es[k];
     if (!inventory_.is_failed(e.node) && !inventory_.is_drained(e.node)) {
-      free_.add_at(e.node, e.type, e.count);
+      add_free(e.node, e.type, e.count);
     }
     check_free_cell(e.node, e.type);
+    if (k + 1 == es.size() || es[k + 1].node != e.node) reclass(e.node);
   }
 }
 
-void Cloud::refresh_free(std::size_t node, std::size_t type) {
-  // A const read: the non-const accessor would drop the view's sums.
-  free_.add_at(node, type,
-               remaining_at(node, type) - std::as_const(free_)(node, type));
-}
-
-void Cloud::refresh_free_row(std::size_t node) {
-  for (std::size_t j = 0; j < type_count(); ++j) refresh_free(node, j);
+void Cloud::refresh_free(std::size_t node) {
+  for (std::size_t j = 0; j < type_count(); ++j) {
+    // A const read: the non-const accessor would drop the view's sums.
+    const int delta = remaining_at(node, j) - std::as_const(free_)(node, j);
+    if (delta != 0) add_free(node, j, delta);
+  }
+  reclass(node);
 }
 
 void Cloud::check_free_cell(std::size_t node, std::size_t type) const {
@@ -184,7 +206,7 @@ void Cloud::release(LeaseId id) {
 
 std::vector<LeaseId> Cloud::fail_node(std::size_t node) {
   inventory_.fail_node(node);  // bounds-checks `node`
-  refresh_free_row(node);
+  refresh_free(node);
   notify_one(node);
   std::vector<LeaseId> affected;
   for (const auto& [id, lease] : leases_) {
@@ -272,7 +294,7 @@ std::uint64_t Cloud::begin_migration(LeaseId lease, std::size_t from,
   if (inventory_.remaining_at(to, type) - reserved_(to, type) <= 0) return 0;
   reserved_(to, type) += 1;
   ++reserved_total_;
-  refresh_free(to, type);
+  refresh_free(to);
   const std::uint64_t ticket = next_migration_++;
   migrations_.emplace(ticket, PendingMigration{lease, from, to, type});
   notify_one(to);
@@ -315,8 +337,8 @@ bool Cloud::commit_migration(std::uint64_t ticket) {
   inventory_.release(freed);
   alloc.add(m.from, m.type, -1);
   alloc.add(m.to, m.type, 1);
-  refresh_free(m.to, m.type);
-  refresh_free(m.from, m.type);
+  refresh_free(m.to);
+  refresh_free(m.from);
 #if VCOPT_ENABLE_CHECKS
   VCOPT_VALIDATE(check::validate_migration_conservation(
       before, alloc.to_matrix(),  // NOLINT(vcopt-dense-allocation)
@@ -337,7 +359,7 @@ void Cloud::rollback_migration(std::uint64_t ticket) {
   reserved_(to, type) -= 1;
   --reserved_total_;
   migrations_.erase(it);
-  refresh_free(to, type);
+  refresh_free(to);
   notify_one(to);
 }
 

@@ -16,6 +16,8 @@ std::shared_ptr<const CloudSnapshot> SnapshotArena::build(
     snap->capacity_col_sums[j] = max.col_sum(j);
   }
   snap->topology = &cloud.topology();
+  snap->index = &cloud.free_index();
+  snap->index_version = cloud.free_index().version();
   snap->type_count = cloud.type_count();
   return snap;
 }

@@ -3,11 +3,12 @@
 // A CloudSnapshot freezes everything a decision window needs to plan
 // placements — the remaining-capacity matrix L, the per-type capacity
 // column sums that drive the admit() kReject rung, and a pointer to the
-// (immutable) topology.  service::detail::decide_window builds one per
+// (immutable) topology — and points at the cloud's free-vector class index
+// with the version it saw.  service::detail::decide_window builds one per
 // window and plans against it with the pure service::detail::plan_window
 // before committing the grants to the cloud.  Building one copies the free
 // view the Cloud keeps current (Cloud::remaining()), sums included: no
-// M − C arithmetic and no re-summing.
+// M − C arithmetic and no re-summing; the index is not copied.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +35,12 @@ struct CloudSnapshot {
   /// The cloud's topology; topologies are immutable for a Cloud's lifetime,
   /// so sharing the pointer is safe.
   const Topology* topology = nullptr;
+  /// The cloud's class index of `remaining`, not a copy: it describes
+  /// `remaining` only while its version() is still `index_version`, that
+  /// is, until the next capacity mutation.  A window plans before its
+  /// grants land, so its queries see that version.
+  const FreeIndex* index = nullptr;
+  std::uint64_t index_version = 0;
   std::size_t type_count = 0;
 };
 

@@ -18,8 +18,9 @@ bool availability_ok(const cluster::Request& request,
 }  // namespace
 
 std::optional<Placement> FirstFitPolicy::place(const cluster::Request& request,
-                                               const util::IntMatrix& remaining,
+                                               const cluster::CapacityView& view,
                                                const cluster::Topology& topology) {
+  const util::IntMatrix& remaining = view.matrix();
   if (!availability_ok(request, remaining)) return std::nullopt;
   cluster::Allocation alloc(remaining.rows(), remaining.cols());
   std::vector<int> need = request.counts();
@@ -36,8 +37,9 @@ std::optional<Placement> FirstFitPolicy::place(const cluster::Request& request,
 }
 
 std::optional<Placement> SpreadPolicy::place(const cluster::Request& request,
-                                             const util::IntMatrix& remaining,
+                                             const cluster::CapacityView& view,
                                              const cluster::Topology& topology) {
+  const util::IntMatrix& remaining = view.matrix();
   if (!availability_ok(request, remaining)) return std::nullopt;
   cluster::Allocation alloc(remaining.rows(), remaining.cols());
   util::IntMatrix left = remaining;
@@ -63,8 +65,9 @@ std::optional<Placement> SpreadPolicy::place(const cluster::Request& request,
 }
 
 std::optional<Placement> RandomPolicy::place(const cluster::Request& request,
-                                             const util::IntMatrix& remaining,
+                                             const cluster::CapacityView& view,
                                              const cluster::Topology& topology) {
+  const util::IntMatrix& remaining = view.matrix();
   if (!availability_ok(request, remaining)) return std::nullopt;
   cluster::Allocation alloc(remaining.rows(), remaining.cols());
   util::IntMatrix left = remaining;
@@ -85,8 +88,9 @@ std::optional<Placement> RandomPolicy::place(const cluster::Request& request,
 }
 
 std::optional<Placement> SdExactPolicy::place(const cluster::Request& request,
-                                              const util::IntMatrix& remaining,
+                                              const cluster::CapacityView& view,
                                               const cluster::Topology& topology) {
+  const util::IntMatrix& remaining = view.matrix();
   // The exact scan takes an arbitrary metric, so it gets a dense D, built
   // once per call.
   const util::DoubleMatrix dist =

@@ -12,7 +12,7 @@ namespace vcopt::placement {
 class FirstFitPolicy : public PlacementPolicy {
  public:
   std::optional<Placement> place(const cluster::Request& request,
-                                 const util::IntMatrix& remaining,
+                                 const cluster::CapacityView& view,
                                  const cluster::Topology& topology) override;
   std::string name() const override { return "first-fit"; }
 };
@@ -23,7 +23,7 @@ class FirstFitPolicy : public PlacementPolicy {
 class SpreadPolicy : public PlacementPolicy {
  public:
   std::optional<Placement> place(const cluster::Request& request,
-                                 const util::IntMatrix& remaining,
+                                 const cluster::CapacityView& view,
                                  const cluster::Topology& topology) override;
   std::string name() const override { return "spread"; }
 };
@@ -34,7 +34,7 @@ class RandomPolicy : public PlacementPolicy {
  public:
   explicit RandomPolicy(std::uint64_t seed = 1) : rng_(seed) {}
   std::optional<Placement> place(const cluster::Request& request,
-                                 const util::IntMatrix& remaining,
+                                 const cluster::CapacityView& view,
                                  const cluster::Topology& topology) override;
   std::string name() const override { return "random"; }
 
@@ -46,7 +46,7 @@ class RandomPolicy : public PlacementPolicy {
 class SdExactPolicy : public PlacementPolicy {
  public:
   std::optional<Placement> place(const cluster::Request& request,
-                                 const util::IntMatrix& remaining,
+                                 const cluster::CapacityView& view,
                                  const cluster::Topology& topology) override;
   std::string name() const override { return "sd-exact"; }
 };

@@ -15,20 +15,24 @@
 // appropriate central node" and is never worse.  kFirstImprovement
 // reproduces the literal break-on-improvement behaviour.
 //
-// Performance (see docs/performance.md): kBestOfAllStarts makes one pass
-// over the nodes — the whole-node test of lines 9-14, the candidates, each
-// candidate's coverage A(x) = Σ_j min(R_j, L_xj) and the per-rack free
-// sums — then O(racks·m) arithmetic.  By rack constancy (docs/algorithms.md)
-// the node and rack tiers of a fill from x take min(R_j, rack free_j) of
-// each type whichever node of x's rack is central, so a candidate's score
-// is its coverage plus its rack's terms, O(1), and only the winner is
-// filled.  The winner is still the lexicographic minimum of (distance,
-// central index) over every candidate's fill, bit for bit; with tiers whose
-// products round, the candidates within a proven rounding slack of the
-// minimum score are filled and compared.  A fill orders each tier by
+// Performance (see docs/performance.md): by rack constancy
+// (docs/algorithms.md) the node and rack tiers of a fill from x take
+// min(R_j, rack free_j) of each type whichever node of x's rack is central,
+// so a candidate's score is its coverage A(x) = Σ_j min(R_j, L_xj) plus its
+// rack's terms, O(1), and only the winner is filled.  On a bare matrix,
+// kBestOfAllStarts makes one pass over the nodes — the whole-node test of
+// lines 9-14, the candidates, their coverage and the per-rack free sums —
+// then O(racks·m) arithmetic: the scored scan.  On a view that carries a
+// Cloud's class index (cluster::CapacityView), with exact scores (integral
+// tiers), it reads the same winner from the index instead: the non-empty
+// classes and a few of their members, not every row (the class query).
+// The winner is the lexicographic minimum of (distance, central index) over
+// every candidate's fill, bit for bit, either way; with tiers whose
+// products round, the scan fills the candidates within a proven rounding
+// slack of the minimum score and compares them.  A fill orders each tier by
 // getList's key with a counting sort (comparison sort only for a tier whose
-// keys span far more than its size).  A per-thread Workspace makes the scan
-// and the fill allocation-free in steady state.
+// keys span far more than its size).  A per-thread Workspace makes the scan,
+// the query and the fill allocation-free in steady state.
 #pragma once
 
 #include "placement/policy.h"
@@ -43,7 +47,7 @@ class OnlineHeuristic : public PlacementPolicy {
       : mode_(mode) {}
 
   std::optional<Placement> place(const cluster::Request& request,
-                                 const util::IntMatrix& remaining,
+                                 const cluster::CapacityView& view,
                                  const cluster::Topology& topology) override;
 
   std::string name() const override { return "online-heuristic"; }

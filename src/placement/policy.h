@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/allocation.h"
+#include "cluster/capacity_view.h"
 #include "cluster/request.h"
 #include "cluster/topology.h"
 #include "util/matrix.h"
@@ -27,11 +28,13 @@ class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
 
-  /// Computes an allocation for `request` against remaining capacity
-  /// `remaining` and the distances of `topology`.  Returns nullopt when
-  /// the request cannot be satisfied from `remaining`.
+  /// Computes an allocation for `request` against the remaining capacity
+  /// `view.matrix()` and the distances of `topology`.  Returns nullopt when
+  /// the request cannot be satisfied from it.  A bare matrix converts to a
+  /// view; a view from a Cloud also carries its class index, which only
+  /// OnlineHeuristic reads (cluster/capacity_view.h).
   virtual std::optional<Placement> place(const cluster::Request& request,
-                                         const util::IntMatrix& remaining,
+                                         const cluster::CapacityView& view,
                                          const cluster::Topology& topology) = 0;
 
   virtual std::string name() const = 0;

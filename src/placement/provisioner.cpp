@@ -144,7 +144,9 @@ std::size_t Provisioner::next_in_queue() const {
 }
 
 std::optional<Grant> Provisioner::try_place_and_grant(const cluster::Request& r) {
-  auto placed = policy_->place(r, cloud_.remaining(), cloud_.topology());
+  // The cloud's live view and its class index, not a copy: nothing mutates
+  // the cloud until the grant below.
+  auto placed = policy_->place(r, cloud_.capacity_view(), cloud_.topology());
   if (!placed) return std::nullopt;
   // Catch a misbehaving policy with a contextual dump BEFORE the grant
   // mutates the inventory (which would only throw a bare invalid_argument).
@@ -228,10 +230,11 @@ ProvisionResult Provisioner::submit(const cluster::Request& r) {
 }
 
 LadderPlan plan_laddered(const cluster::Request& r,
-                         const util::IntMatrix& remaining,
+                         const cluster::CapacityView& view,
                          const cluster::Topology& topology,
                          const std::vector<int>& capacity_col_sums,
                          PlacementPolicy& policy) {
+  const util::IntMatrix& remaining = view.matrix();
   auto& m = ProvisionerMetrics::get();
   LadderPlan plan;
   plan.requested_vms = r.total_vms();
@@ -260,7 +263,7 @@ LadderPlan plan_laddered(const cluster::Request& r,
 
   // The caller's policy places the whole request, or the best-effort fill
   // places what availability allows.
-  if (auto placed = policy.place(r, remaining, topology)) {
+  if (auto placed = policy.place(r, view, topology)) {
     plan.status = PlacementStatus::kDegraded;
     plan.placement = std::move(*placed);
     plan.effective = r;

@@ -72,10 +72,12 @@ struct LadderPlan {
 /// kDegraded) -> best-effort partial allocation of min(R_j, available_j)
 /// VMs per type (kPartial) -> kAbandoned.  Reads only the arguments and
 /// mutates nothing, so the serving path evaluates it against an immutable
-/// CloudSnapshot and commits the plan later.  `capacity_col_sums[j]` must be
-/// sum_i M_ij (including drained/failed nodes) — the admit() kReject test.
+/// CloudSnapshot and commits the plan later.  `view` goes to the policy as
+/// it is (with its index, if any); the partial rung reads view.matrix().
+/// `capacity_col_sums[j]` must be sum_i M_ij (including drained/failed
+/// nodes) — the admit() kReject test.
 LadderPlan plan_laddered(const cluster::Request& r,
-                         const util::IntMatrix& remaining,
+                         const cluster::CapacityView& view,
                          const cluster::Topology& topology,
                          const std::vector<int>& capacity_col_sums,
                          PlacementPolicy& policy);

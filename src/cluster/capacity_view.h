@@ -5,7 +5,11 @@
 // A bare matrix converts implicitly, so every caller that hands a policy a
 // util::IntMatrix still compiles; such a view has no index and policies
 // scan it.  With an index, OnlineHeuristic answers its kBestOfAllStarts
-// query from the classes instead of from every row (docs/algorithms.md).
+// query, and fills the winner's off-rack tiers, from the classes instead
+// of from every row (docs/algorithms.md, "The class query").  The matrix
+// is the cloud's own free view (Cloud::capacity_view()), or a decision
+// window's copy of it once the window has debited a grant a later
+// placement must see (service::detail::plan_window).
 #pragma once
 
 #include <algorithm>
@@ -19,8 +23,8 @@
 namespace vcopt::cluster {
 
 /// The nodes whose rows a window's own debits changed after the index's
-/// state was taken.  A query reads these rows from the matrix and skips the
-/// nodes in its class walks.
+/// state was taken.  A query and its fill read these rows from the matrix
+/// and skip the nodes in their class walks.
 class WindowOverlay {
  public:
   /// Records the nodes of `alloc`'s entries: O(k).

@@ -26,6 +26,10 @@ Cloud::Cloud(Topology topology, VmCatalog catalog, util::IntMatrix max_capacity)
   free_ = inventory_.remaining();
   free_.warm_sums();
   index_ = FreeIndex(topology_, inventory_.max_capacity(), free_);
+  capacity_col_sums_.resize(type_count());
+  for (std::size_t j = 0; j < type_count(); ++j) {
+    capacity_col_sums_[j] = inventory_.max_capacity().col_sum(j);
+  }
 }
 
 void Cloud::stamp(std::size_t node) {

@@ -75,9 +75,18 @@ class Cloud {
   util::IntMatrix remaining() const;
 
   /// The free view remaining() copies, with its class index, without the
-  /// copy: what the simulators' Provisioner and the service's windows hand
-  /// placement.  Valid until the next capacity mutation.
+  /// copy: what the simulators' Provisioner and the service's windows
+  /// (through cluster::CloudSnapshot) hand placement.  The matrix and index
+  /// live as long as the cloud; they show its state until the next
+  /// capacity mutation changes them in place.
   CapacityView capacity_view() const { return CapacityView(free_, &index_); }
+
+  /// Per-type total capacity sum_i M_ij, drained and failed nodes included:
+  /// the admit() kReject bound.  Fixed at construction, like the inventory's
+  /// maxima.
+  const std::vector<int>& capacity_col_sums() const {
+    return capacity_col_sums_;
+  }
 
   /// The free view's class index and its per-rack and per-cloud free sums
   /// (docs/algorithms.md).  Kept at every capacity mutation with the view.
@@ -263,6 +272,8 @@ class Cloud {
   util::IntMatrix free_;
   /// free_ grouped by row, with per-rack and per-cloud sums.
   FreeIndex index_;
+  /// Column sums of the inventory's maxima.
+  std::vector<int> capacity_col_sums_;
   std::map<std::uint64_t, PendingMigration> migrations_;
   std::uint64_t next_migration_ = 1;
   CapacityListener* listener_ = nullptr;

@@ -24,7 +24,7 @@ using Entry = cluster::Allocation::Entry;
 // ordered by comparison sort rather than counting sort.
 constexpr std::uint64_t kCountingSortSpan = 4;
 
-// The end of a class query coverage list.
+// The end of a class query list: by coverage, or the fill's by key.
 constexpr std::uint32_t kNoClass = std::numeric_limits<std::uint32_t>::max();
 
 // The terms of a candidate's score that depend only on its rack r (rack
@@ -37,6 +37,14 @@ struct RackTerms {
   std::int64_t covered = 0;
   std::int64_t in_cloud = 0;
   std::int64_t beyond = 0;
+};
+
+// One list of the indexed fill's merge: the next node it gives, the free
+// row that node holds, and the list entry (a class, or an overlay row).
+struct Cursor {
+  std::size_t node = 0;
+  const int* row = nullptr;
+  std::uint32_t entry = 0;
 };
 
 // Per-thread scratch for Algorithm 1.  All buffers are sized once per
@@ -56,6 +64,11 @@ struct Workspace {
   std::vector<std::uint32_t> bucket;  // counting-sort bucket offsets; the
                                       // class query's list heads by coverage
   std::vector<std::uint32_t> next_class;  // the class query's list links
+  std::vector<std::uint32_t> fill_head;   // the indexed fill's list heads by
+                                          // key com(L[x], v)
+  std::vector<std::uint32_t> fill_next;   // its links: classes, then overlay
+                                          // rows
+  std::vector<Cursor> cursors;      // one key's lists, merged by node
   std::vector<Entry> taken;         // current candidate's (node, type, count)
   std::vector<int> rack_free;       // per-rack free sums, racks x m
   std::vector<int> cloud_free;      // per-cloud free sums, clouds x m
@@ -111,11 +124,125 @@ const std::vector<std::size_t>& get_list(std::vector<std::size_t>& nodes,
   return ws.sorted;
 }
 
+// The off-rack tiers of a fill from the class index: the same-cloud tier,
+// then, on a topology of several clouds, the rest, each in getList order
+// (docs/algorithms.md, "The class query").  A node's key com(L[x], L[i])
+// and what it gives the fill depend only on its free row, so a tier's
+// getList order — key descending, ties by ascending index — is the
+// classes by descending key, each key's members merged in ascending node
+// order.  Nodes of `rack` (the central's, filled already) are skipped, and
+// so are nodes that can take nothing when the step starts, with no type j
+// where need_j > 0 and the node has a free slot: need only falls, so they
+// take nothing later either.  Class 0 is always such a class.  Overlay
+// rows are read from the matrix and merged in by the key of their current
+// row; class walks skip them.  `take(node, row)` returns true once the
+// request is complete.
+template <typename Take>
+void fill_off_rack_from_classes(const cluster::FreeIndex& index,
+                                const std::vector<std::uint32_t>& overlay,
+                                const util::IntMatrix& remaining,
+                                const cluster::Topology& topology,
+                                std::size_t rack, Workspace& ws, Take&& take) {
+  const std::size_t n = ws.n;
+  const std::size_t m = ws.m;
+  const int* rows = remaining.data().data();
+  const std::size_t* node_rack = topology.node_racks().data();
+  const std::vector<std::uint32_t>& classes = index.nonempty();
+  const auto useful = [&](const int* row) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (ws.need[j] > 0 && row[j] > 0) return true;
+    }
+    return false;
+  };
+  const auto key_of = [&](const int* row) {
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      k += static_cast<std::size_t>(std::min(ws.lx[j], row[j]));
+    }
+    return k;
+  };
+
+  // Lists by key, as class_query buckets by coverage: entries below
+  // classes.size() are classes, the rest overlay rows.
+  std::size_t hi = 0;
+  for (std::size_t j = 0; j < m; ++j) hi += static_cast<std::size_t>(ws.lx[j]);
+  ws.fill_head.assign(hi + 1, kNoClass);
+  ws.fill_next.resize(classes.size() + overlay.size());
+  const auto push = [&](std::size_t entry, const int* row) {
+    const std::size_t k = key_of(row);
+    ws.fill_next[entry] = ws.fill_head[k];
+    ws.fill_head[k] = static_cast<std::uint32_t>(entry);
+  };
+  for (std::size_t e = 0; e < classes.size(); ++e) {
+    const int* row = index.class_free(classes[e]);
+    if (classes[e] != 0 && useful(row)) push(e, row);
+  }
+  for (std::size_t p = 0; p < overlay.size(); ++p) {
+    const std::size_t x = overlay[p];
+    const int* row = rows + x * m;
+    if (node_rack[x] != rack && useful(row)) push(classes.size() + p, row);
+  }
+
+  // The same-cloud tier (`near`) or the other clouds' nodes.
+  const std::size_t cloud = topology.cloud_of_rack(rack);
+  const auto in_tier = [&](std::size_t x, bool near) {
+    const std::size_t r = node_rack[x];
+    return r != rack && (topology.cloud_of_rack(r) == cloud) == near;
+  };
+  // The next member of class c at or above `from` in the tier and outside
+  // the overlay, or n.
+  const auto next_in_tier = [&](std::uint32_t c, std::size_t from, bool near) {
+    std::size_t x = index.next_member(c, from);
+    while (x < n && (!in_tier(x, near) ||
+                     std::binary_search(overlay.begin(), overlay.end(), x))) {
+      x = index.next_member(c, x + 1);
+    }
+    return x;
+  };
+  // Walks one tier; true once the request is complete.
+  const auto walk_tier = [&](bool near) {
+    for (std::size_t k = hi + 1; k-- > 0;) {
+      ws.cursors.clear();
+      for (std::uint32_t e = ws.fill_head[k]; e != kNoClass;
+           e = ws.fill_next[e]) {
+        if (e < classes.size()) {
+          const std::size_t x = next_in_tier(classes[e], 0, near);
+          if (x < n) ws.cursors.push_back({x, index.class_free(classes[e]), e});
+        } else if (const std::size_t x = overlay[e - classes.size()];
+                   in_tier(x, near)) {
+          ws.cursors.push_back({x, rows + x * m, e});
+        }
+      }
+      // Lowest node first; a list whose row can take nothing more leaves.
+      while (!ws.cursors.empty()) {
+        std::size_t low = 0;
+        for (std::size_t q = 1; q < ws.cursors.size(); ++q) {
+          if (ws.cursors[q].node < ws.cursors[low].node) low = q;
+        }
+        Cursor& cur = ws.cursors[low];
+        if (useful(cur.row)) {
+          if (take(cur.node, cur.row)) return true;
+          cur.node = cur.entry < classes.size()
+                         ? next_in_tier(classes[cur.entry], cur.node + 1, near)
+                         : n;
+          if (cur.node < n) continue;
+        }
+        cur = ws.cursors.back();
+        ws.cursors.pop_back();
+      }
+    }
+    return false;
+  };
+  if (!walk_tier(true) && topology.cloud_count() > 1) walk_tier(false);
+}
+
 // The greedy fill of Algorithm 1 for one fixed central node, evaluated into
 // ws.taken, sorted by (node, type) on success.  Visits the central node,
 // then rack-mates in descending com(L[x], L[i]) overlap (the paper's
 // getList ordering), then off-rack nodes nearest-tier-first (same cloud,
-// then other clouds) with the same overlap ordering inside each tier.
+// then other clouds) with the same overlap ordering inside each tier.  The
+// off-rack tiers come from a pass over every node, or, given the class
+// index that `remaining` outside `overlay` matches, from its classes.
 //
 // On success, `final_distance` receives the exact distance from `central`,
 // summed in ascending node order — the same FP evaluation order as
@@ -124,18 +251,22 @@ const std::vector<std::size_t>& get_list(std::vector<std::size_t>& nodes,
 bool fill_candidate(const cluster::Request& request,
                     const util::IntMatrix& remaining,
                     const cluster::Topology& topology, std::size_t central,
-                    Workspace& ws, double& final_distance) {
+                    Workspace& ws, double& final_distance,
+                    const cluster::FreeIndex* index = nullptr,
+                    const std::vector<std::uint32_t>* overlay = nullptr) {
   ws.taken.clear();
 
   const std::vector<int>& req = request.counts();
   ws.need.assign(req.begin(), req.end());
   int outstanding = 0;
   for (int v : ws.need) outstanding += v;
+  const int* rows = remaining.data().data();
 
-  // Takes min(remaining[node], need) of each type.
-  auto take = [&](std::size_t node) {
+  // Takes min(row, need) of each type from `node`, whose free row is `row`.
+  // True once the request is complete.
+  auto take = [&](std::size_t node, const int* row) {
     for (std::size_t j = 0; j < ws.m; ++j) {
-      const int t = std::min(ws.need[j], remaining(node, j));
+      const int t = std::min(ws.need[j], row[j]);
       if (t > 0) {
         ws.taken.push_back({static_cast<std::uint32_t>(node),
                             static_cast<std::uint32_t>(j), t});
@@ -143,6 +274,7 @@ bool fill_candidate(const cluster::Request& request,
         outstanding -= t;
       }
     }
+    return outstanding == 0;
   };
 
   // Keys one tier, key[i] = sum_j com(L[x], L[i]), puts it in getList
@@ -161,15 +293,14 @@ bool fill_candidate(const cluster::Request& request,
       hi = std::max(hi, k);
     }
     for (std::size_t i : get_list(nodes, lo, hi, ws)) {
-      take(i);
-      if (outstanding == 0) return;
+      if (take(i, rows + i * ws.m)) return;
     }
   };
 
   const std::size_t rack = topology.rack_of(central);
 
   // Step 1: the central node itself (com(L[x], R)).
-  take(central);
+  take(central, rows + central * ws.m);
   for (std::size_t j = 0; j < ws.m; ++j) ws.lx[j] = remaining(central, j);
 
   // Step 2: rack-mates — getList(D, x, 0).
@@ -184,9 +315,12 @@ bool fill_candidate(const cluster::Request& request,
   // Step 3: off-rack nodes — getList(D, x, 1), nearer tiers first (same
   // cloud before cross-cloud) so Theorem 1 keeps applying, then the
   // capacity-overlap ordering inside each tier.  Only reached (and only
-  // ordered) when the rack could not complete the request.  One pass splits
-  // the two tiers.
-  if (outstanding > 0) {
+  // ordered) when the rack could not complete the request.  From the
+  // index, a walk of its classes; otherwise one pass splits the two tiers.
+  if (outstanding > 0 && index != nullptr) {
+    fill_off_rack_from_classes(*index, *overlay, remaining, topology, rack, ws,
+                               take);
+  } else if (outstanding > 0) {
     const std::size_t cloud = topology.cloud_of_rack(rack);
     const std::vector<std::size_t>& node_rack = topology.node_racks();
     ws.tier.clear();
@@ -611,7 +745,8 @@ std::optional<Placement> class_query(const cluster::Request& request,
 
   if (best_x == n) return std::nullopt;
   double d = 0;
-  fill_candidate(request, remaining, topology, best_x, ws, d);
+  fill_candidate(request, remaining, topology, best_x, ws, d, &index,
+                 &overlay);
   VCOPT_INVARIANT(d == best_score)
       << " class query scored central " << best_x << " at " << best_score
       << " but it filled to " << d;

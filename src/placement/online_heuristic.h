@@ -31,8 +31,11 @@
 // products round, the scan fills the candidates within a proven rounding
 // slack of the minimum score and compares them.  A fill orders each tier by
 // getList's key with a counting sort (comparison sort only for a tier whose
-// keys span far more than its size).  A per-thread Workspace makes the scan,
-// the query and the fill allocation-free in steady state.
+// keys span far more than its size); the class query's fill takes its
+// off-rack tiers from the index instead, visiting classes by descending key
+// and merging each key's members in node order, the same order without a
+// pass over every node.  A per-thread Workspace makes the scan, the query
+// and the fill allocation-free in steady state.
 #pragma once
 
 #include "placement/policy.h"

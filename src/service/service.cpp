@@ -22,6 +22,8 @@ namespace vcopt::service {
 
 namespace {
 
+constexpr bool kChecksEnabled = static_cast<bool>(VCOPT_ENABLE_CHECKS);
+
 struct ServiceMetrics {
   obs::Gauge& queue_depth;
   obs::HistogramMetric& batch_size;
@@ -217,16 +219,21 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
   }
   if (members.empty()) return plan;
 
-  // Working capacity view, debited as grants are planned: each member sees
-  // exactly what cloud.remaining() will show once the earlier grants land.
-  util::IntMatrix avail = snap.remaining;
+  // The window's working view: each member sees exactly what
+  // cloud.remaining() will show once the window's earlier grants land.
+  // That is the cloud's own view, read through the snapshot, until the
+  // first debit a later placement of the window reads; that debit copies
+  // it, and later ones go to the copy (docs/performance.md, "The copy-free
+  // window").  So a singleton window copies nothing.
+  const util::IntMatrix* avail = snap.remaining;
+  util::IntMatrix copy;
   const cluster::Topology& topology = *snap.topology;
 
   // Cell-scoped planning (docs/cells.md): when the window was routed to a
   // cell, every solve below runs on the cell's row-slice of the working view
   // against the cell's sub-topology (intra-cell distances equal the global
   // ones, so DC needs no correction) and scatters its allocation back to
-  // global node ids.  The slice is re-taken from `avail` before each solve
+  // global node ids.  The slice is re-taken from the view before each solve
   // so earlier grants in the window are reflected.
   const bool in_cell = cell_ctx != nullptr && cell_ctx->partition != nullptr &&
                        cell_ctx->cell != kNoCell;
@@ -243,23 +250,34 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     return local;
   };
   const auto to_global = [&](placement::Placement& pl) {
-    pl.allocation = part->to_global(cell_id, pl.allocation, avail.rows());
+    pl.allocation = part->to_global(cell_id, pl.allocation, avail->rows());
     pl.central = part->cell(cell_id).nodes[pl.central];
   };
-  // Flat plans read `avail` through the cloud's class index of
-  // snap.remaining, with the nodes this window's debits have touched as
-  // the overlay (docs/algorithms.md, "The class query").
+  // Flat plans read the working view through the cloud's class index of
+  // the snapshot's state, with the nodes this window's debits have touched
+  // as the overlay (docs/algorithms.md, "The class query").
   cluster::WindowOverlay touched;
-  const cluster::CapacityView flat_view(avail, snap.index, &touched);
-  // Debits a planned grant from the working view over its entries, O(k),
-  // and records its nodes in the overlay.  debit_from writes through add_at
-  // and reads back through the const accessor, so avail's sum cache stays
-  // warm for the next placement.
+  // Debits a planned grant that a later placement reads from the working
+  // view, copying the view first if it is still the cloud's, and records
+  // its nodes in the overlay: O(k) past the copy.  debit_from writes
+  // through add_at and reads back through the const accessor, so the
+  // copy's sum cache stays warm for the next placement.
   const auto debit = [&](const cluster::Allocation& alloc) {
-    if (!alloc.debit_from(avail)) {
+    if (avail != &copy) {
+      copy = *avail;
+      avail = &copy;
+    }
+    if (!alloc.debit_from(copy)) {
       throw std::logic_error("plan_window: a plan oversubscribed capacity");
     }
     touched.add(alloc);
+  };
+  // A grant nothing later in the window reads is checked against the
+  // working view instead, read-only: O(k).
+  const auto check_fits = [&](const cluster::Allocation& alloc) {
+    if (!alloc.fits(*avail)) {
+      throw std::logic_error("plan_window: a plan oversubscribed capacity");
+    }
   };
 
   // Batch step (Algorithm 2) for windows of size > 1: every non-empty member
@@ -281,20 +299,26 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     placement::GlobalSubOpt gso;
     placement::BatchPlacement placed;
     if (in_cell) {
-      const util::IntMatrix local = slice_cell(avail);
+      const util::IntMatrix local = slice_cell(*avail);
       placed = gso.place_batch(batch, local, part->cell_topology(cell_id));
       for (placement::Placement& pl : placed.placements) to_global(pl);
     } else {
-      placed = gso.place_batch(batch, avail, topology);
+      placed = gso.place_batch(batch, *avail, topology);
     }
+    // place_batch debits its admissions from a copy of its own and throws
+    // on oversubscription, so the window debits them only when ladder
+    // members follow.  Checked builds debit them always, so each admission
+    // is validated against a view that holds the earlier ones.
+    const bool debit_admissions =
+        placed.admitted.size() < members.size() || kChecksEnabled;
     for (std::size_t k = 0; k < placed.admitted.size(); ++k) {
       const std::size_t i = batch_pos[placed.admitted[k]];
       const placement::Placement& pl = placed.placements[k];
       // Checked builds only: the validators take the dense matrix.
       VCOPT_VALIDATE(check::validate_allocation(
           pl.allocation.to_matrix(),  // NOLINT(vcopt-dense-allocation)
-          members[i].request.counts(), avail));
-      debit(pl.allocation);
+          members[i].request.counts(), *avail));
+      if (debit_admissions) debit(pl.allocation);
       Outcome o;
       o.seq = members[i].seq;
       o.request_id = members[i].request.id();
@@ -316,6 +340,11 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
   // Ladder fallback (Algorithm 1 rungs) for a singleton window and for
   // members the batch step left behind, in member (dispatch) order.  The
   // policy is built per plan, so plans never share mutable placement state.
+  // A ladder grant is debited only when a later ladder member follows it.
+  std::size_t last_ladder = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (!slot[i]) last_ladder = i;
+  }
   std::unique_ptr<placement::PlacementPolicy> policy;
   const auto plan_flat = [&](const cluster::Request& r) {
     VCOPT_INVARIANT(snap.index == nullptr ||
@@ -323,15 +352,16 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
         << "window " << window_id
         << " planned against a class index the cloud changed after its "
            "snapshot";
-    return placement::plan_laddered(r, flat_view, topology,
-                                    snap.capacity_col_sums, *policy);
+    return placement::plan_laddered(
+        r, cluster::CapacityView(*avail, snap.index, &touched), topology,
+        *snap.capacity_col_sums, *policy);
   };
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (slot[i]) continue;
     if (!policy) policy = placement::make_policy(options.policy);
     placement::LadderPlan lp;
     if (in_cell) {
-      const util::IntMatrix local = slice_cell(avail);
+      const util::IntMatrix local = slice_cell(*avail);
       lp = placement::plan_laddered(
           members[i].request, local, part->cell_topology(cell_id),
           cell_ctx->capacity_col_sums->at(cell_id), *policy);
@@ -360,7 +390,11 @@ WindowPlan plan_window(const cluster::CloudSnapshot& snap,
     if (lp.placement) {
       o.central = lp.placement->central;
       o.distance = lp.placement->distance;
-      debit(lp.placement->allocation);
+      if (i < last_ladder) {
+        debit(lp.placement->allocation);
+      } else {
+        check_fits(lp.placement->allocation);
+      }
       plan.grants.push_back(PlannedGrant{shed.size() + i,
                                          std::move(*lp.effective),
                                          std::move(lp.placement->allocation)});

@@ -239,11 +239,16 @@ struct WindowPlan {
 /// |members| > 1, the per-request ladder (placement::plan_laddered) for a
 /// singleton and for members the batch step could not admit.  Pure: reads
 /// only the snapshot and mutates nothing.
-/// Flat ladder plans read a copy of the snapshot's matrix, debited by the
-/// window's earlier grants, through the cloud's class index (snap.index)
-/// with those grants' nodes as the overlay (cluster::CapacityView), so the
-/// cloud must not change between the snapshot and this call; checked
-/// builds assert the index's version.
+/// The snapshot points at the cloud's own free view, so the cloud must not
+/// change between the snapshot and this call; checked builds assert the
+/// index's version.  Placements read that view until a grant must be seen
+/// by a later placement of the window: that grant copies it, and the
+/// window's later grants are debited from the copy (batch admissions only
+/// when ladder members follow, a ladder grant only when a later ladder
+/// member does).  A grant nothing later reads is checked against the view,
+/// not debited, so a singleton window copies nothing.  Flat ladder plans
+/// read the view through the cloud's class index (snap.index) with the
+/// debited grants' nodes as the overlay (cluster::CapacityView).
 /// With a non-null `cell_ctx` naming a cell, placements run against the
 /// cell's row-slice and sub-topology and scatter back to global node ids;
 /// members the cell cannot hold spill to a flat plan (docs/cells.md).

@@ -8,8 +8,11 @@
 // debits.  Shapes above FreeIndex::kMaxClasses keep no classes and scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -167,6 +170,230 @@ TEST_P(ClassQuery, MatchesTheScanUnderWindowOverlays) {
       }
     }
   }
+}
+
+// The winner's off-rack fill.  Each case below is built so the fill must
+// leave the central's rack, asserts that it does, and compares the class
+// query's placement, entries included, with the scan's.
+
+// place() on `view` and on its bare matrix, which must agree; returns the
+// view's answer.
+std::optional<Placement> place_both(const Request& r,
+                                    const cluster::CapacityView& view,
+                                    const Topology& topo,
+                                    const std::string& where) {
+  OnlineHeuristic heuristic;
+  const std::optional<Placement> got = heuristic.place(r, view, topo);
+  expect_identical(got, heuristic.place(r, view.matrix(), topo), where);
+  return got;
+}
+
+// A request that no group of nodes completes, `group_of` mapping a node to
+// its group: one VM of each type more than the group freest in that type
+// holds, capped at the total.  Empty if some type's total fits one group.
+std::optional<Request> beyond_every_group(
+    const IntMatrix& free, std::size_t groups,
+    const std::function<std::size_t(std::size_t)>& group_of) {
+  std::vector<int> sums(groups * free.cols(), 0);
+  std::vector<int> total(free.cols(), 0);
+  for (std::size_t i = 0; i < free.rows(); ++i) {
+    for (std::size_t j = 0; j < free.cols(); ++j) {
+      sums[group_of(i) * free.cols() + j] += free(i, j);
+      total[j] += free(i, j);
+    }
+  }
+  std::vector<int> counts(free.cols(), 0);
+  bool beyond = false;
+  for (std::size_t j = 0; j < free.cols(); ++j) {
+    int most = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      most = std::max(most, sums[g * free.cols() + j]);
+    }
+    counts[j] = std::min(total[j], most + 1);
+    beyond = beyond || counts[j] > most;
+  }
+  if (!beyond) return std::nullopt;
+  return Request(std::move(counts));
+}
+
+std::optional<Request> beyond_every_rack(const IntMatrix& free,
+                                         const Topology& topo) {
+  return beyond_every_group(free, topo.rack_count(),
+                            [&](std::size_t i) { return topo.rack_of(i); });
+}
+
+std::set<std::size_t> racks_of(const Placement& p, const Topology& topo) {
+  std::set<std::size_t> racks;
+  for (const cluster::Allocation::Entry& e : p.allocation.entries()) {
+    racks.insert(topo.rack_of(e.node));
+  }
+  return racks;
+}
+
+// getList's key com(L[x], row).
+int overlap(const IntMatrix& free, std::size_t x, const int* row) {
+  int k = 0;
+  for (std::size_t j = 0; j < free.cols(); ++j) {
+    k += std::min(free(x, j), row[j]);
+  }
+  return k;
+}
+
+// Three clouds; the request needs more of some type than any one cloud
+// has free, so the same-cloud tier cannot complete it and the walk of the
+// other clouds must.
+TEST_P(ClassQuery, OffRackFillCrossesClouds) {
+  util::Rng rng(GetParam() + 2000);
+  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const Topology topo = Topology::multi_cloud(3, 2, 4);
+  const Cloud cloud(topo, catalog,
+                    workload::random_inventory(topo, catalog, rng, 0, 4));
+  const IntMatrix free = cloud.remaining();
+  const std::optional<Request> r = beyond_every_group(
+      free, topo.cloud_count(), [&](std::size_t i) { return topo.cloud_of(i); });
+  ASSERT_TRUE(r.has_value());
+  const auto got = place_both(*r, cloud.capacity_view(), topo, "clouds");
+  ASSERT_TRUE(got.has_value());
+  std::set<std::size_t> clouds;
+  for (const cluster::Allocation::Entry& e : got->allocation.entries()) {
+    clouds.insert(topo.cloud_of(e.node));
+  }
+  EXPECT_GE(clouds.size(), 2u);
+}
+
+// Racks drawn per node, so no rack is a contiguous node range, and the
+// request needs more than any rack holds.
+TEST_P(ClassQuery, OffRackFillOnIrregularRacks) {
+  util::Rng rng(GetParam() + 3000);
+  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const Topology topo = irregular(rng, 40, 7, DistanceConfig{});
+  bool scattered = false;
+  for (std::size_t k = 0; k < topo.rack_count(); ++k) {
+    const std::vector<std::size_t>& nodes = topo.nodes_in_rack(k);
+    scattered = scattered ||
+                (!nodes.empty() && nodes.back() - nodes.front() + 1 != nodes.size());
+  }
+  ASSERT_TRUE(scattered);
+  Cloud cloud(topo, catalog,
+              workload::random_inventory(topo, catalog, rng, 0, 4));
+  const std::optional<Request> r = beyond_every_rack(cloud.remaining(), topo);
+  ASSERT_TRUE(r.has_value());
+  const auto got = place_both(*r, cloud.capacity_view(), topo, "irregular");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_GE(racks_of(*got, topo).size(), 2u);
+}
+
+// A window whose earlier grants took half of every cell of every other
+// node: an overlay node off the central's rack whose current row's key
+// differs from its stale class's must be merged in by its current key.
+// The request takes most of what is left, so such nodes give VMs.
+TEST_P(ClassQuery, OffRackFillMergesOverlayRowsByTheirCurrentKey) {
+  util::Rng rng(GetParam() + 4000);
+  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const Topology topo = Topology::uniform(4, 8);
+  Cloud cloud(topo, catalog,
+              workload::random_inventory(topo, catalog, rng, 0, 4));
+  const cluster::FreeIndex& index = cloud.free_index();
+  IntMatrix avail = cloud.remaining();
+  const IntMatrix& rows = avail;  // reads that keep the sums warm
+  std::vector<cluster::Allocation::Entry> half;
+  for (std::size_t i = 0; i < topo.node_count(); i += 2) {
+    for (std::size_t j = 0; j < catalog.size(); ++j) {
+      if (rows(i, j) >= 2) {
+        half.push_back({static_cast<std::uint32_t>(i),
+                        static_cast<std::uint32_t>(j), rows(i, j) / 2});
+      }
+    }
+  }
+  const cluster::Allocation debit = cluster::Allocation::from_entries(
+      topo.node_count(), catalog.size(), std::move(half));
+  ASSERT_TRUE(debit.debit_from(avail));
+  cluster::WindowOverlay overlay;
+  overlay.add(debit);
+  const cluster::CapacityView view(avail, &index, &overlay);
+  const std::vector<std::uint32_t>& nodes = overlay.nodes();
+
+  bool reached = false;
+  for (const int share : {3, 2, 1}) {  // quarters of the free total
+    std::vector<int> counts(catalog.size(), 0);
+    for (std::size_t j = 0; j < catalog.size(); ++j) {
+      counts[j] = rows.col_sum(j) * share / 4;
+    }
+    const auto got = place_both(Request(counts), view, topo,
+                                "overlay share " + std::to_string(share));
+    ASSERT_TRUE(got.has_value());
+    const std::size_t x = got->central;
+    for (const cluster::Allocation::Entry& e : got->allocation.entries()) {
+      if (topo.rack_of(e.node) == topo.rack_of(x) ||
+          !std::binary_search(nodes.begin(), nodes.end(), e.node)) {
+        continue;
+      }
+      const int now = overlap(rows, x, &rows(e.node, 0));
+      const int stale =
+          overlap(rows, x, index.class_free(index.class_of(e.node)));
+      reached = reached || now != stale;
+    }
+  }
+  EXPECT_TRUE(reached);
+}
+
+// Two types, every node free in one of them only, so the central has no
+// free slot of the other: every node holding that type has key 0, last in
+// getList order, and the fill still takes the type from off-rack ones.
+TEST_P(ClassQuery, OffRackFillTakesFromKeyZeroNodes) {
+  util::Rng rng(GetParam() + 5000);
+  const Topology topo = Topology::uniform(4, 4);
+  IntMatrix caps(topo.node_count(), 2, 0);
+  for (std::size_t i = 0; i < caps.rows(); ++i) {
+    caps(i, rng.bernoulli(0.5) ? 0 : 1) =
+        static_cast<int>(rng.uniform_int(1, 4));
+  }
+  const Cloud cloud(topo, two_types(), caps);
+  const IntMatrix& free = cloud.capacity_view().matrix();
+  const std::optional<Request> r = beyond_every_rack(free, topo);
+  ASSERT_TRUE(r.has_value());
+  const auto got = place_both(*r, cloud.capacity_view(), topo, "key zero");
+  ASSERT_TRUE(got.has_value());
+  const std::size_t x = got->central;
+  bool key_zero = false;
+  for (const cluster::Allocation::Entry& e : got->allocation.entries()) {
+    key_zero = key_zero || (topo.rack_of(e.node) != topo.rack_of(x) &&
+                            overlap(free, x, &free(e.node, 0)) == 0);
+  }
+  EXPECT_TRUE(key_zero);
+}
+
+// Most nodes hold one row, so the class of the top key has members in the
+// central's rack; the rack step has taken them, and the off-rack walk
+// must skip them.
+TEST_P(ClassQuery, OffRackFillSkipsTopKeyRackMates) {
+  util::Rng rng(GetParam() + 6000);
+  const cluster::VmCatalog catalog = cluster::VmCatalog::ec2_default();
+  const Topology topo = Topology::uniform(4, 8);
+  std::vector<int> top(catalog.size());
+  for (int& v : top) v = static_cast<int>(rng.uniform_int(1, 4));
+  IntMatrix caps(topo.node_count(), catalog.size());
+  for (std::size_t i = 0; i < caps.rows(); ++i) {
+    const bool low = rng.bernoulli(0.3);
+    for (std::size_t j = 0; j < caps.cols(); ++j) {
+      caps(i, j) = low ? top[j] / 2 : top[j];
+    }
+  }
+  const Cloud cloud(topo, catalog, caps);
+  const std::optional<Request> r =
+      beyond_every_rack(cloud.capacity_view().matrix(), topo);
+  ASSERT_TRUE(r.has_value());
+  const auto got = place_both(*r, cloud.capacity_view(), topo, "top key");
+  ASSERT_TRUE(got.has_value());
+  const std::size_t x = got->central;
+  const cluster::FreeIndex& index = cloud.free_index();
+  std::size_t mates = 0;
+  for (const std::size_t i : topo.nodes_in_rack(topo.rack_of(x))) {
+    mates += static_cast<std::size_t>(i != x &&
+                                      index.class_of(i) == index.class_of(x));
+  }
+  EXPECT_GE(mates, 1u);
+  EXPECT_GE(racks_of(*got, topo).size(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassQuery,
